@@ -13,7 +13,7 @@ from . import trace as tr
 from .cct import ContextTree
 from .errors import MalformedTraceError, TraceDecodeError
 from .profiles import canonicalize, merge_all
-from .sampling import SamplingConfig, is_monitored
+from .sampling import SamplingConfig, monitoring_window
 from .scope import ScopeBudget
 from .shadow import ShadowTable
 from .spatial import ObjectRegistry, SpatialDetector
@@ -41,7 +41,7 @@ class AnalysisConfig:
 class ThreadWorker:
     """Analysis state confined to one thread's event stream."""
 
-    def __init__(self, registry, config):
+    def __init__(self, registry, config, meta):
         self.tree = ContextTree()
         self.shadow = ShadowTable()
         self.temporal_budget = ScopeBudget(self.tree, config.scope_budget)
@@ -50,7 +50,7 @@ class ThreadWorker:
                                          config.approx_epsilon)
         self.spatial = SpatialDetector(registry, self.spatial_budget,
                                        config.approx_epsilon)
-        self.meta = config.meta()
+        self.meta = meta
 
 
 def analyze_events(events, source_map, config=None, verdict_sink=None):
@@ -65,8 +65,13 @@ def analyze_events(events, source_map, config=None, verdict_sink=None):
         config = AnalysisConfig()
     registry = ObjectRegistry()
     workers = {}
+    meta = config.meta()
     sampling = config.sampling
     gated = sampling.enabled
+    # The sampling window of the latest gated load: every ins_index in
+    # [lo, hi) gets the verdict `monitored`.
+    lo = hi = 0
+    monitored = False
 
     position = -1
     try:
@@ -74,12 +79,16 @@ def analyze_events(events, source_map, config=None, verdict_sink=None):
             tid = ev.thread_id
             worker = workers.get(tid)
             if worker is None:
-                worker = ThreadWorker(registry, config)
+                worker = ThreadWorker(registry, config, meta)
                 workers[tid] = worker
             kind = ev.kind
             if kind == tr.LOAD:
-                if gated and not is_monitored(ev.ins_index, sampling):
-                    continue
+                if gated:
+                    ins = ev.ins_index
+                    if not lo <= ins < hi:
+                        lo, hi, monitored = monitoring_window(ins, sampling)
+                    if not monitored:
+                        continue
                 ctx, load_ts = worker.tree.current_load_context(ev.site_id)
                 tv = worker.temporal.process_load(ev, ctx, load_ts)
                 sv = worker.spatial.process_load(ev, ctx, load_ts)
@@ -101,7 +110,9 @@ def analyze_events(events, source_map, config=None, verdict_sink=None):
                 registry.on_static_image(ev.objects)
             # THREAD_START only announces the thread
     except MalformedTraceError as exc:
-        raise MalformedTraceError(f"event {position}: {exc}") from None
+        raise MalformedTraceError(
+            f"event {position} (thread {ev.thread_id}, "
+            f"ins_index {ev.ins_index}): {exc}") from None
 
     profiles = [canonicalize(workers[tid], source_map)
                 for tid in sorted(workers)]

@@ -36,3 +36,17 @@ def is_monitored(ins_index, config):
         return True
     period = config.window_enable + config.window_disable
     return ins_index % period < config.window_enable
+
+
+def monitoring_window(ins_index, config):
+    """The sampling window that holds `ins_index`, as (lo, hi, monitored):
+    `is_monitored(i, config) == monitored` for every lo <= i < hi. Lets a
+    caller gate a run of loads with one range check per load and this
+    call only when an index falls outside the last window. `config` must
+    have sampling enabled."""
+    enable = config.window_enable
+    period = enable + config.window_disable
+    start = ins_index - ins_index % period
+    if ins_index < start + enable:
+        return start, start + enable, True
+    return start + enable, start + period, False

@@ -130,7 +130,6 @@ class SpatialDetector:
         self.prior = {}          # object_id -> (value, fp_class, ctx, ts)
         self.object_rows = {}    # report key -> PairCounters
         self.pair_rows = {}      # (report key, old ctx, new ctx) -> PairCounters
-        self.verdicts = None     # optionally a list capturing verdicts
         # (redundant, approx_class, object_id) -> its one SpatialVerdict
         self.shared_verdicts = {}
 

@@ -102,11 +102,19 @@ def load_event(thread_id, ins_index, addr, value, fp_class=NONFP, site_id=0):
                       value=bytes(value), fp_class=fp_class, site_id=site_id)
 
 
-_HDR = struct.Struct("<IQ")          # thread_id, ins_index
-_LOAD_FIXED = struct.Struct("<QBBI")  # addr, size, fp_class, site_id
+# One struct per record kind: the common header (kind, thread_id,
+# ins_index) followed by the kind's fixed fields.
+_REC = struct.Struct("<BIQ")             # thread_start
+_REC_LOAD = struct.Struct("<BIQQBBI")    # addr, size, fp_class, site_id
+_REC_SITE = struct.Struct("<BIQI")       # call, return: site_id
+_REC_LOOP = struct.Struct("<BIQII")      # loop_id, site_id
+_REC_ALLOC = struct.Struct("<BIQQQ")     # base, size
+_REC_FREE = struct.Struct("<BIQQ")       # base
+_REC_IMAGE = struct.Struct("<BIQI")      # static_image: object count
+# The longest record other than static_image: a load of 32 value bytes.
+_MAX_FIXED = _REC_LOAD.size + max(LOAD_SIZES)
+
 _U32 = struct.Struct("<I")
-_U64 = struct.Struct("<Q")
-_2U32 = struct.Struct("<II")
 _2U64 = struct.Struct("<QQ")
 _U16 = struct.Struct("<H")
 
@@ -201,70 +209,89 @@ def write_trace(events, source_map, sink):
     state = {}
     for index, ev in enumerate(events):
         _check_event(ev, index, state, source_map)
-        put(bytes((ev.kind,)))
-        put(_HDR.pack(ev.thread_id, ev.ins_index))
-        kind = ev.kind
+        kind, tid, ins = ev.kind, ev.thread_id, ev.ins_index
         if kind == LOAD:
-            put(_LOAD_FIXED.pack(ev.addr, ev.size, ev.fp_class, ev.site_id))
+            put(_REC_LOAD.pack(kind, tid, ins, ev.addr, ev.size, ev.fp_class,
+                               ev.site_id))
             put(ev.value)
         elif kind == CALL or kind == RETURN:
-            put(_U32.pack(ev.site_id))
+            put(_REC_SITE.pack(kind, tid, ins, ev.site_id))
         elif kind == LOOPHEAD:
-            put(_2U32.pack(ev.loop_id, ev.site_id))
+            put(_REC_LOOP.pack(kind, tid, ins, ev.loop_id, ev.site_id))
         elif kind == ALLOC:
-            put(_2U64.pack(ev.base, ev.alloc_size))
+            put(_REC_ALLOC.pack(kind, tid, ins, ev.base, ev.alloc_size))
         elif kind == FREE:
-            put(_U64.pack(ev.base))
+            put(_REC_FREE.pack(kind, tid, ins, ev.base))
         elif kind == STATIC_IMAGE:
-            put(_U32.pack(len(ev.objects)))
+            put(_REC_IMAGE.pack(kind, tid, ins, len(ev.objects)))
             for name, base, size in ev.objects:
                 put_str(name)
                 put(_2U64.pack(base, size))
-        # THREAD_START has no payload
+        else:  # THREAD_START has no payload
+            put(_REC.pack(kind, tid, ins))
     return written
 
 
 class _Reader:
-    """Buffered reader over a binary stream with absolute offsets."""
+    """A buffer refilled from a binary stream in chunks.
+
+    `buf[pos:]` holds the bytes not yet decoded and `base` is the absolute
+    offset of `buf[0]`, so `base + pos` is the offset of the next byte.
+    """
 
     CHUNK = 1 << 20
 
     def __init__(self, stream):
         self.stream = stream
         self.buf = b""
-        self.pos = 0       # consumed within buf
-        self.offset = 0    # absolute offset of next unread byte
+        self.pos = 0
+        self.base = 0
 
-    def take(self, n, record_start):
+    def fill(self, n):
+        """Make at least n bytes available at `pos`; False when the stream
+        ends first. Only the unread tail is kept across a refill."""
         while len(self.buf) - self.pos < n:
             chunk = self.stream.read(self.CHUNK)
             if not chunk:
-                raise TraceDecodeError("truncated record", record_start)
+                return False
+            self.base += self.pos
             self.buf = self.buf[self.pos:] + chunk
             self.pos = 0
+        return True
+
+    def take(self, n, record_start):
+        if not self.fill(n):
+            raise TraceDecodeError("truncated record", record_start)
         out = self.buf[self.pos:self.pos + n]
         self.pos += n
-        self.offset += n
         return out
 
-    def at_eof(self):
-        if self.pos < len(self.buf):
-            return False
-        chunk = self.stream.read(self.CHUNK)
-        if not chunk:
-            return True
-        self.buf = chunk
-        self.pos = 0
-        return False
+    def unpack(self, st, record_start):
+        if not self.fill(st.size):
+            raise TraceDecodeError("truncated record", record_start)
+        out = st.unpack_from(self.buf, self.pos)
+        self.pos += st.size
+        return out
+
+    def read_str(self, record_start):
+        (n,) = self.unpack(_U16, record_start)
+        try:
+            return self.take(n, record_start).decode("utf-8")
+        except UnicodeDecodeError:
+            raise TraceDecodeError("invalid UTF-8 in string",
+                                   record_start) from None
 
 
-def _read_str(r, record_start):
-    (n,) = _U16.unpack(r.take(2, record_start))
-    raw = r.take(n, record_start)
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError:
-        raise TraceDecodeError("invalid UTF-8 in string", record_start) from None
+def _bad_load(size, fp_class, record_start):
+    if size not in LOAD_SIZES:
+        return TraceDecodeError(f"bad load size {size}", record_start)
+    return TraceDecodeError(f"bad fp_class {fp_class}", record_start)
+
+
+def _not_increasing(tid, ins_index, previous, record_start):
+    return TraceDecodeError(
+        f"ins_index {ins_index} after {previous} in thread {tid}: "
+        "not strictly increasing", record_start)
 
 
 def read_trace(source):
@@ -272,76 +299,120 @@ def read_trace(source):
 
     The header and source map are read eagerly; events stream lazily with
     memory bounded independent of trace length. Raises TraceDecodeError with
-    a byte offset on bad magic, truncation, or an unknown event kind.
+    a byte offset on bad magic, truncation, an unknown event kind, or an
+    ins_index that does not increase within its thread.
     """
     r = _Reader(source)
-    magic = r.take(4, 0) if not r.at_eof() else b""
+    magic = r.take(4, 0) if r.fill(1) else b""
     if magic != MAGIC:
         raise TraceDecodeError(f"bad magic {magic!r}", 0)
-    (version,) = _U16.unpack(r.take(2, 0))
+    (version,) = r.unpack(_U16, 0)
     if version != VERSION:
         raise TraceDecodeError(f"unsupported version {version}", 4)
 
     source_map = SourceMap()
-    map_start = r.offset
-    (n_sites,) = _U32.unpack(r.take(4, map_start))
+    map_start = r.base + r.pos
+    (n_sites,) = r.unpack(_U32, map_start)
     for _ in range(n_sites):
-        (site_id,) = _U32.unpack(r.take(4, map_start))
-        function = _read_str(r, map_start)
-        file = _read_str(r, map_start)
-        (line,) = _U32.unpack(r.take(4, map_start))
+        (site_id,) = r.unpack(_U32, map_start)
+        function = r.read_str(map_start)
+        file = r.read_str(map_start)
+        (line,) = r.unpack(_U32, map_start)
         source_map.add_site(site_id, function, file, line)
-    (n_loops,) = _U32.unpack(r.take(4, map_start))
+    (n_loops,) = r.unpack(_U32, map_start)
     for _ in range(n_loops):
-        (loop_id,) = _U32.unpack(r.take(4, map_start))
-        file = _read_str(r, map_start)
-        (line,) = _U32.unpack(r.take(4, map_start))
+        (loop_id,) = r.unpack(_U32, map_start)
+        file = r.read_str(map_start)
+        (line,) = r.unpack(_U32, map_start)
         source_map.add_loop(loop_id, file, line)
 
     def events():
-        while not r.at_eof():
-            rec_start = r.offset
-            kind = r.take(1, rec_start)[0]
-            thread_id, ins_index = _HDR.unpack(r.take(12, rec_start))
-            if kind == LOAD:
-                addr, size, fp_class, site_id = _LOAD_FIXED.unpack(
-                    r.take(14, rec_start))
-                if size not in LOAD_SIZES:
-                    raise TraceDecodeError(f"bad load size {size}", rec_start)
-                if fp_class not in FP_NAMES:
-                    raise TraceDecodeError(
-                        f"bad fp_class {fp_class}", rec_start)
-                value = r.take(size, rec_start)
-                yield TraceEvent(LOAD, thread_id, ins_index, addr=addr,
-                                 size=size, value=value, fp_class=fp_class,
-                                 site_id=site_id)
-            elif kind == CALL or kind == RETURN:
-                (site_id,) = _U32.unpack(r.take(4, rec_start))
-                yield TraceEvent(kind, thread_id, ins_index, site_id=site_id)
-            elif kind == LOOPHEAD:
-                loop_id, site_id = _2U32.unpack(r.take(8, rec_start))
-                yield TraceEvent(LOOPHEAD, thread_id, ins_index,
-                                 loop_id=loop_id, site_id=site_id)
-            elif kind == ALLOC:
-                base, size = _2U64.unpack(r.take(16, rec_start))
-                yield TraceEvent(ALLOC, thread_id, ins_index, base=base,
-                                 alloc_size=size)
-            elif kind == FREE:
-                (base,) = _U64.unpack(r.take(8, rec_start))
-                yield TraceEvent(FREE, thread_id, ins_index, base=base)
-            elif kind == STATIC_IMAGE:
-                (count,) = _U32.unpack(r.take(4, rec_start))
-                objs = []
-                for _ in range(count):
-                    name = _read_str(r, rec_start)
-                    base, size = _2U64.unpack(r.take(16, rec_start))
-                    objs.append((name, base, size))
-                yield TraceEvent(STATIC_IMAGE, thread_id, ins_index,
-                                 objects=tuple(objs))
-            elif kind == THREAD_START:
-                yield TraceEvent(THREAD_START, thread_id, ins_index)
-            else:
-                raise TraceDecodeError(f"unknown event kind {kind}", rec_start)
+        # The loop keeps the buffer and the offset in locals and hands them
+        # back to `r` only to refill. Every record but static_image fits in
+        # _MAX_FIXED bytes, so once that many are buffered (or the stream
+        # has ended) such a record decodes without a refill; one that the
+        # stream cuts short makes unpack_from raise struct.error.
+        last_ins = {}       # thread_id -> ins_index of its latest event
+        buf, pos = r.buf, r.pos
+        end = len(buf)
+        while True:
+            if end - pos < _MAX_FIXED:
+                r.pos = pos
+                r.fill(_MAX_FIXED)
+                buf, pos = r.buf, r.pos
+                end = len(buf)
+                if pos == end:
+                    return
+            start = pos
+            kind = buf[pos]
+            try:
+                if kind == LOAD:
+                    _, tid, ins, addr, size, fp_class, site_id = \
+                        _REC_LOAD.unpack_from(buf, pos)
+                    if size not in LOAD_SIZES or fp_class > F64:
+                        raise _bad_load(size, fp_class, r.base + start)
+                    pos += _REC_LOAD.size
+                    value = buf[pos:pos + size]
+                    pos += size
+                    if pos > end:
+                        raise TraceDecodeError("truncated record",
+                                               r.base + start)
+                    ev = TraceEvent(LOAD, tid, ins, addr, size, value,
+                                    fp_class, site_id)
+                elif kind == LOOPHEAD:
+                    _, tid, ins, loop_id, site_id = \
+                        _REC_LOOP.unpack_from(buf, pos)
+                    pos += _REC_LOOP.size
+                    # Positional: loop heads are as frequent as loads.
+                    ev = TraceEvent(LOOPHEAD, tid, ins, 0, 0, b"", NONFP,
+                                    site_id, loop_id)
+                elif kind == CALL or kind == RETURN:
+                    _, tid, ins, site_id = _REC_SITE.unpack_from(buf, pos)
+                    pos += _REC_SITE.size
+                    ev = TraceEvent(kind, tid, ins, 0, 0, b"", NONFP, site_id)
+                elif kind == ALLOC:
+                    _, tid, ins, base, size = _REC_ALLOC.unpack_from(buf, pos)
+                    pos += _REC_ALLOC.size
+                    ev = TraceEvent(ALLOC, tid, ins, base=base,
+                                    alloc_size=size)
+                elif kind == FREE:
+                    _, tid, ins, base = _REC_FREE.unpack_from(buf, pos)
+                    pos += _REC_FREE.size
+                    ev = TraceEvent(FREE, tid, ins, base=base)
+                elif kind == THREAD_START:
+                    _, tid, ins = _REC.unpack_from(buf, pos)
+                    pos += _REC.size
+                    ev = TraceEvent(THREAD_START, tid, ins)
+                elif kind == STATIC_IMAGE:
+                    # May be longer than a chunk: decoded through `r`, which
+                    # refills as each object needs.
+                    record_start = r.base + start
+                    r.pos = pos
+                    _, tid, ins, count = r.unpack(_REC_IMAGE, record_start)
+                    objs = []
+                    for _ in range(count):
+                        name = r.read_str(record_start)
+                        base, size = r.unpack(_2U64, record_start)
+                        objs.append((name, base, size))
+                    buf, pos = r.buf, r.pos
+                    end = len(buf)
+                    start = record_start - r.base   # r.base may have moved
+                    ev = TraceEvent(STATIC_IMAGE, tid, ins,
+                                    objects=tuple(objs))
+                else:
+                    # Read like a record header first: a cut-short one is
+                    # truncated, not of unknown kind.
+                    _REC.unpack_from(buf, pos)
+                    raise TraceDecodeError(f"unknown event kind {kind}",
+                                           r.base + start)
+            except struct.error:
+                raise TraceDecodeError("truncated record",
+                                       r.base + start) from None
+            previous = last_ins.get(tid, -1)
+            if ins <= previous:
+                raise _not_increasing(tid, ins, previous, r.base + start)
+            last_ins[tid] = ins
+            yield ev
 
     return events(), source_map
 
@@ -392,6 +463,7 @@ def read_text_trace(source):
         raise TraceDecodeError("bad text trace header", 0)
     source_map = SourceMap()
     events = []
+    last_ins = {}       # thread_id -> ins_index of its latest event
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -401,46 +473,51 @@ def read_text_trace(source):
             if tag == "site":
                 source_map.add_site(int(parts[1]), unquote(parts[2]),
                                     unquote(parts[3]), int(parts[4]))
-            elif tag == "loopsite":
+                continue
+            if tag == "loopsite":
                 source_map.add_loop(int(parts[1]), unquote(parts[2]),
                                     int(parts[3]))
-            elif tag == "L":
+                continue
+            if tag == "L":
                 value = bytes.fromhex(parts[5])
-                events.append(TraceEvent(
+                ev = TraceEvent(
                     LOAD, int(parts[1]), int(parts[2]), addr=int(parts[3], 16),
                     size=int(parts[4]), value=value,
-                    fp_class=FP_BY_NAME[parts[6]], site_id=int(parts[7])))
+                    fp_class=FP_BY_NAME[parts[6]], site_id=int(parts[7]))
             elif tag == "C":
-                events.append(TraceEvent(CALL, int(parts[1]), int(parts[2]),
-                                         site_id=int(parts[3])))
+                ev = TraceEvent(CALL, int(parts[1]), int(parts[2]),
+                                site_id=int(parts[3]))
             elif tag == "R":
-                events.append(TraceEvent(RETURN, int(parts[1]), int(parts[2]),
-                                         site_id=int(parts[3])))
+                ev = TraceEvent(RETURN, int(parts[1]), int(parts[2]),
+                                site_id=int(parts[3]))
             elif tag == "H":
-                events.append(TraceEvent(LOOPHEAD, int(parts[1]), int(parts[2]),
-                                         loop_id=int(parts[3]),
-                                         site_id=int(parts[4])))
+                ev = TraceEvent(LOOPHEAD, int(parts[1]), int(parts[2]),
+                                loop_id=int(parts[3]), site_id=int(parts[4]))
             elif tag == "A":
-                events.append(TraceEvent(ALLOC, int(parts[1]), int(parts[2]),
-                                         base=int(parts[3], 16),
-                                         alloc_size=int(parts[4])))
+                ev = TraceEvent(ALLOC, int(parts[1]), int(parts[2]),
+                                base=int(parts[3], 16),
+                                alloc_size=int(parts[4]))
             elif tag == "F":
-                events.append(TraceEvent(FREE, int(parts[1]), int(parts[2]),
-                                         base=int(parts[3], 16)))
+                ev = TraceEvent(FREE, int(parts[1]), int(parts[2]),
+                                base=int(parts[3], 16))
             elif tag == "S":
                 objs = []
                 for tok in parts[3:]:
                     name, base, size = tok.rsplit(":", 2)
                     objs.append((unquote(name), int(base, 16), int(size)))
-                events.append(TraceEvent(STATIC_IMAGE, int(parts[1]),
-                                         int(parts[2]), objects=tuple(objs)))
+                ev = TraceEvent(STATIC_IMAGE, int(parts[1]), int(parts[2]),
+                                objects=tuple(objs))
             elif tag == "T":
-                events.append(TraceEvent(THREAD_START, int(parts[1]),
-                                         int(parts[2])))
+                ev = TraceEvent(THREAD_START, int(parts[1]), int(parts[2]))
             else:
                 raise TraceDecodeError(f"unknown line tag {tag!r}", lineno)
         except TraceDecodeError:
             raise
         except (ValueError, KeyError, IndexError) as exc:
             raise TraceDecodeError(f"bad line: {exc}", lineno) from None
+        previous = last_ins.get(ev.thread_id, -1)
+        if ev.ins_index <= previous:
+            raise _not_increasing(ev.thread_id, ev.ins_index, previous, lineno)
+        last_ins[ev.thread_id] = ev.ins_index
+        events.append(ev)
     return events, source_map

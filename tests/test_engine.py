@@ -6,9 +6,9 @@ from redload.engine import AnalysisConfig, analyze_events, analyze_path
 from redload.errors import MalformedTraceError, TraceDecodeError
 from redload.profiles import Profile, merge_all
 from redload.sampling import SamplingConfig
-from redload.trace import (CALL, LOAD, RETURN, STATIC_IMAGE, THREAD_START,
-                           SourceMap, TraceEvent, write_text_trace,
-                           write_trace)
+from redload.trace import (ALLOC, CALL, FREE, LOAD, RETURN, STATIC_IMAGE,
+                           THREAD_START, SourceMap, TraceEvent,
+                           write_text_trace, write_trace)
 from redload.workloads import Scenario, generate
 
 from helpers import Build, u32
@@ -32,6 +32,19 @@ def test_malformed_trace_error_names_event_position():
     with pytest.raises(MalformedTraceError) as err:
         analyze_events(events, sm, FULL)
     assert "event 3" in str(err.value)
+
+
+def test_unmatched_free_names_position_thread_and_ins_index():
+    events = [TraceEvent(THREAD_START, 7, 10),
+              TraceEvent(ALLOC, 7, 12, base=0x1000, alloc_size=16),
+              TraceEvent(FREE, 7, 15, base=0x2000)]
+    with pytest.raises(MalformedTraceError) as err:
+        analyze_events(events, SourceMap(), FULL)
+    message = str(err.value)
+    assert "event 2" in message
+    assert "thread 7" in message
+    assert "ins_index 15" in message
+    assert "0x2000" in message
 
 
 def test_overlapping_alloc_reported_with_position():

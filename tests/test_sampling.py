@@ -1,10 +1,13 @@
 """Sampling gate behavior and its interaction with profile counters."""
 
+import random
+
 import pytest
 
 from redload.engine import AnalysisConfig, analyze_events
 from redload.errors import ConfigError
-from redload.sampling import SamplingConfig, is_monitored
+from redload.sampling import SamplingConfig, is_monitored, monitoring_window
+from redload.trace import LOAD, SourceMap, TraceEvent
 from redload.workloads import Scenario, generate
 
 
@@ -32,6 +35,62 @@ def test_window_enable_must_be_positive():
     with pytest.raises(ConfigError):
         SamplingConfig(window_enable=0)
     SamplingConfig(window_enable=0, enabled=False)
+
+
+GATE_CONFIGS = [SamplingConfig(window_enable=1, window_disable=0),
+                SamplingConfig(window_enable=5, window_disable=0),
+                SamplingConfig(window_enable=1, window_disable=4),
+                SamplingConfig(window_enable=2, window_disable=3),
+                SamplingConfig(window_enable=3, window_disable=17),
+                SamplingConfig()]
+
+
+def _gate_indices(cfg, seed):
+    """Indices around every window edge of the first periods, repeated and
+    shuffled, plus far-off ones."""
+    rng = random.Random(seed)
+    period = cfg.window_enable + cfg.window_disable
+    edges = [k * period + d for k in range(4)
+             for d in (0, cfg.window_enable, period)]
+    near = [e + off for e in edges for off in (-1, 0, 1) if e + off >= 0]
+    far = [rng.randrange(1 << 63) for _ in range(50)]
+    indices = near * 3 + far + list(range(3 * period if period < 100 else 0))
+    rng.shuffle(indices)
+    return indices
+
+
+@pytest.mark.parametrize("cfg", GATE_CONFIGS)
+def test_monitoring_window_matches_is_monitored(cfg):
+    for i in _gate_indices(cfg, 7):
+        lo, hi, monitored = monitoring_window(i, cfg)
+        assert lo <= i < hi
+        assert monitored == is_monitored(i, cfg)
+        assert all(is_monitored(j, cfg) == monitored
+                   for j in (lo, hi - 1, (lo + hi) // 2))
+
+
+@pytest.mark.parametrize("cfg", GATE_CONFIGS)
+def test_engine_gate_agrees_with_is_monitored_in_any_order(cfg):
+    # The engine caches the latest window; loads are fed straight to
+    # analyze_events (no reader), so their ins_index order is arbitrary.
+    sm = SourceMap()
+    sm.add_site(1, "main", "m.c", 1)
+    indices = _gate_indices(cfg, 11)
+    current = []
+
+    def feed():
+        for i in indices:
+            ev = TraceEvent(LOAD, 0, i, addr=0x40, size=4, value=b"\0" * 4,
+                            site_id=1)
+            current.append(i)
+            yield ev
+
+    gated = []
+    profile = analyze_events(feed(), sm, AnalysisConfig(sampling=cfg),
+                             verdict_sink=lambda v: gated.append(current[-1]))
+    expected = [i for i in indices if is_monitored(i, cfg)]
+    assert gated == expected
+    assert profile.totals.total_nonfp_bytes == 4 * len(expected)
 
 
 def test_long_run_monitored_fraction_converges():

@@ -6,9 +6,10 @@ import random
 import pytest
 
 from redload.errors import TraceDecodeError, TraceEncodeError
-from redload.trace import (CALL, F32, F64, LOAD, NONFP, RETURN, SourceMap,
-                           TraceEvent, load_event, read_text_trace,
-                           read_trace, write_text_trace, write_trace)
+from redload.trace import (CALL, F32, F64, LOAD, NONFP, RETURN,
+                           THREAD_START, SourceMap, TraceEvent, _Reader,
+                           load_event, read_text_trace, read_trace,
+                           write_text_trace, write_trace)
 from redload.workloads import Scenario, generate
 
 from helpers import Build, u32
@@ -39,8 +40,8 @@ def test_single_load_roundtrips_bit_exactly():
     assert sm.site(1) == ("main", "a.c", 1)
 
 
-def test_all_event_kinds_roundtrip():
-    b = Build()
+def _all_kinds_build():
+    b = Build(tid=2)
     b.sm.add_site(1, "main", "m.c", 1)
     b.sm.add_site(2, "f", "m.c", 9)
     b.sm.add_loop(5, "m.c", 3)
@@ -49,12 +50,17 @@ def test_all_event_kinds_roundtrip():
     b.call(1)
     b.loop(5, 1)
     b.load(0x2000, u32(7), 2)
-    b.load(0x3000, bytes(8), 2, fp=F64)
+    b.load(0x3000, bytes(range(32)), 2, fp=F64)
     b.alloc(0x9000, 64)
     b.call(2)
     b.ret(2)
     b.free(0x9000)
     b.ret(1)
+    return b
+
+
+def test_all_event_kinds_roundtrip():
+    b = _all_kinds_build()
     events, sm, _ = roundtrip(b.events, b.sm)
     assert events == b.events
     assert sm.loops == b.sm.loops and sm.sites == b.sm.sites
@@ -98,9 +104,15 @@ def test_unknown_kind_reports_record_offset():
     with pytest.raises(TraceDecodeError) as err:
         list(events)
     assert err.value.offset == record_start
+    # Cut inside the common header, the record is truncated first.
+    events, _ = read_trace(io.BytesIO(bytes(raw[:record_start + 5])))
+    with pytest.raises(TraceDecodeError, match="truncated") as err:
+        list(events)
+    assert err.value.offset == record_start
 
 
-def test_truncation_at_every_boundary_errors_never_crashes():
+def _boundary_trace():
+    """A small trace of five records: its bytes and its events."""
     b = Build()
     b.sm.add_site(1, "main", "a.c", 1)
     b.sm.add_loop(2, "a.c", 2)
@@ -111,7 +123,11 @@ def test_truncation_at_every_boundary_errors_never_crashes():
     b.ret(1)
     buf = io.BytesIO()
     write_trace(b.events, b.sm, buf)
-    raw = buf.getvalue()
+    return buf.getvalue(), b.events
+
+
+def test_truncation_at_every_boundary_errors_never_crashes():
+    raw, _ = _boundary_trace()
     full = list(read_trace(io.BytesIO(raw))[0])
     # Record sizes: common header is 13 bytes plus the kind payload.
     header = len(raw) - (13 + 13 + 4 + 13 + 8 + 13 + 14 + 4 + 13 + 4)
@@ -131,6 +147,96 @@ def test_truncation_at_every_boundary_errors_never_crashes():
         # A clean record boundary yields a prefix of the full sequence.
         assert got == full[:len(got)]
         assert cut in (*starts, len(raw)) or cut < header
+
+
+class ShortReads:
+    """A stream whose read(n) returns at most `k` bytes at a time."""
+
+    def __init__(self, raw, k):
+        self.inner = io.BytesIO(raw)
+        self.k = k
+
+    def read(self, n):
+        return self.inner.read(min(n, self.k))
+
+
+def _decode_outcome(stream):
+    """The events a stream decodes to, or the error it stops with."""
+    try:
+        events, sm = read_trace(stream)
+        return list(events), sm
+    except TraceDecodeError as err:
+        return err.offset, str(err)
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_short_reads_decode_like_bytesio(k):
+    # Records straddle every possible refill point; each truncation must
+    # still stop at the same record with the same error.
+    b = _all_kinds_build()
+    all_kinds = (roundtrip(b.events, b.sm)[2], b.events)
+    for raw, events in (_boundary_trace(), all_kinds):
+        got, _ = _decode_outcome(ShortReads(raw, k))
+        assert got == events
+        for cut in range(len(raw)):
+            assert _decode_outcome(ShortReads(raw[:cut], k)) == \
+                _decode_outcome(io.BytesIO(raw[:cut]))
+
+
+def test_static_image_larger_than_refill_chunk_roundtrips():
+    b = Build()
+    b.sm.add_site(1, "main", "a.c", 1)
+    b.thread_start()
+    b.static_image([(f"object_{i:06d}_{'x' * 40}", 0x1000_0000 + 64 * i, 64)
+                    for i in range(20_000)])
+    b.load(0x1000_0000, u32(5), 1)
+    events, _, raw = roundtrip(b.events, b.sm)
+    assert len(raw) > _Reader.CHUNK
+    assert events == b.events
+
+    # An error found after the record was refilled still names its start.
+    header = len(roundtrip([], b.sm)[2])
+    image_start = header + 13
+    bad = bytearray(raw)
+    bad[image_start + 5:image_start + 13] = (0).to_bytes(8, "little")
+    decoded, _ = read_trace(io.BytesIO(bytes(bad)))
+    with pytest.raises(TraceDecodeError) as err:
+        list(decoded)
+    assert err.value.offset == image_start
+
+
+def test_reader_rejects_ins_index_not_increasing_per_thread():
+    b = Build(tid=3)
+    b.sm.add_site(1, "main", "a.c", 1)
+    b.ins = 40
+    b.thread_start()
+    b.load(0x1000, u32(5), 1)
+    b.load(0x1004, u32(6), 1)
+    other = TraceEvent(THREAD_START, 4, 0)  # another thread may run behind
+    events = b.events[:2] + [other] + b.events[2:]
+    buf = io.BytesIO()
+    write_trace(events, b.sm, buf)
+    raw = bytearray(buf.getvalue())
+    load_size = 27 + 4
+    last_start = len(raw) - load_size
+    # Give the last load thread 3's previous ins_index (41).
+    raw[last_start + 5:last_start + 13] = (41).to_bytes(8, "little")
+    decoded, _ = read_trace(io.BytesIO(bytes(raw)))
+    with pytest.raises(TraceDecodeError) as err:
+        list(decoded)
+    assert err.value.offset == last_start
+    assert "thread 3" in str(err.value)
+    assert "ins_index 41 after 41" in str(err.value)
+
+    out = io.StringIO()
+    write_text_trace(events, b.sm, out)
+    lines = out.getvalue().splitlines()
+    lines[-1] = lines[-1].replace("L 3 42 ", "L 3 40 ")
+    with pytest.raises(TraceDecodeError) as err:
+        read_text_trace(io.StringIO("\n".join(lines) + "\n"))
+    assert err.value.offset == len(lines)
+    assert "thread 3" in str(err.value)
+    assert "ins_index 40 after 41" in str(err.value)
 
 
 def test_fuzz_reader_never_raises_anything_else():
