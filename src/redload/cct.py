@@ -53,14 +53,18 @@ class ContextTree:
         self.cursor = self._child(self.cursor, FUNCTION, site_id)
         return self.cursor.handle
 
-    def on_return(self):
+    def on_return(self, site_id):
         # Unwind lazily past any loop nodes still on the path, then leave
-        # the innermost open frame.
+        # the innermost open frame, which must be the call at `site_id`.
         node = self.cursor
         while node.kind == LOOP:
             node = node.parent
         if node.kind != FUNCTION:
             raise MalformedTraceError("return with no open frame")
+        if node.ident != site_id:
+            raise MalformedTraceError(
+                f"return at site_id {site_id} does not match its call at "
+                f"site_id {node.ident}")
         self.cursor = node.parent
         return self.cursor.handle
 

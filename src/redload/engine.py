@@ -97,7 +97,7 @@ def analyze_events(events, source_map, config=None, verdict_sink=None):
             elif kind == tr.CALL:
                 worker.tree.on_call(ev.site_id)
             elif kind == tr.RETURN:
-                worker.tree.on_return()
+                worker.tree.on_return(ev.site_id)
             elif kind == tr.LOOPHEAD:
                 worker.tree.on_loop_head(ev.loop_id)
             elif kind == tr.ALLOC:
@@ -138,4 +138,4 @@ def analyze_path(path, config=None, verdict_sink=None):
             return analyze_events(events, source_map, config, verdict_sink)
     with open(path, "r", encoding="utf-8") as f:
         events, source_map = tr.read_text_trace(f)
-    return analyze_events(events, source_map, config, verdict_sink)
+        return analyze_events(events, source_map, config, verdict_sink)

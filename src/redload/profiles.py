@@ -8,8 +8,10 @@ counter addition, rows matching iff old context, new context and scope all
 match.
 """
 
+import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter, itemgetter
 
 from .cct import FUNCTION, LOADSITE, LOOP
 from .errors import RedloadError
@@ -181,79 +183,189 @@ def merge_all(profiles):
 
 
 # ---------------------------------------------------------------- JSON --
+#
+# Documents of frames, objects, totals and fractions, shared with reports.
 
-def _frame_doc(frame):
+def frame_doc(frame):
     kind, name, file, line = frame
     return {"kind": kind, "name": name, "file": file, "line": line}
 
 
-def _path_doc(path):
+def path_doc(path):
     if path is None:
         return None
-    return [_frame_doc(f) for f in path]
+    return [frame_doc(f) for f in path]
 
 
-def _counters_doc(c):
-    return {
-        "redundant_bytes_precise": c.redundant_bytes_precise,
-        "redundant_bytes_approx": c.redundant_bytes_approx,
-        "total_bytes_precise": c.total_bytes_precise,
-        "total_bytes_approx": c.total_bytes_approx,
-        "redundant_instances": c.redundant_instances,
-        "total_instances": c.total_instances,
-        "fp_exact_instances": c.fp_exact_instances,
-    }
-
-
-def _object_key_doc(key):
+def object_doc(key):
     kind, ident = key
     if kind == STATIC:
         return {"kind": STATIC, "name": ident}
-    return {"kind": DYNAMIC, "context": _path_doc(ident)}
+    return {"kind": DYNAMIC, "context": path_doc(ident)}
 
 
-def _sorted_rows(rows, key_doc_fn):
-    docs = []
-    for key, counters in rows.items():
-        doc = key_doc_fn(key)
-        doc["counters"] = _counters_doc(counters)
-        docs.append(doc)
-    docs.sort(key=lambda d: json.dumps(d, sort_keys=True))
-    return docs
-
-
-def to_json(profile):
-    precise, approx = program_fraction(profile.totals)
+def totals_doc(totals):
     return {
+        "total_nonfp_bytes": totals.total_nonfp_bytes,
+        "total_fp_bytes": totals.total_fp_bytes,
+        "redundant_nonfp_bytes": totals.redundant_nonfp_bytes,
+        "redundant_fp_bytes": totals.redundant_fp_bytes,
+    }
+
+
+def fractions_doc(totals):
+    precise, approx = program_fraction(totals)
+    return {
+        "precise": precise[0], "precise_defined": precise[1],
+        "approx": approx[0], "approx_defined": approx[1],
+    }
+
+
+# A saved profile is what json.dump(doc, f, indent=1, sort_keys=True) and
+# a newline would write, where each table of `doc` lists its rows in the
+# order of their compact json.dumps(row, sort_keys=True) text. The writer
+# below produces those bytes itself, one row at a time: json's indenting
+# encoder is pure Python, and a profile is mostly the same context paths
+# repeated row after row, so each distinct frame, context and object key
+# is encoded once per document, compact (for the order) and indented.
+
+_ROW = 2        # depth of a row in its table; its values sit one deeper
+
+_COUNTER_FIELDS = tuple(sorted(f.name for f in fields(PairCounters)))
+_counter_values = attrgetter(*_COUNTER_FIELDS)
+# A counters document's values in PairCounters' argument order.
+_counter_args = itemgetter(*(f.name for f in fields(PairCounters)))
+
+
+def _indented(open_, close, items, depth):
+    """Pieces of the indent=1 text of a JSON array or object whose first
+    line sits at `depth`, from its items' indented texts."""
+    pad = "\n" + " " * (depth + 1)
+    sep = pad
+    yield open_
+    for item in items:
+        yield sep
+        yield item
+        sep = "," + pad
+    if sep is not pad:      # after any item, the closer has its own line
+        yield "\n" + " " * depth
+    yield close
+
+
+def _join(open_, close, items, depth):
+    """(compact, indented) text of a JSON array or object at `depth` from
+    its items' (compact, indented) texts."""
+    return (open_ + ", ".join(c for c, _ in items) + close,
+            "".join(_indented(open_, close, [i for _, i in items], depth)))
+
+
+def _texts(value, depth):
+    """(compact, indented) text of a document built of dicts with string
+    keys, lists and scalars, as json.dumps gives it with sort_keys=True,
+    without and with indent=1, when the value sits at `depth`."""
+    if isinstance(value, dict):
+        items = []
+        for key in sorted(value):
+            label = json.dumps(key) + ": "
+            compact, indented = _texts(value[key], depth + 1)
+            items.append((label + compact, label + indented))
+        return _join("{", "}", items, depth)
+    if isinstance(value, list):
+        return _join("[", "]", [_texts(v, depth + 1) for v in value], depth)
+    text = json.dumps(value)
+    return text, text
+
+
+def _templates(keys, depth):
+    """(compact, indented) %-templates of an object with these sorted
+    keys at `depth`, one %s per value."""
+    return _join("{", "}", [(json.dumps(key) + ": %s",) * 2 for key in keys],
+                 depth)
+
+
+# Counters are ints, whose str() is their JSON text.
+_COUNTERS = _templates(_COUNTER_FIELDS, _ROW + 1)
+
+
+def _write_rows(write, rows, keys, key_texts):
+    """Write one table at depth 1. `keys` are a row's keys other than
+    "counters", sorted; `key_texts(key)` gives their (compact, indented)
+    texts in that order."""
+    compact_counters, indented_counters = _COUNTERS
+    entries = []
+    for key, counters in rows.items():
+        values = _counter_values(counters)
+        texts = key_texts(key)
+        # Every value text is a whole JSON object, array or null, none a
+        # proper prefix of another, so comparing the tuple of compact
+        # value texts orders rows as their joined compact text would.
+        order = (compact_counters % values, *[c for c, _ in texts])
+        entries.append((order, values, texts))
+    entries.sort(key=itemgetter(0))
+    template = _templates(("counters", *keys), _ROW)[1]
+    rows_text = (template % (indented_counters % values,
+                             *[i for _, i in texts])
+                 for _, values, texts in entries)
+    for piece in _indented("[", "]", rows_text, _ROW - 1):
+        write(piece)
+
+
+class _Memo(dict):
+    """Texts of each distinct key, encoded on first use."""
+
+    def __init__(self, encode):
+        super().__init__()
+        self.encode = encode
+
+    def __missing__(self, key):
+        texts = self[key] = self.encode(key)
+        return texts
+
+
+def _write(profile, write):
+    """Write the profile's document through `write`, row by row."""
+    frames = _Memo(lambda f: _texts(frame_doc(f), _ROW + 2))
+    contexts = _Memo(lambda path: _join(
+        "[", "]", [frames[f] for f in path], _ROW + 1))
+    contexts[None] = ("null", "null")
+    objects = _Memo(lambda key: _texts(object_doc(key), _ROW + 1))
+
+    header = {
         "format": PROFILE_FORMAT,
         "version": PROFILE_VERSION,
         "thread_count": profile.thread_count,
         "meta": profile.meta,
-        "totals": {
-            "total_nonfp_bytes": profile.totals.total_nonfp_bytes,
-            "total_fp_bytes": profile.totals.total_fp_bytes,
-            "redundant_nonfp_bytes": profile.totals.redundant_nonfp_bytes,
-            "redundant_fp_bytes": profile.totals.redundant_fp_bytes,
-        },
-        "program_fractions": {
-            "precise": precise[0], "precise_defined": precise[1],
-            "approx": approx[0], "approx_defined": approx[1],
-        },
-        "temporal_pairs": _sorted_rows(
-            profile.temporal_pairs,
-            lambda k: {"old_context": _path_doc(k[0]),
-                       "new_context": _path_doc(k[1]),
-                       "scope": _path_doc(k[2])}),
-        "objects": _sorted_rows(
-            profile.objects,
-            lambda k: {"object": _object_key_doc(k)}),
-        "spatial_pairs": _sorted_rows(
-            profile.spatial_pairs,
-            lambda k: {"object": _object_key_doc(k[0]),
-                       "old_context": _path_doc(k[1]),
-                       "new_context": _path_doc(k[2]),
-                       "scope": _path_doc(k[3])}),
+        "totals": totals_doc(profile.totals),
+        "program_fractions": fractions_doc(profile.totals),
     }
+    tables = {
+        "temporal_pairs": (
+            profile.temporal_pairs, ("new_context", "old_context", "scope"),
+            lambda k: (contexts[k[1]], contexts[k[0]], contexts[k[2]])),
+        "objects": (profile.objects, ("object",), lambda k: (objects[k],)),
+        "spatial_pairs": (
+            profile.spatial_pairs,
+            ("new_context", "object", "old_context", "scope"),
+            lambda k: (contexts[k[2]], objects[k[0]], contexts[k[1]],
+                       contexts[k[3]])),
+    }
+    sep = "{"
+    for name in sorted(header.keys() | tables.keys()):
+        write(f"{sep}\n {json.dumps(name)}: ")
+        sep = ","
+        if name in tables:
+            _write_rows(write, *tables[name])
+        else:
+            write(json.dumps(header[name], indent=1, sort_keys=True)
+                  .replace("\n", "\n "))
+    write("\n}\n")
+
+
+def to_json(profile):
+    """The profile's document: what `save` writes, parsed back."""
+    out = io.StringIO()
+    _write(profile, out.write)
+    return json.loads(out.getvalue())
 
 
 def _frame_from(doc):
@@ -267,15 +379,7 @@ def _path_from(doc):
 
 
 def _counters_from(doc):
-    return PairCounters(
-        redundant_bytes_precise=doc["redundant_bytes_precise"],
-        redundant_bytes_approx=doc["redundant_bytes_approx"],
-        total_bytes_precise=doc["total_bytes_precise"],
-        total_bytes_approx=doc["total_bytes_approx"],
-        redundant_instances=doc["redundant_instances"],
-        total_instances=doc["total_instances"],
-        fp_exact_instances=doc["fp_exact_instances"],
-    )
+    return PairCounters(*_counter_args(doc))
 
 
 def _object_key_from(doc):
@@ -313,8 +417,7 @@ def from_json(doc):
 
 def save(profile, path):
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(to_json(profile), f, indent=1, sort_keys=True)
-        f.write("\n")
+        _write(profile, f.write)
 
 
 def load(path):

@@ -10,6 +10,7 @@ output byte-stable across runs.
 import json
 from dataclasses import dataclass
 
+from .profiles import fractions_doc, object_doc, path_doc, totals_doc
 from .spatial import STATIC, object_fraction
 from .temporal import pair_fraction, program_fraction
 
@@ -100,20 +101,6 @@ def build_report(profile, top=DEFAULT_TOP):
     return temporal[:top], spatial[:top]
 
 
-def _frame_doc(frame):
-    kind, name, file, line = frame
-    return {"kind": kind, "name": name, "file": file, "line": line}
-
-
-def _object_doc(key):
-    if key is None:
-        return None
-    kind, ident = key
-    if kind == STATIC:
-        return {"kind": kind, "name": ident}
-    return {"kind": kind, "context": [_frame_doc(f) for f in ident]}
-
-
 def _row_doc(row):
     doc = {
         "rank": row.rank,
@@ -125,14 +112,13 @@ def _row_doc(row):
         "redundant_instances": row.redundant_instances,
         "total_instances": row.total_instances,
         "instance_percent": row.instance_percent,
-        "chain": [_frame_doc(f) for f in row.chain],
-        "new_context": [_frame_doc(f) for f in row.new_context],
-        "old_context": [_frame_doc(f) for f in row.old_context],
-        "scope": None if row.scope is None
-        else [_frame_doc(f) for f in row.scope],
+        "chain": path_doc(row.chain),
+        "new_context": path_doc(row.new_context),
+        "old_context": path_doc(row.old_context),
+        "scope": path_doc(row.scope),
     }
     if row.kind == "spatial":
-        doc["object"] = _object_doc(row.object_key)
+        doc["object"] = object_doc(row.object_key)
         doc["object_fraction"] = row.object_fraction
         doc["object_fraction_defined"] = row.object_fraction_defined
     return doc
@@ -140,21 +126,12 @@ def _row_doc(row):
 
 def report_json(profile, top=DEFAULT_TOP):
     temporal, spatial = build_report(profile, top)
-    precise, approx = program_fraction(profile.totals)
     return {
         "format": "redload-report",
         "version": 1,
         "thread_count": profile.thread_count,
-        "totals": {
-            "total_nonfp_bytes": profile.totals.total_nonfp_bytes,
-            "total_fp_bytes": profile.totals.total_fp_bytes,
-            "redundant_nonfp_bytes": profile.totals.redundant_nonfp_bytes,
-            "redundant_fp_bytes": profile.totals.redundant_fp_bytes,
-        },
-        "program_fractions": {
-            "precise": precise[0], "precise_defined": precise[1],
-            "approx": approx[0], "approx_defined": approx[1],
-        },
+        "totals": totals_doc(profile.totals),
+        "program_fractions": fractions_doc(profile.totals),
         "temporal": [_row_doc(r) for r in temporal],
         "spatial": [_row_doc(r) for r in spatial],
     }

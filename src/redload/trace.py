@@ -17,6 +17,7 @@ golden-file tests and debugging; see docs/trace-format.md for both layouts.
 
 import struct
 from dataclasses import dataclass, field
+from itertools import chain
 from urllib.parse import quote, unquote
 
 from .errors import TraceDecodeError, TraceEncodeError
@@ -456,15 +457,11 @@ def write_text_trace(events, source_map, sink):
             w(f"T {ev.thread_id} {ev.ins_index}\n")
 
 
-def read_text_trace(source):
-    """Parse the text form; returns (event list, SourceMap)."""
-    lines = source.read().splitlines()
-    if not lines or lines[0] != TEXT_HEADER:
-        raise TraceDecodeError("bad text trace header", 0)
-    source_map = SourceMap()
-    events = []
+def _text_events(lines, source_map):
+    """Events of the numbered lines after the header; source-map lines
+    go into `source_map` as they come."""
     last_ins = {}       # thread_id -> ins_index of its latest event
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines:
         if not line.strip():
             continue
         parts = line.split()
@@ -519,5 +516,21 @@ def read_text_trace(source):
         if ev.ins_index <= previous:
             raise _not_increasing(ev.thread_id, ev.ins_index, previous, lineno)
         last_ins[ev.thread_id] = ev.ins_index
-        events.append(ev)
-    return events, source_map
+        yield ev
+
+
+def read_text_trace(source):
+    """Parse the text form; returns (event iterator, SourceMap).
+
+    The header and the source-map lines ahead of the first event are read
+    at once; the rest is read line by line as the iterator is consumed, so
+    `source` must stay open until then.
+    """
+    # Numbered as str.splitlines numbers the lines of the whole text.
+    lines = enumerate(chain.from_iterable(map(str.splitlines, source)), 1)
+    if next(lines, (1, None))[1] != TEXT_HEADER:
+        raise TraceDecodeError("bad text trace header", 0)
+    source_map = SourceMap()
+    events = _text_events(lines, source_map)
+    first = next(events, None)
+    return chain(() if first is None else (first,), events), source_map

@@ -117,3 +117,17 @@ def outer_scope_trace():
     b.load(0x1000, u32(40), 2)
     b.ret(1)
     return b
+
+
+# Parameters that keep every workload scenario to a fraction of a second.
+SMALL_SCENARIOS = {
+    "adjacent_equal": {},
+    "linear_search": {"n": 40, "queries": 12},
+    "hash_collision": {"chain": 8, "searches": 10},
+    "stencil": {"nx": 16, "ny": 4},
+    "forward_copy": {"len": 16, "reps": 4},
+    "callee_spill": {"reps": 10},
+    "sparse_zeros": {"len": 120},
+    "approx_drift": {"len": 2, "reps": 40},
+    "random_mixed": {"loads": 1200, "seed": 3},
+}

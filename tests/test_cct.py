@@ -88,22 +88,22 @@ def test_return_unwinds_past_loop_nodes():
     t.on_loop_head(4)
     t.on_call(2)
     t.on_loop_head(5)
-    t.on_return()
+    t.on_return(2)
     # Back in f's loop 4 context.
     assert t.cursor.kind == LOOP and t.cursor.ident == 4
-    t.on_return()
+    t.on_return(1)
     assert t.cursor is t.root
 
 
 def test_return_with_no_frame_is_malformed():
     t = ContextTree()
     with pytest.raises(MalformedTraceError):
-        t.on_return()
+        t.on_return(1)
     t.on_call(1)
     t.on_loop_head(2)
-    t.on_return()
+    t.on_return(1)
     with pytest.raises(MalformedTraceError):
-        t.on_return()
+        t.on_return(1)
 
 
 def test_sibling_loop_reheads_pop_deeper_loops():
@@ -151,16 +151,15 @@ def test_counter_strictly_monotonic_random_walk():
     rng = random.Random(7)
     t = ContextTree()
     t.on_call(1)
-    depth = 1
+    frames = [1]
     seen = 0
     for _ in range(5000):
         r = rng.random()
-        if r < 0.15 and depth < 8:
-            t.on_call(rng.randrange(2, 6))
-            depth += 1
-        elif r < 0.25 and depth > 1:
-            t.on_return()
-            depth -= 1
+        if r < 0.15 and len(frames) < 8:
+            frames.append(rng.randrange(2, 6))
+            t.on_call(frames[-1])
+        elif r < 0.25 and len(frames) > 1:
+            t.on_return(frames.pop())
         elif r < 0.55:
             t.on_loop_head(rng.randrange(10, 14))
             assert t.timestamp > seen
@@ -179,7 +178,7 @@ def test_interning_same_paths_share_handles():
         t.on_loop_head(10)
         h, _ = t.current_load_context(2)
         handles.append(h)
-        t.on_return()
+        t.on_return(1)
     assert len(set(handles)) == 1
 
 

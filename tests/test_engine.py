@@ -4,14 +4,14 @@ import pytest
 
 from redload.engine import AnalysisConfig, analyze_events, analyze_path
 from redload.errors import MalformedTraceError, TraceDecodeError
-from redload.profiles import Profile, merge_all
+from redload.profiles import Profile, merge_all, save
 from redload.sampling import SamplingConfig
 from redload.trace import (ALLOC, CALL, FREE, LOAD, RETURN, STATIC_IMAGE,
                            THREAD_START, SourceMap, TraceEvent,
                            write_text_trace, write_trace)
 from redload.workloads import Scenario, generate
 
-from helpers import Build, u32
+from helpers import SMALL_SCENARIOS, Build, u32
 
 FULL = AnalysisConfig(sampling=SamplingConfig.disabled())
 
@@ -33,6 +33,24 @@ def test_malformed_trace_error_names_event_position():
         analyze_events(events, sm, FULL)
     assert "event 3" in str(err.value)
 
+
+
+def test_return_must_match_its_call_site():
+    sm = SourceMap()
+    sm.add_site(1, "main", "m.c", 1)
+    sm.add_site(2, "helper", "m.c", 5)
+    events = [TraceEvent(THREAD_START, 4, 0),
+              TraceEvent(CALL, 4, 1, site_id=1),
+              TraceEvent(CALL, 4, 2, site_id=2),
+              TraceEvent(RETURN, 4, 3, site_id=2),
+              TraceEvent(CALL, 4, 5, site_id=2),
+              TraceEvent(RETURN, 4, 8, site_id=1)]
+    analyze_events(events[:4], sm, FULL)
+    with pytest.raises(MalformedTraceError) as err:
+        analyze_events(events, sm, FULL)
+    message = str(err.value)
+    assert message.startswith("event 5 (thread 4, ins_index 8): ")
+    assert "site_id 1" in message and "site_id 2" in message
 
 def test_unmatched_free_names_position_thread_and_ins_index():
     events = [TraceEvent(THREAD_START, 7, 10),
@@ -161,3 +179,25 @@ def test_scope_budget_controls_traversals():
                                        scope_budget=3))
     p1.meta = p3.meta = None
     assert p1 == p3
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name", sorted(SMALL_SCENARIOS))
+def test_file_roundtrips_analyze_like_memory(name, threads, tmp_path):
+    # Write, read and analyze, in both forms, gives the profile and the
+    # saved bytes of analyzing the events in memory.
+    params = dict(SMALL_SCENARIOS[name], threads=threads)
+    events, sm = generate(Scenario(name, params))
+    events = list(events)
+    expected = analyze_events(events, sm, FULL)
+    save(expected, tmp_path / "memory.json")
+    for form, write, mode in (("binary", write_trace, "wb"),
+                              ("text", write_text_trace, "w")):
+        trace = tmp_path / f"trace.{form}"
+        with open(trace, mode) as f:
+            write(events, sm, f)
+        profile = analyze_path(str(trace), FULL)
+        assert profile == expected, form
+        save(profile, tmp_path / f"{form}.json")
+        assert (tmp_path / f"{form}.json").read_bytes() == \
+            (tmp_path / "memory.json").read_bytes(), form

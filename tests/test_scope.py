@@ -71,7 +71,7 @@ def test_lca_case_searches_only_common_prefix():
     t.on_call(2)
     t.on_loop_head(21)
     h_old, ts_old = t.current_load_context(3)
-    t.on_return()
+    t.on_return(2)
     t.on_loop_head(11)
     t.on_call(4)
     t.on_loop_head(41)

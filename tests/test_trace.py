@@ -232,8 +232,9 @@ def test_reader_rejects_ins_index_not_increasing_per_thread():
     write_text_trace(events, b.sm, out)
     lines = out.getvalue().splitlines()
     lines[-1] = lines[-1].replace("L 3 42 ", "L 3 40 ")
+    decoded, _ = read_text_trace(io.StringIO("\n".join(lines) + "\n"))
     with pytest.raises(TraceDecodeError) as err:
-        read_text_trace(io.StringIO("\n".join(lines) + "\n"))
+        list(decoded)
     assert err.value.offset == len(lines)
     assert "thread 3" in str(err.value)
     assert "ins_index 40 after 41" in str(err.value)
@@ -329,9 +330,33 @@ def test_text_format_roundtrip_and_golden_line():
     text = out.getvalue()
     assert "L 0 4 0x2000 4 0f000000 nonfp 1" in text.splitlines()
     events, sm = read_text_trace(io.StringIO(text))
-    assert events == b.events
+    assert list(events) == b.events
     assert sm.sites == b.sm.sites and sm.loops == b.sm.loops
 
+
+
+def test_text_reader_streams_to_an_error_on_the_last_line():
+    b = Build()
+    b.sm.add_site(1, "main", "a.c", 1)
+    b.thread_start()
+    for k in range(50):
+        b.load(0x1000 + 4 * k, u32(k), 1)
+    out = io.StringIO()
+    write_text_trace(b.events, b.sm, out)
+    lines = out.getvalue().splitlines()
+    lines[-1] = lines[-1].replace(" nonfp ", " f16 ")
+    source = io.StringIO("\n".join(lines) + "\n")
+    events, sm = read_text_trace(source)
+    assert sm.sites == b.sm.sites
+    # Only the lines up to the first event have been read so far.
+    assert source.tell() < len(source.getvalue()) // 2
+    decoded = []
+    with pytest.raises(TraceDecodeError) as err:
+        for ev in events:
+            decoded.append(ev)
+    assert decoded == b.events[:-1]
+    assert err.value.offset == len(lines)
+    assert str(err.value) == f"offset {len(lines)}: bad line: 'f16'"
 
 def test_text_reader_rejects_garbage():
     with pytest.raises(TraceDecodeError):
