@@ -14,9 +14,6 @@ FUNCTION = 1
 LOOP = 2
 LOADSITE = 3
 
-NODE_KIND_NAMES = {ROOT: "root", FUNCTION: "function", LOOP: "loop",
-                   LOADSITE: "load"}
-
 
 class ContextNode:
     __slots__ = ("kind", "ident", "parent", "handle", "children",

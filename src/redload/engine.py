@@ -132,10 +132,8 @@ def sniff_format(path):
 
 def analyze_path(path, config=None, verdict_sink=None):
     """Analyze a trace file (binary or text form)."""
-    if sniff_format(path) == "binary":
-        with open(path, "rb") as f:
-            events, source_map = tr.read_trace(f)
-            return analyze_events(events, source_map, config, verdict_sink)
-    with open(path, "r", encoding="utf-8") as f:
-        events, source_map = tr.read_text_trace(f)
+    read = (tr.read_trace if sniff_format(path) == "binary"
+            else tr.read_text_trace)
+    with open(path, "rb") as f:
+        events, source_map = read(f)
         return analyze_events(events, source_map, config, verdict_sink)

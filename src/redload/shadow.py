@@ -1,134 +1,84 @@
-"""Two-level shadow memory: one cell per application byte.
+"""Two-level shadow memory: the value, context and timestamp of the latest
+load of each application byte.
 
-Each cell holds the value byte last loaded at that address together with
-the loading context handle and timestamp. Pages of 64Ki cells are created
-on first touch, so untouched address space costs nothing.
+The first level maps a page index to its page; a page is made on the
+first load that touches it, so memory grows with the bytes touched, not
+with the address range. A page is a tuple of PAGE_SIZE value bytes (a
+`bytearray`) and PAGE_SIZE context handles and timestamps (each an
+`array('Q')`). A timestamp of 0 marks a byte that no load has touched.
 """
 
-from dataclasses import dataclass
+from array import array
 
-PAGE_BITS = 16
+# 64-byte pages: a scattered load costs about 1.5 KiB of shadow memory
+# (4.8 KiB with 256-byte pages, 18 KiB with 1 KiB pages) and dense loads
+# probe as fast as with larger pages. A page holds at least
+# max(trace.LOAD_SIZES) bytes, so a load spans at most two pages.
+PAGE_BITS = 6
 PAGE_SIZE = 1 << PAGE_BITS
 PAGE_MASK = PAGE_SIZE - 1
 
-
-@dataclass(slots=True)
-class ShadowCell:
-    value: int
-    ctx: int
-    ts: int
-    present: bool
-
-
-_ABSENT = ShadowCell(0, 0, 0, False)
-
-
-class _Page:
-    __slots__ = ("val", "ctx", "ts", "present")
-
-    def __init__(self):
-        self.val = bytearray(PAGE_SIZE)
-        self.ctx = [0] * PAGE_SIZE
-        self.ts = [0] * PAGE_SIZE
-        self.present = bytearray(PAGE_SIZE)
+_ZEROS = bytes(8 * PAGE_SIZE)
 
 
 class ShadowTable:
     """Per-thread shadow memory; confined to the worker for its stream."""
 
     def __init__(self):
-        self.pages = {}
-
-    def _page(self, index):
-        page = self.pages.get(index)
-        if page is None:
-            page = _Page()
-            self.pages[index] = page
-        return page
+        self.pages = {}     # page index -> (values, ctx handles, timestamps)
+        # One-element scratch array: repeated, it fills a span's context
+        # handles or timestamps, cheaper than building a new array per load.
+        self._run = array("Q", (0,))
 
     def page_count(self):
         return len(self.pages)
-
-    def read_span(self, addr, size):
-        """Cells for [addr, addr+size); untouched bytes come back absent."""
-        out = []
-        a = addr
-        end = addr + size
-        while a < end:
-            page = self.pages.get(a >> PAGE_BITS)
-            off = a & PAGE_MASK
-            n = min(end - a, PAGE_SIZE - off)
-            if page is None:
-                out.extend([_ABSENT] * n)
-            else:
-                for i in range(off, off + n):
-                    if page.present[i]:
-                        out.append(ShadowCell(page.val[i], page.ctx[i],
-                                              page.ts[i], True))
-                    else:
-                        out.append(_ABSENT)
-            a += n
-        return out
-
-    def write_span(self, addr, size, value, ctx, ts):
-        """Mark [addr, addr+size) present with the given value bytes, all
-        carrying the same ctx and ts."""
-        a = addr
-        end = addr + size
-        vpos = 0
-        while a < end:
-            page = self._page(a >> PAGE_BITS)
-            off = a & PAGE_MASK
-            n = min(end - a, PAGE_SIZE - off)
-            page.val[off:off + n] = value[vpos:vpos + n]
-            page.present[off:off + n] = b"\x01" * n
-            page.ctx[off:off + n] = [ctx] * n
-            page.ts[off:off + n] = [ts] * n
-            a += n
-            vpos += n
 
     def probe_update(self, addr, size, value, ctx, ts):
         """Fetch prior state for a load and install the new state in one pass.
 
         Returns (old_bytes, prior_ctx, prior_ts): old_bytes is None unless
-        every byte of the span was present; prior_ctx/prior_ts come from the
-        byte at the start address, or None when it was absent.
+        every byte of the span was loaded before; prior_ctx/prior_ts come
+        from the byte at the start address, or are None when no load has
+        touched it. `ts` must be at least 1, as the engine's timestamps
+        are: a zero timestamp means "never loaded".
         """
-        pidx = addr >> PAGE_BITS
+        index = addr >> PAGE_BITS
         off = addr & PAGE_MASK
-        if off + size <= PAGE_SIZE:
-            page = self.pages.get(pidx)
-            if page is None:
-                page = _Page()
-                self.pages[pidx] = page
-                old = prior_ctx = prior_ts = None
-            else:
-                end = off + size
-                if page.present[off] and 0 not in page.present[off:end]:
-                    old = bytes(page.val[off:end])
-                    prior_ctx = page.ctx[off]
-                    prior_ts = page.ts[off]
-                else:
-                    old = None
-                    if page.present[off]:
-                        prior_ctx = page.ctx[off]
-                        prior_ts = page.ts[off]
-                    else:
-                        prior_ctx = prior_ts = None
-            end = off + size
-            page.val[off:end] = value
-            page.present[off:end] = b"\x01" * size
-            page.ctx[off:end] = [ctx] * size
-            page.ts[off:end] = [ts] * size
-            return old, prior_ctx, prior_ts
-        # Page-straddling span: go through the generic paths.
-        cells = self.read_span(addr, size)
-        if all(c.present for c in cells):
-            old = bytes(c.value for c in cells)
+        end = off + size
+        if end <= PAGE_SIZE:
+            return self._swap(index, off, end, value, ctx, ts)
+        # The span crosses into the next page: old bytes only when both
+        # parts were loaded before, prior state from the first part.
+        cut = PAGE_SIZE - off
+        old, prior_ctx, prior_ts = self._swap(index, off, PAGE_SIZE,
+                                              value[:cut], ctx, ts)
+        tail = self._swap(index + 1, 0, end - PAGE_SIZE, value[cut:], ctx,
+                          ts)[0]
+        if old is not None and tail is not None:
+            old += tail
         else:
             old = None
-        first = cells[0]
-        prior_ctx = first.ctx if first.present else None
-        prior_ts = first.ts if first.present else None
-        self.write_span(addr, size, value, ctx, ts)
+        return old, prior_ctx, prior_ts
+
+    def _swap(self, index, off, end, value, ctx, ts):
+        """probe_update within one page: bytes [off, end) of page `index`."""
+        page = self.pages.get(index)
+        if page is None:
+            self.pages[index] = page = (bytearray(PAGE_SIZE),
+                                        array("Q", _ZEROS),
+                                        array("Q", _ZEROS))
+        vals, ctxs, tss = page
+        prior_ts = tss[off]
+        if prior_ts:
+            prior_ctx = ctxs[off]
+            old = None if 0 in tss[off:end] else bytes(vals[off:end])
+        else:
+            old = prior_ctx = prior_ts = None
+        n = end - off
+        vals[off:end] = value
+        run = self._run
+        run[0] = ctx
+        ctxs[off:end] = run * n
+        run[0] = ts
+        tss[off:end] = run * n
         return old, prior_ctx, prior_ts

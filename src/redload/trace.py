@@ -55,6 +55,14 @@ FP_NAMES = {NONFP: "nonfp", F32: "f32", F64: "f64"}
 FP_BY_NAME = {v: k for k, v in FP_NAMES.items()}
 
 LOAD_SIZES = frozenset((1, 2, 4, 8, 16, 32))
+# Element width of each fp_class: a load's size is a multiple of it.
+_FP_WIDTHS = {NONFP: 1, F32: 4, F64: 8}
+# The largest fp_class whose width divides each load size. The widths grow
+# with the class and each divides the next, so a load's shape is valid
+# exactly when its fp_class is at most this: one lookup per decoded load.
+_MAX_FP_CLASS = {size: max(fp for fp, width in _FP_WIDTHS.items()
+                           if size % width == 0)
+                 for size in LOAD_SIZES}
 
 
 @dataclass(slots=True)
@@ -120,6 +128,22 @@ _2U64 = struct.Struct("<QQ")
 _U16 = struct.Struct("<H")
 
 
+def _load_error(size, fp_class, value_len):
+    """Why a load of `size` bytes, `fp_class` and `value_len` value bytes
+    breaks the format, or None when it does not."""
+    if size not in LOAD_SIZES:
+        return f"bad load size {size}"
+    width = _FP_WIDTHS.get(fp_class)
+    if width is None:
+        return f"bad fp_class {fp_class}"
+    if size % width:
+        return (f"{FP_NAMES[fp_class]} load size {size} not a multiple "
+                f"of {width}")
+    if value_len != size:
+        return f"value has {value_len} bytes, size says {size}"
+    return None
+
+
 def _check_event(ev, index, state, source_map):
     """Validate one event against the format invariants.
 
@@ -133,17 +157,9 @@ def _check_event(ev, index, state, source_map):
             f"ins_index {ev.ins_index} not increasing in thread {tid}", index)
     kind = ev.kind
     if kind == LOAD:
-        if ev.size not in LOAD_SIZES:
-            raise TraceEncodeError(f"bad load size {ev.size}", index)
-        if len(ev.value) != ev.size:
-            raise TraceEncodeError(
-                f"value has {len(ev.value)} bytes, size says {ev.size}", index)
-        if ev.fp_class == F32 and ev.size % 4:
-            raise TraceEncodeError("F32 load size not a multiple of 4", index)
-        if ev.fp_class == F64 and ev.size % 8:
-            raise TraceEncodeError("F64 load size not a multiple of 8", index)
-        if ev.fp_class not in FP_NAMES:
-            raise TraceEncodeError(f"unknown fp_class {ev.fp_class}", index)
+        error = _load_error(ev.size, ev.fp_class, len(ev.value))
+        if error:
+            raise TraceEncodeError(error, index)
         if source_map is not None and ev.site_id not in source_map.sites:
             raise TraceEncodeError(f"unresolved site_id {ev.site_id}", index)
     elif kind == CALL:
@@ -283,12 +299,6 @@ class _Reader:
                                    record_start) from None
 
 
-def _bad_load(size, fp_class, record_start):
-    if size not in LOAD_SIZES:
-        return TraceDecodeError(f"bad load size {size}", record_start)
-    return TraceDecodeError(f"bad fp_class {fp_class}", record_start)
-
-
 def _not_increasing(tid, ins_index, previous, record_start):
     return TraceDecodeError(
         f"ins_index {ins_index} after {previous} in thread {tid}: "
@@ -350,8 +360,9 @@ def read_trace(source):
                 if kind == LOAD:
                     _, tid, ins, addr, size, fp_class, site_id = \
                         _REC_LOAD.unpack_from(buf, pos)
-                    if size not in LOAD_SIZES or fp_class > F64:
-                        raise _bad_load(size, fp_class, r.base + start)
+                    if fp_class > _MAX_FP_CLASS.get(size, -1):
+                        raise TraceDecodeError(
+                            _load_error(size, fp_class, size), r.base + start)
                     pos += _REC_LOAD.size
                     value = buf[pos:pos + size]
                     pos += size
@@ -481,6 +492,9 @@ def _text_events(lines, source_map):
                     LOAD, int(parts[1]), int(parts[2]), addr=int(parts[3], 16),
                     size=int(parts[4]), value=value,
                     fp_class=FP_BY_NAME[parts[6]], site_id=int(parts[7]))
+                error = _load_error(ev.size, ev.fp_class, len(value))
+                if error:
+                    raise TraceDecodeError(error, lineno)
             elif tag == "C":
                 ev = TraceEvent(CALL, int(parts[1]), int(parts[2]),
                                 site_id=int(parts[3]))
@@ -519,15 +533,33 @@ def _text_events(lines, source_map):
         yield ev
 
 
+def _numbered_lines(source):
+    """(number, text) of each line of a binary stream, decoded one line at
+    a time and numbered as str.splitlines numbers the lines of the whole
+    text; a line that is not UTF-8 is a TraceDecodeError at its number."""
+    lineno = 0
+    for raw in source:
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            before = raw[:exc.start].decode("utf-8")
+            raise TraceDecodeError(
+                "invalid UTF-8", lineno + len((before + "x").splitlines())
+            ) from None
+        for line in text.splitlines():
+            lineno += 1
+            yield lineno, line
+
+
 def read_text_trace(source):
-    """Parse the text form; returns (event iterator, SourceMap).
+    """Parse the text form from a binary stream; returns
+    (event iterator, SourceMap).
 
     The header and the source-map lines ahead of the first event are read
     at once; the rest is read line by line as the iterator is consumed, so
     `source` must stay open until then.
     """
-    # Numbered as str.splitlines numbers the lines of the whole text.
-    lines = enumerate(chain.from_iterable(map(str.splitlines, source)), 1)
+    lines = _numbered_lines(source)
     if next(lines, (1, None))[1] != TEXT_HEADER:
         raise TraceDecodeError("bad text trace header", 0)
     source_map = SourceMap()

@@ -1,5 +1,6 @@
 """Report rendering and the end-to-end command line."""
 
+import io
 import json
 
 import pytest
@@ -9,7 +10,10 @@ from redload.engine import AnalysisConfig, analyze_events
 from redload.profiles import load as load_profile
 from redload.report import build_report, report_json, report_text
 from redload.sampling import SamplingConfig
+from redload.trace import F64, write_trace
 from redload.workloads import Scenario, generate
+
+from helpers import Build, u32
 
 FULL = AnalysisConfig(sampling=SamplingConfig.disabled())
 
@@ -123,6 +127,29 @@ def test_cli_analyze_missing_file(tmp_path, capsys):
                str(tmp_path / "p.json")])
     assert rc == 1
     assert "missing.lrt" in capsys.readouterr().err
+
+
+def test_cli_analyze_malformed_traces_exit_1(tmp_path, capsys):
+    b = Build()
+    b.sm.add_site(1, "main", "a.c", 1)
+    b.load(0x1000, u32(1), 1)
+    b.load(0x1000, u32(2), 1)
+    buf = io.BytesIO()
+    write_trace(b.events, b.sm, buf)
+    raw = bytearray(buf.getvalue())
+    raw[-9] = F64       # the fp_class of the last 4-byte load
+    (tmp_path / "t.lrt").write_bytes(bytes(raw))
+    texts = {"short.txt": b"LRT1 1\nL 0 1 0x1000 8 aabb nonfp 1\n",
+             "utf8.txt": b"LRT1 1\n\xff\xfe\n"}
+    for name, data in texts.items():
+        (tmp_path / name).write_bytes(data)
+    for name, message in (("t.lrt", "f64 load size 4 not a multiple of 8"),
+                          ("short.txt", "offset 2: value has 2 bytes"),
+                          ("utf8.txt", "offset 2: invalid UTF-8")):
+        rc = main(["analyze", str(tmp_path / name), "-o",
+                   str(tmp_path / "p.json"), "--no-sampling"])
+        assert rc == 1
+        assert message in capsys.readouterr().err
 
 
 def test_cli_merge_with_self_doubles(tmp_path):

@@ -1,82 +1,147 @@
-"""Shadow memory: read-back, per-byte metadata, page sparsity."""
+"""Shadow memory: probe results against a per-byte model, per-byte
+metadata, page sparsity, page straddles and memory per byte touched."""
 
 import random
+import tracemalloc
 
+from redload.engine import AnalysisConfig, analyze_events
+from redload.sampling import SamplingConfig
 from redload.shadow import PAGE_SIZE, ShadowTable
+from redload.trace import LOAD_SIZES, SourceMap, load_event
+
+
+class ByteModel:
+    """One dict entry per loaded byte: address -> (value, ctx, ts)."""
+
+    def __init__(self):
+        self.cells = {}
+
+    def probe_update(self, addr, size, value, ctx, ts):
+        span = [self.cells.get(a) for a in range(addr, addr + size)]
+        old = None
+        if all(c is not None for c in span):
+            old = bytes(c[0] for c in span)
+        prior = span[0][1:] if span[0] is not None else (None, None)
+        for i in range(size):
+            self.cells[addr + i] = (value[i], ctx, ts)
+        return (old,) + prior
 
 
 def test_fresh_table_reads_absent():
     s = ShadowTable()
-    cells = s.read_span(0x1000, 4)
-    assert len(cells) == 4
-    assert all(not c.present for c in cells)
+    assert s.probe_update(0x1000, 4, bytes(4), ctx=1, ts=1) == (None, None,
+                                                                  None)
 
 
 def test_write_then_read_back():
     s = ShadowTable()
-    s.write_span(0x1000, 4, bytes([1, 0, 0, 0]), ctx=7, ts=3)
-    cells = s.read_span(0x1000, 4)
-    assert [c.value for c in cells] == [1, 0, 0, 0]
-    assert all(c.ctx == 7 and c.ts == 3 and c.present for c in cells)
+    s.probe_update(0x1000, 4, bytes([1, 0, 0, 0]), ctx=7, ts=3)
+    assert s.probe_update(0x1000, 4, bytes(4), ctx=8, ts=4) == (
+        bytes([1, 0, 0, 0]), 7, 3)
 
 
 def test_two_short_writes_leave_mixed_metadata():
     s = ShadowTable()
-    s.write_span(0x1000, 2, b"\xaa\xbb", ctx=1, ts=1)
-    s.write_span(0x1002, 2, b"\xcc\xdd", ctx=2, ts=5)
-    cells = s.read_span(0x1000, 4)
-    assert [c.value for c in cells] == [0xAA, 0xBB, 0xCC, 0xDD]
-    assert [c.ctx for c in cells] == [1, 1, 2, 2]
-    assert [c.ts for c in cells] == [1, 1, 5, 5]
+    s.probe_update(0x1000, 2, b"\xaa\xbb", ctx=1, ts=1)
+    s.probe_update(0x1002, 2, b"\xcc\xdd", ctx=2, ts=5)
+    # One-byte probes read each byte's own metadata and leave the others.
+    got = [s.probe_update(0x1000 + i, 1, b"\x00", ctx=9, ts=10 + i)
+           for i in range(4)]
+    assert got == [(b"\xaa", 1, 1), (b"\xbb", 1, 1),
+                   (b"\xcc", 2, 5), (b"\xdd", 2, 5)]
 
 
-def test_probe_update_matches_read_write_pair():
-    rng = random.Random(9)
-    a = ShadowTable()
-    b = ShadowTable()
-    addrs = [0x5000 + rng.randrange(64) for _ in range(400)]
-    for i, addr in enumerate(addrs):
-        size = rng.choice((1, 2, 4, 8))
-        value = bytes(rng.randrange(3) for _ in range(size))
-        cells = b.read_span(addr, size)
-        if all(c.present for c in cells):
-            expect_old = bytes(c.value for c in cells)
-        else:
-            expect_old = None
-        expect_prior = ((cells[0].ctx, cells[0].ts) if cells[0].present
-                        else (None, None))
-        b.write_span(addr, size, value, ctx=i, ts=i + 1)
-
-        old, pctx, pts = a.probe_update(addr, size, value, ctx=i, ts=i + 1)
-        assert old == expect_old
-        assert (pctx, pts) == expect_prior
+def test_probe_update_matches_byte_model():
+    # Spans start near page edges of several granularities, so some cross
+    # a page boundary and some land on pages loaded only in part.
+    edges = [k << bits for bits in (8, 10, 12, 16) for k in (1, 3)]
+    edges.append(PAGE_SIZE * 5)
+    sizes = sorted(LOAD_SIZES)
+    for seed in range(30):
+        rng = random.Random(seed)
+        s = ShadowTable()
+        model = ByteModel()
+        for i in range(3000):
+            addr = rng.choice(edges) + rng.randrange(-40, 40)
+            size = rng.choice(sizes)
+            value = bytes(rng.randrange(3) for _ in range(size))
+            want = model.probe_update(addr, size, value, i, i + 1)
+            got = s.probe_update(addr, size, value, i, i + 1)
+            assert got == want, (seed, i, addr, size)
 
 
 def test_probe_update_across_page_boundary():
     s = ShadowTable()
     addr = PAGE_SIZE - 3
-    s.write_span(addr, 8, bytes(range(8)), ctx=4, ts=2)
+    s.probe_update(addr, 8, bytes(range(8)), ctx=4, ts=2)
+    assert s.page_count() == 2
     old, pctx, pts = s.probe_update(addr, 8, bytes(8), ctx=5, ts=9)
     assert old == bytes(range(8))
     assert (pctx, pts) == (4, 2)
-    cells = s.read_span(addr, 8)
-    assert all(c.ctx == 5 and c.ts == 9 for c in cells)
+    # Every byte on both sides now carries the second load.
+    got = [s.probe_update(addr + i, 1, b"\x01", ctx=6, ts=10)
+           for i in range(8)]
+    assert got == [(b"\x00", 5, 9)] * 8
+
+
+def test_straddle_with_only_the_first_page_loaded():
+    s = ShadowTable()
+    addr = 4 * PAGE_SIZE - 4
+    s.probe_update(addr, 4, b"\x01\x02\x03\x04", ctx=1, ts=1)
+    old, pctx, pts = s.probe_update(addr, 8, bytes(range(8)), ctx=2, ts=2)
+    assert old is None
+    assert (pctx, pts) == (1, 1)
+    assert s.probe_update(addr, 8, bytes(8), ctx=3, ts=3) == (
+        bytes(range(8)), 2, 2)
+
+
+def test_straddle_with_only_the_second_page_loaded():
+    s = ShadowTable()
+    addr = 4 * PAGE_SIZE - 4
+    s.probe_update(4 * PAGE_SIZE, 4, b"\x01\x02\x03\x04", ctx=1, ts=1)
+    assert s.probe_update(addr, 8, bytes(range(8)), ctx=2, ts=2) == (
+        None, None, None)
+    assert s.probe_update(addr, 8, bytes(8), ctx=3, ts=3) == (
+        bytes(range(8)), 2, 2)
 
 
 def test_partial_presence_returns_no_old_bytes():
     s = ShadowTable()
-    s.write_span(0x1000, 2, b"\x01\x02", ctx=1, ts=1)
+    s.probe_update(0x1000, 2, b"\x01\x02", ctx=1, ts=1)
     old, pctx, pts = s.probe_update(0x1000, 4, bytes(4), ctx=2, ts=2)
     assert old is None
     # Start byte was present, so the prior pair is still reported.
     assert (pctx, pts) == (1, 1)
     old, pctx, pts = s.probe_update(0x2000, 4, bytes(4), ctx=3, ts=3)
     assert old is None and pctx is None and pts is None
+    # Start byte absent, later bytes present: no old bytes, no prior.
+    s.probe_update(0x3002, 2, b"\x01\x02", ctx=4, ts=4)
+    assert s.probe_update(0x3000, 4, bytes(4), ctx=5, ts=5) == (None, None,
+                                                                  None)
 
 
 def test_page_sparsity():
     s = ShadowTable()
-    s.write_span(0x0, 4, bytes(4), ctx=1, ts=1)
-    s.write_span(10 * PAGE_SIZE + 5, 4, bytes(4), ctx=1, ts=2)
-    s.write_span(10 * PAGE_SIZE + 900, 8, bytes(8), ctx=1, ts=3)
+    s.probe_update(0x0, 4, bytes(4), ctx=1, ts=1)
+    s.probe_update(10 * PAGE_SIZE + 5, 4, bytes(4), ctx=1, ts=2)
+    s.probe_update(11 * PAGE_SIZE - 8, 8, bytes(8), ctx=1, ts=3)
     assert s.page_count() == 2
+
+
+def test_scattered_loads_cost_memory_per_byte_touched():
+    # 2,000 8-byte loads 64 KiB apart, every one monitored. The shadow
+    # memory they need must grow with the bytes they touch, not with the
+    # address range they span: at most 16 KiB of traced memory per load.
+    loads = 2000
+    sm = SourceMap()
+    sm.add_site(1, "main", "a.c", 1)
+    events = [load_event(0, i, i << 16, bytes(8), site_id=1)
+              for i in range(loads)]
+    config = AnalysisConfig(sampling=SamplingConfig.disabled())
+    tracemalloc.start()
+    try:
+        analyze_events(iter(events), sm, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / loads < 16 * 1024, f"{peak / loads:.0f} bytes per load"

@@ -5,14 +5,17 @@ import random
 
 import pytest
 
-from redload.errors import TraceDecodeError, TraceEncodeError
+from redload.engine import AnalysisConfig, analyze_events
+from redload.errors import RedloadError, TraceDecodeError, TraceEncodeError
+from redload.sampling import SamplingConfig
 from redload.trace import (CALL, F32, F64, LOAD, NONFP, RETURN,
-                           THREAD_START, SourceMap, TraceEvent, _Reader,
-                           load_event, read_text_trace, read_trace,
-                           write_text_trace, write_trace)
+                           THREAD_START, SourceMap, TraceEvent,
+                           _MAX_FP_CLASS, _Reader, _load_error, load_event,
+                           read_text_trace, read_trace, write_text_trace,
+                           write_trace)
 from redload.workloads import Scenario, generate
 
-from helpers import Build, u32
+from helpers import Build, f64, u32
 
 
 def roundtrip(events, source_map):
@@ -21,6 +24,10 @@ def roundtrip(events, source_map):
     buf.seek(0)
     got, sm = read_trace(buf)
     return list(got), sm, buf.getvalue()
+
+
+def text_stream(text):
+    return io.BytesIO(text.encode("utf-8"))
 
 
 def test_empty_trace_roundtrip():
@@ -232,7 +239,7 @@ def test_reader_rejects_ins_index_not_increasing_per_thread():
     write_text_trace(events, b.sm, out)
     lines = out.getvalue().splitlines()
     lines[-1] = lines[-1].replace("L 3 42 ", "L 3 40 ")
-    decoded, _ = read_text_trace(io.StringIO("\n".join(lines) + "\n"))
+    decoded, _ = read_text_trace(text_stream("\n".join(lines) + "\n"))
     with pytest.raises(TraceDecodeError) as err:
         list(decoded)
     assert err.value.offset == len(lines)
@@ -240,16 +247,54 @@ def test_reader_rejects_ins_index_not_increasing_per_thread():
     assert "ins_index 40 after 41" in str(err.value)
 
 
+def test_binary_reader_rejects_bad_load_shapes():
+    b = Build()
+    b.sm.add_site(1, "main", "a.c", 1)
+    b.load(0x1000, f64(1.0), 1, fp=F64)
+    buf = io.BytesIO()
+    write_trace(b.events, b.sm, buf)
+    good = buf.getvalue()
+    start = len(good) - (27 + 8)
+    # (size, fp_class) written over the load's record.
+    for size, fp, message in ((4, F64, "f64 load size 4 not a multiple of 8"),
+                              (2, F32, "f32 load size 2 not a multiple of 4"),
+                              (3, NONFP, "bad load size 3"),
+                              (8, 3, "bad fp_class 3"),
+                              (1, 4, "bad fp_class 4")):
+        raw = bytearray(good)
+        raw[start + 21] = size
+        raw[start + 22] = fp
+        events, _ = read_trace(io.BytesIO(bytes(raw)))
+        with pytest.raises(TraceDecodeError) as err:
+            list(events)
+        assert err.value.offset == start
+        assert str(err.value) == f"offset {start}: {message}"
+
+
+def test_decoder_load_shape_check_agrees_with_the_rule():
+    # The decoder's one-lookup test must accept exactly the (size,
+    # fp_class) pairs, both u8, that the full rule accepts.
+    for size in range(256):
+        for fp in range(256):
+            fast = fp <= _MAX_FP_CLASS.get(size, -1)
+            assert fast == (_load_error(size, fp, size) is None), (size, fp)
+
+
 def test_fuzz_reader_never_raises_anything_else():
+    # Every mutated trace that decodes also goes through the engine, with
+    # every load monitored: it ends in a profile or a RedloadError.
     rng = random.Random(1234)
     b = Build()
     b.sm.add_site(1, "main", "a.c", 1)
     b.thread_start()
-    b.load(0x1000, u32(5), 1)
-    b.load(0x1004, b"\x00" * 8, 1, fp=F64)
+    for k in range(4):
+        b.load(0x1000, u32(5 + k % 2), 1)
+        b.load(0x1004, f64(1.0 + k), 1, fp=F64)
     buf = io.BytesIO()
     write_trace(b.events, b.sm, buf)
     base = bytearray(buf.getvalue())
+    config = AnalysisConfig(sampling=SamplingConfig.disabled())
+    analyzed = 0
     for trial in range(300):
         if trial % 3 == 0:
             raw = bytes(rng.randrange(256)
@@ -257,14 +302,21 @@ def test_fuzz_reader_never_raises_anything_else():
         else:
             raw = bytearray(base)
             for _ in range(rng.randrange(1, 6)):
-                raw[rng.randrange(len(raw))] = rng.randrange(256)
+                # Small values half the time: sizes, fp classes and kinds.
+                raw[rng.randrange(len(raw))] = rng.choice(
+                    (rng.randrange(256), rng.randrange(9)))
             raw = bytes(raw)
         try:
-            events, _ = read_trace(io.BytesIO(raw))
-            for _ in events:
-                pass
+            events, sm = read_trace(io.BytesIO(raw))
+            events = list(events)
         except TraceDecodeError:
+            continue
+        analyzed += 1
+        try:
+            analyze_events(iter(events), sm, config)
+        except RedloadError:
             pass
+    assert analyzed > 50
 
 
 def test_encode_rejects_bad_events_with_index():
@@ -329,7 +381,7 @@ def test_text_format_roundtrip_and_golden_line():
     write_text_trace(b.events, b.sm, out)
     text = out.getvalue()
     assert "L 0 4 0x2000 4 0f000000 nonfp 1" in text.splitlines()
-    events, sm = read_text_trace(io.StringIO(text))
+    events, sm = read_text_trace(text_stream(text))
     assert list(events) == b.events
     assert sm.sites == b.sm.sites and sm.loops == b.sm.loops
 
@@ -345,7 +397,7 @@ def test_text_reader_streams_to_an_error_on_the_last_line():
     write_text_trace(b.events, b.sm, out)
     lines = out.getvalue().splitlines()
     lines[-1] = lines[-1].replace(" nonfp ", " f16 ")
-    source = io.StringIO("\n".join(lines) + "\n")
+    source = text_stream("\n".join(lines) + "\n")
     events, sm = read_text_trace(source)
     assert sm.sites == b.sm.sites
     # Only the lines up to the first event have been read so far.
@@ -360,8 +412,25 @@ def test_text_reader_streams_to_an_error_on_the_last_line():
 
 def test_text_reader_rejects_garbage():
     with pytest.raises(TraceDecodeError):
-        read_text_trace(io.StringIO("not a trace\n"))
-    with pytest.raises(TraceDecodeError):
-        read_text_trace(io.StringIO("LRT1 1\nZ 0 0\n"))
-    with pytest.raises(TraceDecodeError):
-        read_text_trace(io.StringIO("LRT1 1\nL 0 0 zz 4 00 nonfp 1\n"))
+        read_text_trace(text_stream("not a trace\n"))
+    # (lines after the header, line number of the error, message)
+    cases = [
+        (b"Z 0 0", 2, "unknown line tag 'Z'"),
+        (b"L 0 0 zz 4 00 nonfp 1", 2, "bad line: "),
+        (b"T 0 0\nL 0 1 0x1000 3 aabbcc nonfp 1", 3, "bad load size 3"),
+        (b"L 0 1 0x1000 8 aabb nonfp 1", 2, "value has 2 bytes, size says 8"),
+        (b"L 0 1 0x1000 4 aabbccdd f64 1", 2,
+         "f64 load size 4 not a multiple of 8"),
+        (b"L 0 1 0x1000 2 aabb f32 1", 2,
+         "f32 load size 2 not a multiple of 4"),
+        (b"\xff\xfe", 2, "invalid UTF-8"),
+        # A lone CR ends a line, as in the text's splitlines numbering.
+        (b"T 0 0\rT 0 \xff", 3, "invalid UTF-8"),
+    ]
+    for body, line, message in cases:
+        with pytest.raises(TraceDecodeError) as err:
+            events, _ = read_text_trace(io.BytesIO(b"LRT1 1\n" + body
+                                                   + b"\n"))
+            list(events)
+        assert err.value.offset == line, body
+        assert str(err.value).startswith(f"offset {line}: {message}"), body
