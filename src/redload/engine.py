@@ -18,6 +18,7 @@ from .scope import ScopeBudget
 from .shadow import ShadowTable
 from .spatial import ObjectRegistry, SpatialDetector
 from .temporal import DEFAULT_EPSILON, TemporalDetector
+from .trace import ALLOC, CALL, FREE, LOAD, LOOPHEAD, RETURN, STATIC_IMAGE
 
 
 @dataclass
@@ -41,15 +42,15 @@ class AnalysisConfig:
 class ThreadWorker:
     """Analysis state confined to one thread's event stream."""
 
-    def __init__(self, registry, config, meta):
+    def __init__(self, registry, config, meta, verdicts):
         self.tree = ContextTree()
         self.shadow = ShadowTable()
         self.temporal_budget = ScopeBudget(self.tree, config.scope_budget)
         self.spatial_budget = ScopeBudget(self.tree, config.scope_budget)
         self.temporal = TemporalDetector(self.shadow, self.temporal_budget,
-                                         config.approx_epsilon)
+                                         config.approx_epsilon, verdicts)
         self.spatial = SpatialDetector(registry, self.spatial_budget,
-                                       config.approx_epsilon)
+                                       config.approx_epsilon, verdicts)
         self.meta = meta
 
 
@@ -59,13 +60,15 @@ def analyze_events(events, source_map, config=None, verdict_sink=None):
 
     `verdict_sink`, when given, receives one
     (thread_id, temporal LoadVerdict, SpatialVerdict) tuple per monitored
-    load, in file order; used by oracle-equivalence tests.
+    load, in file order; used by oracle-equivalence tests. Only then do
+    the detectors build verdicts.
     """
     if config is None:
         config = AnalysisConfig()
     registry = ObjectRegistry()
     workers = {}
     meta = config.meta()
+    verdicts = verdict_sink is not None
     sampling = config.sampling
     gated = sampling.enabled
     # The sampling window of the latest gated load: every ins_index in
@@ -74,39 +77,44 @@ def analyze_events(events, source_map, config=None, verdict_sink=None):
     monitored = False
 
     position = -1
+    tid = None
     try:
         for position, ev in enumerate(events):
-            tid = ev.thread_id
-            worker = workers.get(tid)
-            if worker is None:
-                worker = ThreadWorker(registry, config, meta)
-                workers[tid] = worker
+            if ev.thread_id != tid:
+                tid = ev.thread_id
+                worker = workers.get(tid)
+                if worker is None:
+                    worker = workers[tid] = ThreadWorker(registry, config,
+                                                         meta, verdicts)
+                tree = worker.tree
+                load_context = tree.current_load_context
+                temporal_load = worker.temporal.process_load
+                spatial_load = worker.spatial.process_load
             kind = ev.kind
-            if kind == tr.LOAD:
+            if kind == LOAD:
                 if gated:
                     ins = ev.ins_index
                     if not lo <= ins < hi:
                         lo, hi, monitored = monitoring_window(ins, sampling)
                     if not monitored:
                         continue
-                ctx, load_ts = worker.tree.current_load_context(ev.site_id)
-                tv = worker.temporal.process_load(ev, ctx, load_ts)
-                sv = worker.spatial.process_load(ev, ctx, load_ts)
-                if verdict_sink is not None:
+                ctx, load_ts = load_context(ev.site_id)
+                tv = temporal_load(ev, ctx, load_ts)
+                sv = spatial_load(ev, ctx, load_ts)
+                if verdicts:
                     verdict_sink((tid, tv, sv))
-            elif kind == tr.CALL:
-                worker.tree.on_call(ev.site_id)
-            elif kind == tr.RETURN:
-                worker.tree.on_return(ev.site_id)
-            elif kind == tr.LOOPHEAD:
-                worker.tree.on_loop_head(ev.loop_id)
-            elif kind == tr.ALLOC:
-                ctx_path = worker.tree.structural_path(
-                    worker.tree.cursor.handle)
+            elif kind == CALL:
+                tree.on_call(ev.site_id)
+            elif kind == RETURN:
+                tree.on_return(ev.site_id)
+            elif kind == LOOPHEAD:
+                tree.on_loop_head(ev.loop_id)
+            elif kind == ALLOC:
+                ctx_path = tree.structural_path(tree.cursor.handle)
                 registry.on_alloc(ev.base, ev.alloc_size, ctx_path)
-            elif kind == tr.FREE:
+            elif kind == FREE:
                 registry.on_free(ev.base)
-            elif kind == tr.STATIC_IMAGE:
+            elif kind == STATIC_IMAGE:
                 registry.on_static_image(ev.objects)
             # THREAD_START only announces the thread
     except MalformedTraceError as exc:

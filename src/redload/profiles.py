@@ -107,7 +107,7 @@ def canonicalize(worker, source_map):
         return path
 
     temporal = worker.temporal
-    profile = Profile(totals=temporal.totals.copy(), thread_count=1,
+    profile = Profile(totals=temporal.totals, thread_count=1,
                       meta=worker.meta)
 
     t_budget = worker.temporal_budget
@@ -389,10 +389,21 @@ def _object_key_from(doc):
 
 
 def from_json(doc):
-    if doc.get("format") != PROFILE_FORMAT:
+    """The Profile of a profile document; a document of another shape
+    raises RedloadError naming what is missing or malformed."""
+    if not isinstance(doc, dict) or doc.get("format") != PROFILE_FORMAT:
         raise RedloadError(f"not a {PROFILE_FORMAT} document")
     if doc.get("version") != PROFILE_VERSION:
         raise RedloadError(f"unsupported profile version {doc.get('version')}")
+    try:
+        return _profile_from(doc)
+    except KeyError as exc:
+        raise RedloadError(f"missing field {exc.args[0]!r}") from None
+    except (LookupError, TypeError, AttributeError, ValueError) as exc:
+        raise RedloadError(f"malformed profile: {exc}") from None
+
+
+def _profile_from(doc):
     t = doc["totals"]
     profile = Profile(
         totals=ProgramTotals(t["total_nonfp_bytes"], t["total_fp_bytes"],
@@ -421,5 +432,21 @@ def save(profile, path):
 
 
 def load(path):
-    with open(path, "r", encoding="utf-8") as f:
-        return from_json(json.load(f))
+    """Read a saved profile. A file that is not UTF-8, not JSON or not a
+    profile document raises RedloadError naming the file."""
+    with open(path, "rb") as f:
+        try:
+            # No name holds the bytes or the text: each is freed as soon
+            # as the next step is done with it.
+            doc = json.loads(f.read().decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise RedloadError(f"{path}: invalid UTF-8 at byte "
+                               f"{exc.start}") from None
+        except ValueError as exc:   # JSONDecodeError names line and column
+            raise RedloadError(f"{path}: not JSON: {exc}") from None
+        except RecursionError:
+            raise RedloadError(f"{path}: JSON nested too deeply") from None
+    try:
+        return from_json(doc)
+    except RedloadError as exc:
+        raise RedloadError(f"{path}: {exc}") from None

@@ -20,7 +20,7 @@ DYNAMIC = "dynamic"
 
 class ObjectDescriptor:
     __slots__ = ("object_id", "kind", "name", "alloc_context", "base",
-                 "size", "live", "report_key")
+                 "size", "end", "live", "report_key")
 
     def __init__(self, object_id, kind, name, alloc_context, base, size):
         self.object_id = object_id
@@ -29,15 +29,16 @@ class ObjectDescriptor:
         self.alloc_context = alloc_context  # dynamic objects: structural path
         self.base = base
         self.size = size
+        self.end = base + size
         self.live = True
         if kind == STATIC:
             self.report_key = (STATIC, name)
         else:
             self.report_key = (DYNAMIC, alloc_context)
 
-    @property
-    def end(self):
-        return self.base + self.size
+
+# An empty range: the lookup memo of a registry that has hit nothing.
+_NOWHERE = ObjectDescriptor(0, STATIC, None, None, 0, 0)
 
 
 class ObjectRegistry:
@@ -52,6 +53,7 @@ class ObjectRegistry:
         self.by_base = {}       # base -> ObjectDescriptor
         self.archive = []
         self.next_id = 1
+        self._last = _NOWHERE   # the object the latest hit found
 
     def _insert(self, desc):
         idx = bisect_right(self.bases, desc.base)
@@ -95,12 +97,21 @@ class ObjectRegistry:
             self._insert(desc)
 
     def lookup(self, addr):
-        """The unique live object containing addr, or None."""
+        """The unique live object containing addr, or None.
+
+        The object of the latest hit is tried first: live ranges are
+        disjoint, so while it is live and contains addr it is the answer.
+        A free clears `live`, which retires the memo.
+        """
+        last = self._last
+        if last.base <= addr < last.end and last.live:
+            return last
         idx = bisect_right(self.bases, addr)
         if idx == 0:
             return None
         desc = self.by_base[self.bases[idx - 1]]
         if addr < desc.end:
+            self._last = desc
             return desc
         return None
 
@@ -121,84 +132,96 @@ _NO_OBJECT = SpatialVerdict(False, False, None)
 
 
 class SpatialDetector:
-    """Per-thread spatial accumulator over a shared object registry."""
+    """Per-thread spatial accumulator over a shared object registry.
 
-    def __init__(self, registry, scope_budget, epsilon):
+    Like TemporalDetector, asks the scope budget only while a pair row's
+    redundant instances are within its limit, and returns a SpatialVerdict
+    from `process_load` only when `verdicts` is true (else None).
+    """
+
+    def __init__(self, registry, scope_budget, epsilon, verdicts=True):
         self.registry = registry
         self.scope_budget = scope_budget
         self.epsilon = epsilon
-        self.prior = {}          # object_id -> (value, fp_class, ctx, ts)
+        self.verdicts = verdicts
+        self.prior = {}          # object_id -> (value, ctx, ts)
         self.object_rows = {}    # report key -> PairCounters
         self.pair_rows = {}      # (report key, old ctx, new ctx) -> PairCounters
         # (redundant, approx_class, object_id) -> its one SpatialVerdict
         self.shared_verdicts = {}
+        # The object the latest hit found, and its object row.
+        self._last = None
+        self._last_row = None
 
     def process_load(self, event, ctx, load_ts):
         desc = self.registry.lookup(event.addr)
         if desc is None:
-            return _NO_OBJECT
+            return _NO_OBJECT if self.verdicts else None
 
         size = event.size
         value = event.value
         fp_class = event.fp_class
-        approx_class = fp_class != NONFP
 
-        rkey = desc.report_key
-        obj_row = self.object_rows.get(rkey)
-        if obj_row is None:
-            obj_row = PairCounters()
-            self.object_rows[rkey] = obj_row
-        obj_row.total_instances += 1
-        if approx_class:
-            obj_row.total_bytes_approx += size
+        if desc is self._last:
+            obj_row = self._last_row
         else:
+            rkey = desc.report_key
+            obj_row = self.object_rows.get(rkey)
+            if obj_row is None:
+                obj_row = self.object_rows[rkey] = PairCounters()
+            self._last = desc
+            self._last_row = obj_row
+        obj_row.total_instances += 1
+        if fp_class == NONFP:
             obj_row.total_bytes_precise += size
+        else:
+            obj_row.total_bytes_approx += size
 
-        prev = self.prior.get(desc.object_id)
+        object_id = desc.object_id
+        prior = self.prior
+        prev = prior.get(object_id)
+        prior[object_id] = (value, ctx, load_ts)
         redundant = False
-        bit_equal = False
         if prev is not None:
-            old_value, old_fp, old_ctx, old_ts = prev
-            # Width-mixed consecutive loads are never redundant; the
-            # comparison rule follows the current load's operand class.
-            if len(old_value) == size:
-                bit_equal = old_value == value
+            old_value, old_ctx, old_ts = prev
+            # Width-mixed consecutive loads are never redundant (unequal
+            # lengths); the comparison rule follows the current load's
+            # operand class.
+            bit_equal = redundant = old_value == value
+            if not redundant and fp_class != NONFP \
+                    and len(old_value) == size:
+                redundant = fp_span_equal(old_value, value, fp_class,
+                                          self.epsilon)
+            if redundant:
+                obj_row.redundant_instances += 1
+                pkey = (desc.report_key, old_ctx, ctx)
+                pair_row = self.pair_rows.get(pkey)
+                if pair_row is None:
+                    pair_row = self.pair_rows[pkey] = PairCounters()
+                pair_row.total_instances += 1
+                pair_row.redundant_instances += 1
                 if fp_class == NONFP:
-                    redundant = bit_equal
+                    obj_row.redundant_bytes_precise += size
+                    pair_row.total_bytes_precise += size
+                    pair_row.redundant_bytes_precise += size
                 else:
-                    redundant = bit_equal or fp_span_equal(
-                        old_value, value, fp_class, self.epsilon)
-        if redundant:
-            obj_row.redundant_instances += 1
-            if approx_class:
-                obj_row.redundant_bytes_approx += size
-                if bit_equal:
-                    obj_row.fp_exact_instances += 1
-            else:
-                obj_row.redundant_bytes_precise += size
-            pkey = (rkey, old_ctx, ctx)
-            pair_row = self.pair_rows.get(pkey)
-            if pair_row is None:
-                pair_row = PairCounters()
-                self.pair_rows[pkey] = pair_row
-            pair_row.total_instances += 1
-            pair_row.redundant_instances += 1
-            if approx_class:
-                pair_row.total_bytes_approx += size
-                pair_row.redundant_bytes_approx += size
-                if bit_equal:
-                    pair_row.fp_exact_instances += 1
-            else:
-                pair_row.total_bytes_precise += size
-                pair_row.redundant_bytes_precise += size
-            self.scope_budget.resolve(pkey, old_ctx, old_ts, ctx, load_ts)
+                    obj_row.redundant_bytes_approx += size
+                    pair_row.total_bytes_approx += size
+                    pair_row.redundant_bytes_approx += size
+                    if bit_equal:
+                        obj_row.fp_exact_instances += 1
+                        pair_row.fp_exact_instances += 1
+                budget = self.scope_budget
+                if pair_row.redundant_instances <= budget.limit:
+                    budget.resolve(pkey, old_ctx, old_ts, ctx, load_ts)
 
-        self.prior[desc.object_id] = (value, fp_class, ctx, load_ts)
-        outcome = (redundant, approx_class, desc.object_id)
-        verdict = self.shared_verdicts.get(outcome)
-        if verdict is None:
-            verdict = self.shared_verdicts[outcome] = SpatialVerdict(*outcome)
-        return verdict
+        if self.verdicts:
+            outcome = (redundant, fp_class != NONFP, object_id)
+            verdict = self.shared_verdicts.get(outcome)
+            if verdict is None:
+                verdict = self.shared_verdicts[outcome] = \
+                    SpatialVerdict(*outcome)
+            return verdict
 
 
 def object_fraction(record, object_rows):

@@ -12,7 +12,7 @@ import math
 import struct
 from dataclasses import dataclass
 
-from .trace import F32, NONFP
+from .trace import F32, F64, NONFP
 
 DEFAULT_EPSILON = 0.01
 
@@ -87,16 +87,23 @@ def approx_equal(a, b, epsilon=DEFAULT_EPSILON):
     return abs(a - b) <= epsilon * max(abs(a), abs(b))
 
 
-_F32_ONE = struct.Struct("<f")
-_F64_ONE = struct.Struct("<d")
+# Per FP class: the structs of one element and of two.
+_STRUCTS = {F32: (struct.Struct("<f"), struct.Struct("<ff")),
+            F64: (struct.Struct("<d"), struct.Struct("<dd"))}
 
 
 def fp_span_equal(old, new, fp_class, epsilon):
-    """Element-wise approximate comparison of two equal-length byte spans."""
-    if fp_class == F32:
-        width, one = 4, _F32_ONE
-    else:
-        width, one = 8, _F64_ONE
+    """Element-wise approximate comparison of two equal-length byte spans
+    of F32 or F64 elements; agrees with `approx_equal` on each element."""
+    if old == new:
+        return True
+    one, two = _STRUCTS[fp_class]
+    width = one.size
+    if len(new) == width:
+        # One element, the common case: a single unpack, no loop.
+        a, b = two.unpack(old + new)
+        return (math.isfinite(a) and math.isfinite(b)
+                and abs(a - b) <= epsilon * max(abs(a), abs(b)))
     for off in range(0, len(new), width):
         ob = old[off:off + width]
         nb = new[off:off + width]
@@ -117,15 +124,33 @@ class TemporalDetector:
 
     Rows are keyed by (prior ctx handle or None, current ctx handle); the
     scope resolved for a pair attaches to its row at canonicalization time
-    through the shared ScopeBudget.
+    through the shared ScopeBudget. A row's key is its budget key, so the
+    budget is asked only while the row's redundant instances are within
+    the budget's limit: later asks could not change the scope.
+
+    `process_load` returns a LoadVerdict when `verdicts` is true, else
+    None; the engine asks for verdicts only when it has a sink for them.
     """
 
-    def __init__(self, shadow, scope_budget, epsilon=DEFAULT_EPSILON):
+    def __init__(self, shadow, scope_budget, epsilon=DEFAULT_EPSILON,
+                 verdicts=True):
         self.shadow = shadow
         self.scope_budget = scope_budget
         self.epsilon = epsilon
+        self.verdicts = verdicts
         self.rows = {}              # (old handle | None, new handle) -> PairCounters
-        self.totals = ProgramTotals()
+
+    @property
+    def totals(self):
+        """Program-wide ProgramTotals: every load lands in exactly one
+        row, so they are the sums of the rows' byte counters."""
+        totals = ProgramTotals()
+        for row in self.rows.values():
+            totals.total_nonfp_bytes += row.total_bytes_precise
+            totals.total_fp_bytes += row.total_bytes_approx
+            totals.redundant_nonfp_bytes += row.redundant_bytes_precise
+            totals.redundant_fp_bytes += row.redundant_bytes_approx
+        return totals
 
     def process_load(self, event, ctx, load_ts):
         size = event.size
@@ -134,43 +159,34 @@ class TemporalDetector:
         old, prior_ctx, prior_ts = self.shadow.probe_update(
             event.addr, size, value, ctx, load_ts)
 
-        bit_equal = old == value
-        if old is None:
-            redundant = False
-        elif fp_class == NONFP:
-            redundant = bit_equal
-        else:
-            redundant = bit_equal or fp_span_equal(old, value, fp_class,
-                                                   self.epsilon)
-
-        approx_class = fp_class != NONFP
-        totals = self.totals
         key = (prior_ctx, ctx)
         row = self.rows.get(key)
         if row is None:
-            row = PairCounters()
-            self.rows[key] = row
+            row = self.rows[key] = PairCounters()
         row.total_instances += 1
-        if approx_class:
-            totals.total_fp_bytes += size
-            row.total_bytes_approx += size
-        else:
-            totals.total_nonfp_bytes += size
+        # A partly unloaded span (old is None) equals no value.
+        redundant = old == value
+        if fp_class == NONFP:
             row.total_bytes_precise += size
+            if redundant:
+                row.redundant_bytes_precise += size
+        else:
+            row.total_bytes_approx += size
+            if redundant:
+                row.fp_exact_instances += 1
+            elif old is not None:
+                redundant = fp_span_equal(old, value, fp_class, self.epsilon)
+            if redundant:
+                row.redundant_bytes_approx += size
         if redundant:
             row.redundant_instances += 1
-            if approx_class:
-                totals.redundant_fp_bytes += size
-                row.redundant_bytes_approx += size
-                if bit_equal:
-                    row.fp_exact_instances += 1
-            else:
-                totals.redundant_nonfp_bytes += size
-                row.redundant_bytes_precise += size
-            self.scope_budget.resolve(key, prior_ctx, prior_ts, ctx, load_ts)
+            budget = self.scope_budget
+            if row.redundant_instances <= budget.limit:
+                budget.resolve(key, prior_ctx, prior_ts, ctx, load_ts)
 
-        prior = (prior_ctx, prior_ts) if prior_ctx is not None else None
-        return LoadVerdict(redundant, approx_class, prior)
+        if self.verdicts:
+            prior = (prior_ctx, prior_ts) if prior_ctx is not None else None
+            return LoadVerdict(redundant, fp_class != NONFP, prior)
 
 
 def _fraction(redundant, total):

@@ -2,10 +2,12 @@
 
 import pytest
 
+from redload import engine
 from redload.engine import AnalysisConfig, analyze_events, analyze_path
 from redload.errors import MalformedTraceError, TraceDecodeError
 from redload.profiles import Profile, merge_all, save
 from redload.sampling import SamplingConfig
+from redload.scope import ScopeBudget
 from redload.trace import (ALLOC, CALL, FREE, LOAD, RETURN, STATIC_IMAGE,
                            THREAD_START, SourceMap, TraceEvent,
                            write_text_trace, write_trace)
@@ -201,3 +203,86 @@ def test_file_roundtrips_analyze_like_memory(name, threads, tmp_path):
         save(profile, tmp_path / f"{form}.json")
         assert (tmp_path / f"{form}.json").read_bytes() == \
             (tmp_path / "memory.json").read_bytes(), form
+
+
+def _capture_workers(monkeypatch):
+    workers = []
+
+    class CapturedWorker(engine.ThreadWorker):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            workers.append(self)
+
+    monkeypatch.setattr(engine, "ThreadWorker", CapturedWorker)
+    return workers
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_analysis_without_sink_matches_sink_and_oracle(seed, tmp_path,
+                                                       monkeypatch):
+    # The CLI never passes a verdict sink, so the detectors build no
+    # verdicts; that path must give the profile of the sink path and of
+    # the oracle, to the byte.
+    from oracles import assert_profiles_equal, expected_analysis
+    scenario = Scenario("random_mixed", {
+        "loads": 1500, "seed": 900 + seed, "threads": 1 + seed % 2,
+        "fp_fraction": (0.1, 0.3, 0.5)[seed % 3],
+        "churn": (0.005, 0.02, 0.05, 0.1)[seed % 4]})
+    events, sm = generate(scenario)
+    events = list(events)
+    workers = _capture_workers(monkeypatch)
+    plain = analyze_events(events, sm, FULL)
+    assert workers and not any(w.temporal.verdicts or w.spatial.verdicts
+                               for w in workers)
+    sink = []
+    sunk = analyze_events(events, sm, FULL, verdict_sink=sink.append)
+    assert len(sink) == sum(e.kind == LOAD for e in events)
+    assert plain == sunk
+    save(plain, tmp_path / "plain.json")
+    save(sunk, tmp_path / "sunk.json")
+    assert (tmp_path / "plain.json").read_bytes() == \
+        (tmp_path / "sunk.json").read_bytes()
+    assert_profiles_equal(expected_analysis(events, sm).profile, plain)
+
+
+@pytest.mark.parametrize("name,params", [
+    ("forward_copy", {"len": 8, "reps": 6}),
+    ("random_mixed", {"loads": 2000, "seed": 41, "threads": 2}),
+])
+def test_scope_budget_traversals_are_exact(name, params, monkeypatch):
+    # Each redundant instance of a pair row may ask its budget once, and
+    # only while the row's redundant instances are within the limit: a
+    # later ask could not change the scope. So the traversals, and the
+    # asks, are sum(min(redundant_instances, limit)) over the pair rows,
+    # and the profile does not depend on the limit.
+    events, sm = generate(Scenario(name, params))
+    events = list(events)
+    asks = []
+    resolve = ScopeBudget.resolve
+
+    def counted(budget, *args):
+        asks.append(budget)
+        return resolve(budget, *args)
+
+    monkeypatch.setattr(ScopeBudget, "resolve", counted)
+    results = []
+    for limit in (1, 2, 3):
+        workers = _capture_workers(monkeypatch)
+        asks.clear()
+        profile = analyze_events(events, sm, AnalysisConfig(
+            sampling=SamplingConfig.disabled(), scope_budget=limit))
+        redundant = 0
+        for w in workers:
+            for budget, rows in ((w.temporal_budget, w.temporal.rows),
+                                 (w.spatial_budget, w.spatial.pair_rows)):
+                expected = sum(min(r.redundant_instances, limit)
+                               for r in rows.values())
+                assert budget.traversals == expected
+                assert sum(b is budget for b in asks) == expected
+                redundant += sum(r.redundant_instances for r in rows.values())
+        if limit == 1:
+            # The guard has work to do: some pair row outlasts the limit.
+            assert len(asks) < redundant
+        profile.meta = None
+        results.append(profile)
+    assert results[0] == results[1] == results[2]

@@ -279,6 +279,25 @@ def test_from_json_rejects_other_documents():
         from_json({"format": "something-else", "version": 1})
     with pytest.raises(RedloadError):
         from_json({"format": "redload-profile", "version": 99})
+    with pytest.raises(RedloadError, match="not a redload-profile"):
+        from_json([{"format": "redload-profile", "version": 1}])
+
+
+def test_from_json_names_what_is_missing_or_malformed():
+    profile = analyze_events(*generate(Scenario("sparse_zeros",
+                                                {"len": 64})), config=FULL)
+    doc = to_json(profile)
+    del doc["totals"]
+    with pytest.raises(RedloadError, match="missing field 'totals'"):
+        from_json(doc)
+    doc = to_json(profile)
+    del doc["temporal_pairs"][0]["counters"]["total_instances"]
+    with pytest.raises(RedloadError, match="missing field 'total_instances'"):
+        from_json(doc)
+    doc = to_json(profile)
+    doc["objects"] = 7
+    with pytest.raises(RedloadError, match="malformed profile"):
+        from_json(doc)
 
 
 def test_post_merge_conservation():

@@ -223,3 +223,24 @@ def test_cli_sampling_windows_flow_into_profile(tmp_path):
     assert profile.meta["sampling"] == {"enabled": True,
                                         "window_enable": 100,
                                         "window_disable": 900}
+
+
+def test_cli_report_and_merge_of_malformed_profiles_exit_1(tmp_path, capsys):
+    header = b'{"format": "redload-profile", "version": 1}'
+    latin1 = header[:-1] + b', "x": "\xe9"}'
+    cases = {"header.json": (header, "missing field 'totals'"),
+             "text.json": (b"not json\n", "line 1 column 1"),
+             "latin1.json": (latin1, "invalid UTF-8 at byte "
+                                     f"{latin1.index(0xE9)}"),
+             "list.json": (b"[1, 2]", "not a redload-profile document")}
+    for name, (data, message) in cases.items():
+        path = tmp_path / name
+        path.write_bytes(data)
+        for argv in (["report", str(path)],
+                     ["merge", str(path), str(path), "-o",
+                      str(tmp_path / "m.json")]):
+            assert main(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert f"redload {argv[0]}: {path}: " in err, err
+            assert message in err, err
+            assert "Traceback" not in err

@@ -164,3 +164,50 @@ def test_disjointness_after_churn():
         reg.on_free(base)
     # All bases distinct and live ranges disjoint at every step above.
     assert len(reg.archive) == 50
+
+
+def scan_lookup(reg, addr):
+    """The answer without the memo or the bisect: a scan of live objects."""
+    hits = [d for d in reg.by_base.values()
+            if d.base <= addr < d.base + d.size]
+    assert len(hits) <= 1
+    return hits[0] if hits else None
+
+
+def test_lookup_memo_retires_on_free_and_reuse():
+    tree, reg, det = make_spatial()
+    ctx_path = (("function", 1),)
+    a = reg.on_alloc(0x1000, 64, ctx_path)
+    assert feed(tree, det, 0x1010, u32(7)).object_id == a
+    reg.on_free(0x1000)
+    # The memo still names A, but A is no longer live.
+    assert reg.lookup(0x1010) is None
+    assert feed(tree, det, 0x1010, u32(7)).object_id is None
+    b = reg.on_alloc(0x1000, 64, ctx_path)
+    assert b != a
+    v = feed(tree, det, 0x1010, u32(7))
+    # B is a new object with its own prior: the same value is no repeat.
+    assert v.object_id == b and not v.redundant
+    assert feed(tree, det, 0x1014, u32(7)).redundant
+    row = det.object_rows[("dynamic", ctx_path)]
+    assert row.total_instances == 3 and row.redundant_instances == 1
+
+
+def test_lookup_memo_agrees_with_scan():
+    reg = ObjectRegistry()
+    reg.on_static_image([("A", 0x2000, 16), ("B", 0x2010, 16),
+                         ("C", 0x3000, 8)])
+    alternating = [0x2000, 0x3004, 0x2008, 0x3007, 0x200F, 0x3000] * 3
+    past_end = [0x2000, 0x200F, 0x2010, 0x201F, 0x2020, 0x2FFF, 0x3007,
+                0x3008, 0x3008, 0x1FFF, 0x2004]
+    for addr in alternating + past_end:
+        assert reg.lookup(addr) is scan_lookup(reg, addr), hex(addr)
+    # A free or an allocation between lookups leaves them exact.
+    reg.on_alloc(0x4000, 32, ())
+    for step in range(40):
+        addr = 0x4000 + 7 * step % 48
+        assert reg.lookup(addr) is scan_lookup(reg, addr), hex(addr)
+        if step == 20:
+            reg.on_free(0x4000)
+        if step == 30:
+            reg.on_alloc(0x4010, 8, ())

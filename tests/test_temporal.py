@@ -2,13 +2,17 @@
 
 import math
 import struct
+import sys
+
+import pytest
 
 from redload.cct import ContextTree
 from redload.scope import ScopeBudget
 from redload.shadow import ShadowTable
 from redload.temporal import (PairCounters, ProgramTotals, TemporalDetector,
-                              approx_equal, pair_fraction, program_fraction)
-from redload.trace import F64, NONFP, load_event
+                              approx_equal, fp_span_equal, pair_fraction,
+                              program_fraction)
+from redload.trace import F32, F64, NONFP, load_event
 
 from helpers import f64, u32
 
@@ -179,3 +183,48 @@ def test_pair_fractions_sum_to_program_fraction():
         det.totals.total_nonfp_bytes
     assert sum(r.redundant_bytes_precise for r in det.rows.values()) == \
         det.totals.redundant_nonfp_bytes
+
+
+def _fp_edge_values(fmt, max_finite, min_subnormal):
+    nan_bits = {"<f": ("<I", 0x7FC00000, 0x7FC00001),
+                "<d": ("<Q", 0x7FF8000000000000, 0x7FF8000000000001)}[fmt]
+    nans = [struct.unpack(fmt, struct.pack(nan_bits[0], bits))[0]
+            for bits in nan_bits[1:]]
+    # b with |a - b| exactly epsilon * b for a = 100 and epsilon 0.01, and
+    # the neighbours of b on either side.
+    edge = 100.0 / 0.99
+    return [0.0, -0.0, math.inf, -math.inf, *nans, min_subnormal,
+            -min_subnormal, max_finite, -max_finite, 100.0, edge,
+            math.nextafter(edge, 0.0), math.nextafter(edge, math.inf),
+            100.0 * 0.99, 101.0, 103.0, 1.0]
+
+
+@pytest.mark.parametrize("fp_class,fmt,max_finite,min_subnormal", [
+    (F32, "<f", 3.4028234663852886e38, 1.401298464324817e-45),
+    (F64, "<d", sys.float_info.max, 5e-324),
+])
+def test_fp_span_equal_one_element_agrees_with_approx_equal(
+        fp_class, fmt, max_finite, min_subnormal):
+    spans = [struct.pack(fmt, x)
+             for x in _fp_edge_values(fmt, max_finite, min_subnormal)]
+    outcomes = set()
+    for old in spans:
+        for new in spans:
+            a = struct.unpack(fmt, old)[0]
+            b = struct.unpack(fmt, new)[0]
+            want = approx_equal(a, b, 0.01)
+            assert fp_span_equal(old, new, fp_class, 0.01) == want, (a, b)
+            if old != new:
+                outcomes.add(want)
+    # Not bit-identical pairs fall on both sides of epsilon.
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("fp_class,fmt", [(F32, "<f"), (F64, "<d")])
+def test_fp_span_equal_multi_element_checks_the_last_element(fp_class, fmt):
+    head = [1.0, -2.0, 300.0]
+    old = struct.pack("<" + fmt[1] * 4, *head, 50.0)
+    for last in (50.0, 50.4, 51.0, math.nan, math.inf):
+        new = struct.pack("<" + fmt[1] * 4, *head, last)
+        want = approx_equal(50.0, last, 0.01)
+        assert fp_span_equal(old, new, fp_class, 0.01) == want, last
