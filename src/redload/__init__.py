@@ -8,7 +8,7 @@ from .errors import (ConfigError, MalformedTraceError, RedloadError,
 from .profiles import Profile, merge, merge_all
 from .sampling import SamplingConfig, is_monitored
 from .trace import SourceMap, TraceEvent, read_trace, write_trace
-from .workloads import Scenario, expected_redundancy, generate
+from .workloads import Scenario, generate
 
 __all__ = [
     "AnalysisConfig", "analyze_events", "analyze_path",
@@ -17,5 +17,5 @@ __all__ = [
     "Profile", "merge", "merge_all",
     "SamplingConfig", "is_monitored",
     "SourceMap", "TraceEvent", "read_trace", "write_trace",
-    "Scenario", "expected_redundancy", "generate",
+    "Scenario", "generate",
 ]

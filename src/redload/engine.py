@@ -4,7 +4,8 @@ Each thread of the trace gets its own context tree, shadow memory and
 detectors; object lifecycle events apply globally in file order. Only load
 detection is gated by the sampler: calls, returns and loop headers always
 maintain the context trees so contexts stay correct when a monitoring
-window reopens.
+window reopens. A binary trace's decoder drops unmonitored loads before
+building them; they still count in the event positions errors name.
 """
 
 from dataclasses import dataclass, field
@@ -75,6 +76,11 @@ def analyze_events(events, source_map, config=None, verdict_sink=None):
     # [lo, hi) gets the verdict `monitored`.
     lo = hi = 0
     monitored = False
+    # A binary trace's decoder applies the same gate before it builds a
+    # load; the gate below stays the rule for every other event source.
+    decoder = events if isinstance(events, tr.BinaryEvents) else None
+    if decoder is not None:
+        decoder.sampling = sampling
 
     position = -1
     tid = None
@@ -118,6 +124,8 @@ def analyze_events(events, source_map, config=None, verdict_sink=None):
                 registry.on_static_image(ev.objects)
             # THREAD_START only announces the thread
     except MalformedTraceError as exc:
+        if decoder is not None:
+            position += decoder.skipped     # the loads dropped before `ev`
         raise MalformedTraceError(
             f"event {position} (thread {ev.thread_id}, "
             f"ins_index {ev.ins_index}): {exc}") from None

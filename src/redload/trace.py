@@ -21,6 +21,7 @@ from itertools import chain
 from urllib.parse import quote, unquote
 
 from .errors import TraceDecodeError, TraceEncodeError
+from .sampling import monitoring_window
 
 MAGIC = b"LRT1"
 VERSION = 1
@@ -306,7 +307,7 @@ def _not_increasing(tid, ins_index, previous, record_start):
 
 
 def read_trace(source):
-    """Decode a binary trace; returns (event iterator, SourceMap).
+    """Decode a binary trace; returns (BinaryEvents, SourceMap).
 
     The header and source map are read eagerly; events stream lazily with
     memory bounded independent of trace length. Raises TraceDecodeError with
@@ -336,13 +337,44 @@ def read_trace(source):
         file = r.read_str(map_start)
         (line,) = r.unpack(_U32, map_start)
         source_map.add_loop(loop_id, file, line)
+    return BinaryEvents(r), source_map
 
-    def events():
+
+class BinaryEvents:
+    """The event iterator of a binary trace (see `read_trace`).
+
+    With `sampling` set to an enabled SamplingConfig before the first step,
+    the decoder drops each load outside a monitoring window after
+    validating it like any other record: it slices no value and builds no
+    TraceEvent. `skipped` counts the loads dropped so far. A thread's first
+    event is never dropped, so the consumer still sees every thread.
+    """
+
+    def __init__(self, reader):
+        self.sampling = None
+        self.skipped = 0
+        self._events = self._decode(reader)
+
+    def __iter__(self):
+        # A for loop steps the generator itself, without a call per event.
+        return self._events
+
+    def __next__(self):
+        return next(self._events)
+
+    def _decode(self, r):
         # The loop keeps the buffer and the offset in locals and hands them
         # back to `r` only to refill. Every record but static_image fits in
         # _MAX_FIXED bytes, so once that many are buffered (or the stream
         # has ended) such a record decodes without a refill; one that the
         # stream cuts short makes unpack_from raise struct.error.
+        sampling = self.sampling
+        # Loads with an ins_index in [lo, hi) are all `monitored` or all not.
+        if sampling is not None and sampling.enabled:
+            lo = hi = 0
+        else:
+            lo, hi = 0, 1 << 64
+        monitored = True
         last_ins = {}       # thread_id -> ins_index of its latest event
         buf, pos = r.buf, r.pos
         end = len(buf)
@@ -363,14 +395,17 @@ def read_trace(source):
                     if fp_class > _MAX_FP_CLASS.get(size, -1):
                         raise TraceDecodeError(
                             _load_error(size, fp_class, size), r.base + start)
-                    pos += _REC_LOAD.size
-                    value = buf[pos:pos + size]
-                    pos += size
+                    pos += _REC_LOAD.size + size
                     if pos > end:
                         raise TraceDecodeError("truncated record",
                                                r.base + start)
-                    ev = TraceEvent(LOAD, tid, ins, addr, size, value,
-                                    fp_class, site_id)
+                    if not lo <= ins < hi:
+                        lo, hi, monitored = monitoring_window(ins, sampling)
+                    if monitored or tid not in last_ins:
+                        ev = TraceEvent(LOAD, tid, ins, addr, size,
+                                        buf[pos - size:pos], fp_class, site_id)
+                    else:
+                        ev = None
                 elif kind == LOOPHEAD:
                     _, tid, ins, loop_id, site_id = \
                         _REC_LOOP.unpack_from(buf, pos)
@@ -424,9 +459,10 @@ def read_trace(source):
             if ins <= previous:
                 raise _not_increasing(tid, ins, previous, r.base + start)
             last_ins[tid] = ins
-            yield ev
-
-    return events(), source_map
+            if ev is None:
+                self.skipped += 1
+            else:
+                yield ev
 
 
 TEXT_HEADER = "LRT1 1"

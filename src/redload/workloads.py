@@ -5,16 +5,14 @@ returns around its functions, a loop-header pass at every iteration
 boundary, allocation or image registration for every array touched, and
 loads carrying the values the simulated memory really holds. Identical
 (name, params) always produce the identical trace, so scenarios double as
-golden inputs for the analysis engine and for the naive oracle below.
+golden inputs for the analysis engine and for the test suite's oracle.
 """
 
-import math
 import random
 import struct
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
-from .temporal import PairCounters, ProgramTotals
 from .trace import (ALLOC, CALL, F32, F64, FREE, LOAD, LOOPHEAD, NONFP,
                     RETURN, STATIC_IMAGE, THREAD_START, SourceMap, TraceEvent)
 
@@ -561,165 +559,3 @@ def generate(scenario):
         yield from _interleave(streams)
 
     return events(), sm
-
-
-# --------------------------------------------------------------- oracle --
-
-MAX_ORACLE_LOADS = 10 ** 6
-
-
-@dataclass
-class OracleProfile:
-    """Ground-truth redundancy per the naive last-value maps.
-
-    Temporal state is one {byte address: value byte} map per thread;
-    spatial state is one singleton previous-value slot per (thread, object).
-    Objects are keyed by registration: ("static", name) for image symbols,
-    ("dynamic", ordinal) for allocations in file order.
-    """
-
-    totals: ProgramTotals = field(default_factory=ProgramTotals)
-    temporal_total_instances: int = 0
-    temporal_redundant_instances: int = 0
-    temporal_verdicts: list = field(default_factory=list)
-    objects: dict = field(default_factory=dict)
-    spatial_verdicts: list = field(default_factory=list)
-
-    def program_fraction(self):
-        t = self.totals
-        precise = (t.redundant_nonfp_bytes / t.total_nonfp_bytes
-                   if t.total_nonfp_bytes else 0.0)
-        approx = (t.redundant_fp_bytes / t.total_fp_bytes
-                  if t.total_fp_bytes else 0.0)
-        return precise, approx
-
-    def spatial_instance_fraction(self):
-        total = sum(c.total_instances for c in self.objects.values())
-        red = sum(c.redundant_instances for c in self.objects.values())
-        return red / total if total else 0.0
-
-
-def _oracle_fp_equal(old, new, fp_class, epsilon):
-    width = 4 if fp_class == F32 else 8
-    fmt = "<f" if fp_class == F32 else "<d"
-    for off in range(0, len(new), width):
-        ob, nb = old[off:off + width], new[off:off + width]
-        if ob == nb:
-            continue
-        a = struct.unpack(fmt, ob)[0]
-        b = struct.unpack(fmt, nb)[0]
-        if not (math.isfinite(a) and math.isfinite(b)):
-            return False
-        if abs(a - b) > epsilon * max(abs(a), abs(b)):
-            return False
-    return True
-
-
-def expected_redundancy(scenario, epsilon=0.01):
-    """Brute-force full-monitoring redundancy profile of a scenario.
-
-    Refuses scenarios beyond MAX_ORACLE_LOADS loads.
-    """
-    events, _ = generate(scenario)
-    out = OracleProfile()
-    byte_maps = {}      # tid -> {addr: value byte}
-    live = []           # (base, end, key) in registration order
-    dyn_ordinal = 0
-    prior = {}          # (tid, key) -> (value, fp_class)
-    loads = 0
-
-    for ev in events:
-        kind = ev.kind
-        if kind == LOAD:
-            loads += 1
-            if loads > MAX_ORACLE_LOADS:
-                raise ConfigError(
-                    f"scenario exceeds oracle limit of {MAX_ORACLE_LOADS} "
-                    "loads")
-            tid, addr, size, value = (ev.thread_id, ev.addr, ev.size,
-                                      ev.value)
-            fp_class = ev.fp_class
-            approx = fp_class != NONFP
-            bmap = byte_maps.get(tid)
-            if bmap is None:
-                bmap = byte_maps[tid] = {}
-
-            old = bytearray(size)
-            complete = True
-            for i in range(size):
-                b = bmap.get(addr + i)
-                if b is None:
-                    complete = False
-                    break
-                old[i] = b
-            if not complete:
-                redundant = False
-            elif not approx:
-                redundant = bytes(old) == value
-            else:
-                redundant = (bytes(old) == value
-                             or _oracle_fp_equal(bytes(old), value, fp_class,
-                                                 epsilon))
-            for i in range(size):
-                bmap[addr + i] = value[i]
-
-            t = out.totals
-            out.temporal_total_instances += 1
-            if approx:
-                t.total_fp_bytes += size
-                if redundant:
-                    t.redundant_fp_bytes += size
-            else:
-                t.total_nonfp_bytes += size
-                if redundant:
-                    t.redundant_nonfp_bytes += size
-            if redundant:
-                out.temporal_redundant_instances += 1
-            out.temporal_verdicts.append((redundant, approx))
-
-            key = None
-            for b, e, k in live:
-                if b <= addr < e:
-                    key = k
-                    break
-            if key is None:
-                out.spatial_verdicts.append((None, False, approx))
-                continue
-            row = out.objects.get(key)
-            if row is None:
-                row = out.objects[key] = PairCounters()
-            row.total_instances += 1
-            if approx:
-                row.total_bytes_approx += size
-            else:
-                row.total_bytes_precise += size
-            prev = prior.get((tid, key))
-            s_red = False
-            bit_eq = False
-            if prev is not None and len(prev[0]) == size:
-                bit_eq = prev[0] == value
-                if not approx:
-                    s_red = bit_eq
-                else:
-                    s_red = bit_eq or _oracle_fp_equal(prev[0], value,
-                                                       fp_class, epsilon)
-            if s_red:
-                row.redundant_instances += 1
-                if approx:
-                    row.redundant_bytes_approx += size
-                    if bit_eq:
-                        row.fp_exact_instances += 1
-                else:
-                    row.redundant_bytes_precise += size
-            prior[(tid, key)] = (value, fp_class)
-            out.spatial_verdicts.append((key, s_red, approx))
-        elif kind == STATIC_IMAGE:
-            for name, base, size in ev.objects:
-                live.append((base, base + size, ("static", name)))
-        elif kind == ALLOC:
-            live.append((ev.base, ev.base + ev.alloc_size,
-                         ("dynamic", dyn_ordinal)))
-            dyn_ordinal += 1
-        elif kind == FREE:
-            live = [(b, e, k) for b, e, k in live if b != ev.base]
-    return out

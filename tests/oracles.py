@@ -11,10 +11,15 @@ import math
 import struct
 from bisect import bisect_right
 
+from redload.errors import ConfigError
 from redload.profiles import Profile
 from redload.temporal import PairCounters, ProgramTotals
 from redload.trace import (ALLOC, CALL, F32, FREE, LOAD, LOOPHEAD, NONFP,
                            RETURN, STATIC_IMAGE)
+from redload.workloads import generate
+
+# The most loads scenario_analysis replays before it gives up.
+MAX_ORACLE_LOADS = 10 ** 6
 
 
 class ReplayThread:
@@ -329,6 +334,31 @@ def expected_analysis(events, source_map, epsilon=0.01):
         out.spatial_scopes[key[:3]] = key[3]
 
     return out
+
+
+def scenario_analysis(scenario, epsilon=0.01):
+    """expected_analysis of a generated scenario; a scenario of more than
+    MAX_ORACLE_LOADS loads is a ConfigError."""
+    events, source_map = generate(scenario)
+
+    def bounded():
+        loads = 0
+        for ev in events:
+            if ev.kind == LOAD:
+                loads += 1
+                if loads > MAX_ORACLE_LOADS:
+                    raise ConfigError(f"scenario exceeds oracle limit of "
+                                      f"{MAX_ORACLE_LOADS} loads")
+            yield ev
+
+    return expected_analysis(bounded(), source_map, epsilon)
+
+
+def instance_fraction(rows):
+    """Redundant over total instances of counter rows; 0.0 for none."""
+    total = sum(row.total_instances for row in rows.values())
+    redundant = sum(row.redundant_instances for row in rows.values())
+    return redundant / total if total else 0.0
 
 
 def assert_profiles_equal(expected, actual):

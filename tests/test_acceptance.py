@@ -19,9 +19,10 @@ from redload.report import build_report
 from redload.sampling import SamplingConfig
 from redload.temporal import program_fraction
 from redload.trace import read_trace, write_trace
-from redload.workloads import Scenario, expected_redundancy, generate
+from redload.workloads import Scenario, generate
 
-from oracles import assert_profiles_equal, expected_analysis
+from oracles import (assert_profiles_equal, expected_analysis,
+                     instance_fraction, scenario_analysis)
 from test_profile_merge import _random_profile
 
 FULL = AnalysisConfig(sampling=SamplingConfig.disabled())
@@ -198,8 +199,8 @@ def _top_temporal_scope(profile):
 def test_criterion_5_pattern_analogs():
     # Linear search: almost every load repeats the first query's scan.
     scenario = Scenario("linear_search")     # n=1000, queries=1000
-    oracle = expected_redundancy(scenario)
-    o_precise, _ = oracle.program_fraction()
+    oracle = scenario_analysis(scenario)
+    (o_precise, _), _ = program_fraction(oracle.profile.totals)
     profile = _run_full(scenario)
     (precise, _), _ = program_fraction(profile.totals)
     assert precise >= 0.95
@@ -209,8 +210,8 @@ def test_criterion_5_pattern_analogs():
 
     # Forward copy: the constant is reloaded on every later invocation.
     scenario = Scenario("forward_copy")      # len=64, reps=20
-    oracle = expected_redundancy(scenario)
-    o_precise, _ = oracle.program_fraction()
+    oracle = scenario_analysis(scenario)
+    (o_precise, _), _ = program_fraction(oracle.profile.totals)
     profile = _run_full(scenario)
     (precise, _), _ = program_fraction(profile.totals)
     assert precise >= 0.9
@@ -220,8 +221,8 @@ def test_criterion_5_pattern_analogs():
 
     # Sparse zeros: consecutive object loads mostly both read zero.
     scenario = Scenario("sparse_zeros")      # 90% zeros, block layout
-    oracle = expected_redundancy(scenario)
-    o_frac = oracle.spatial_instance_fraction()
+    oracle = scenario_analysis(scenario)
+    o_frac = instance_fraction(oracle.profile.objects)
     profile = _run_full(scenario)
     red = sum(r.redundant_instances for r in profile.objects.values())
     tot = sum(r.total_instances for r in profile.objects.values())
@@ -232,8 +233,8 @@ def test_criterion_5_pattern_analogs():
     # Approximate drift: within 1% every reload matches approximately,
     # and a 0.1% epsilon kills every match.
     scenario = Scenario("approx_drift")      # step 0.5%
-    oracle = expected_redundancy(scenario)
-    _, o_approx = oracle.program_fraction()
+    oracle = scenario_analysis(scenario)
+    _, (o_approx, _) = program_fraction(oracle.profile.totals)
     profile = _run_full(scenario)
     _, (approx, defined) = program_fraction(profile.totals)
     assert defined and approx >= 0.99
@@ -245,8 +246,9 @@ def test_criterion_5_pattern_analogs():
     check_conservation(tight)
     _, (approx_tight, _) = program_fraction(tight.totals)
     assert approx_tight == 0.0
-    oracle_tight = expected_redundancy(scenario, epsilon=0.001)
-    assert oracle_tight.program_fraction()[1] == 0.0
+    oracle_tight = scenario_analysis(scenario, epsilon=0.001)
+    _, (o_approx, _) = program_fraction(oracle_tight.profile.totals)
+    assert o_approx == 0.0
 
 
 def _fraction_under(scenario, sampling, klass="precise"):

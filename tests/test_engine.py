@@ -3,13 +3,14 @@
 import pytest
 
 from redload import engine
+from redload.cli import main as cli_main
 from redload.engine import AnalysisConfig, analyze_events, analyze_path
 from redload.errors import MalformedTraceError, TraceDecodeError
 from redload.profiles import Profile, merge_all, save
-from redload.sampling import SamplingConfig
+from redload.sampling import SamplingConfig, is_monitored
 from redload.scope import ScopeBudget
 from redload.trace import (ALLOC, CALL, FREE, LOAD, RETURN, STATIC_IMAGE,
-                           THREAD_START, SourceMap, TraceEvent,
+                           THREAD_START, SourceMap, TraceEvent, read_trace,
                            write_text_trace, write_trace)
 from redload.workloads import Scenario, generate
 
@@ -286,3 +287,126 @@ def test_scope_budget_traversals_are_exact(name, params, monkeypatch):
         profile.meta = None
         results.append(profile)
     assert results[0] == results[1] == results[2]
+
+
+# 2 instructions monitored in every 102: ins_index 10 to 99 fall in a gap.
+GAP = AnalysisConfig(sampling=SamplingConfig(2, 100))
+
+
+def _write_binary(events, sm, path):
+    with open(path, "wb") as f:
+        write_trace(events, sm, f)
+    return str(path)
+
+
+def test_gated_decoder_keeps_error_positions(tmp_path, capsys,
+                                            monkeypatch):
+    # The decoder drops the five unmonitored loads, yet the engine's
+    # error still counts them: the bad return is event 7.
+    sm = SourceMap()
+    sm.add_site(1, "main", "m.c", 1)
+    sm.add_site(2, "helper", "m.c", 5)
+    events = [TraceEvent(THREAD_START, 0, 0),
+              TraceEvent(CALL, 0, 1, site_id=1)]
+    events += [TraceEvent(LOAD, 0, ins, addr=0x100, size=8,
+                          value=bytes(8), site_id=1)
+               for ins in range(10, 15)]
+    events.append(TraceEvent(RETURN, 0, 20, site_id=2))
+    path = _write_binary(events, sm, tmp_path / "t.lrt")
+    with open(path, "rb") as f:
+        decoded, _ = read_trace(f)
+        decoded.sampling = GAP.sampling
+        assert [ev.kind for ev in decoded] == [THREAD_START, CALL, RETURN]
+        assert decoded.skipped == 5
+
+    prefix = "event 7 (thread 0, ins_index 20): "
+    with pytest.raises(MalformedTraceError) as memory:
+        analyze_events(events, sm, GAP)
+    opened = []
+
+    def recorded_read_trace(source):
+        decoded, source_map = read_trace(source)
+        opened.append(decoded)
+        return decoded, source_map
+
+    monkeypatch.setattr(engine.tr, "read_trace", recorded_read_trace)
+    with pytest.raises(MalformedTraceError) as binary:
+        analyze_path(path, GAP)
+    assert [decoded.skipped for decoded in opened] == [5]
+    assert str(memory.value).startswith(prefix)
+    assert str(binary.value) == str(memory.value)
+    rc = cli_main(["analyze", path, "-o", str(tmp_path / "p.json"),
+                   "--window-enable", "2", "--window-disable", "100"])
+    assert rc == 1
+    assert f"redload analyze: {prefix}" in capsys.readouterr().err
+
+
+def test_gated_decoder_keeps_thread_count(tmp_path):
+    # Thread 1's only events are loads the gate drops.
+    sm = SourceMap()
+    sm.add_site(1, "main", "m.c", 1)
+    b = Build(tid=0, source_map=sm)
+    b.thread_start()
+    b.call(1)
+    b.load(0x100, u32(3), 1)
+    b.ret(1)
+    events = b.events + [TraceEvent(LOAD, 1, ins, addr=0x200, size=4,
+                                    value=u32(ins), site_id=1)
+                         for ins in (10, 11, 12)]
+    path = _write_binary(events, sm, tmp_path / "t.lrt")
+    expected = analyze_events(events, sm, GAP)
+    assert expected.thread_count == 2
+    profile = analyze_path(path, GAP)
+    assert profile.thread_count == expected.thread_count
+    assert profile == expected
+
+
+SAMPLINGS = [SamplingConfig(1, 0), SamplingConfig(1, 1), SamplingConfig(2, 3),
+             SamplingConfig(7, 50), SamplingConfig(1000, 99000),
+             SamplingConfig.disabled()]
+
+
+def _verdicts(sink):
+    return [(tid, tv.redundant, tv.approx_class, tv.prior, sv.redundant,
+             sv.object_id) for tid, tv, sv in sink]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name", sorted(SMALL_SCENARIOS))
+def test_gated_decoder_analyzes_like_every_other_source(name, threads,
+                                                        tmp_path):
+    # A binary file (gated in the decoder), a text file and the decoded
+    # events in memory (gated in the engine only) give one profile, the
+    # same saved bytes and verdicts for the same loads.
+    params = dict(SMALL_SCENARIOS[name], threads=threads)
+    events, sm = generate(Scenario(name, params))
+    events = list(events)
+    binary = _write_binary(events, sm, tmp_path / "t.lrt")
+    text = tmp_path / "t.txt"
+    with open(text, "w") as f:
+        write_text_trace(events, sm, f)
+    for sampling in SAMPLINGS:
+        config = AnalysisConfig(sampling=sampling)
+        with open(binary, "rb") as f:
+            decoded = list(read_trace(f)[0])
+        results = []
+        for label, run in (
+                ("binary", lambda sink: analyze_path(binary, config, sink)),
+                ("text", lambda sink: analyze_path(str(text), config, sink)),
+                ("memory", lambda sink: analyze_events(decoded, sm, config,
+                                                       sink))):
+            sink = []
+            profile = run(sink.append)
+            assert run(None) == profile, label
+            save(profile, tmp_path / f"{label}.json")
+            results.append((label, profile,
+                            (tmp_path / f"{label}.json").read_bytes(),
+                            _verdicts(sink)))
+        monitored = sum(e.kind == LOAD and is_monitored(e.ins_index, sampling)
+                        for e in events)
+        _, profile, saved, verdicts = results[0]
+        assert len(verdicts) == monitored, sampling
+        for label, other, other_saved, other_verdicts in results[1:]:
+            assert other == profile, (label, sampling)
+            assert other_saved == saved, (label, sampling)
+            assert other_verdicts == verdicts, (label, sampling)

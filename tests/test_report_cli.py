@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -195,8 +199,6 @@ def test_cli_sampling_flags_conflict(tmp_path, capsys):
 
 
 def test_cli_module_entry_point(tmp_path):
-    import subprocess
-    import sys
     trace = tmp_path / "t.lrt"
     prof = tmp_path / "p.json"
     run = lambda *args: subprocess.run(
@@ -244,3 +246,31 @@ def test_cli_report_and_merge_of_malformed_profiles_exit_1(tmp_path, capsys):
             assert f"redload {argv[0]}: {path}: " in err, err
             assert message in err, err
             assert "Traceback" not in err
+
+
+def test_benchmark_tracer_sees_a_sampled_binary_analyze(tmp_path):
+    # The benchmark's tracer replaces `trace.read_trace` with a wrapper of
+    # its own, so the decoder is not gated under it and every load passes
+    # its decode step: the traced run must still save the untraced bytes
+    # and see both decode time and monitored loads.
+    root = Path(__file__).resolve().parents[1]
+    trace = tmp_path / "t.lrt"
+    events, sm = generate(Scenario("forward_copy", {"len": 8, "reps": 3}))
+    with open(trace, "wb") as f:
+        write_trace(events, sm, f)
+    window = ["--window-enable", "2", "--window-disable", "3"]
+    assert main(["analyze", str(trace), "-o", str(tmp_path / "plain.json"),
+                 *window]) == 0
+    stats = tmp_path / "stats.json"
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "tracer.py"), str(stats),
+         "analyze", str(trace), "-o", str(tmp_path / "traced.json"),
+         *window], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "traced.json").read_bytes() == \
+        (tmp_path / "plain.json").read_bytes()
+    metrics = json.loads(stats.read_text())["metrics"]
+    assert metrics["trace.decode_s"] > 0
+    assert metrics["sampling.loads_monitored"] > 0
+    assert metrics["sampling.loads_skipped"] > 0

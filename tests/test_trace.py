@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from redload.engine import AnalysisConfig, analyze_events
+from redload.engine import AnalysisConfig, analyze_events, analyze_path
 from redload.errors import RedloadError, TraceDecodeError, TraceEncodeError
 from redload.sampling import SamplingConfig
 from redload.trace import (CALL, F32, F64, LOAD, NONFP, RETURN,
@@ -280,9 +280,58 @@ def test_decoder_load_shape_check_agrees_with_the_rule():
             assert fast == (_load_error(size, fp, size) is None), (size, fp)
 
 
-def test_fuzz_reader_never_raises_anything_else():
+def test_malformed_loads_in_a_gap_are_rejected_like_monitored_ones(
+        tmp_path):
+    # The decoder drops the loads outside a monitoring window only after
+    # checking them: each defect raises the error, at the offset, that it
+    # raises with every load monitored.
+    b = Build()
+    b.sm.add_site(1, "main", "a.c", 1)
+    b.thread_start()
+    b.ins = 10          # the gap of a 2-in-102 window
+    for k in range(3):
+        b.load(0x1000 + 8 * k, u32(k), 1)
+    buf = io.BytesIO()
+    write_trace(b.events, b.sm, buf)
+    good = buf.getvalue()
+    last = len(good) - (27 + 4)
+    shape = bytearray(good)
+    shape[last + 21] = 3                        # size 3
+    order = bytearray(good)
+    order[last + 5:last + 13] = (11).to_bytes(8, "little")
+    cases = ((f"offset {last}: bad load size 3", bytes(shape)),
+             (f"offset {last}: truncated record", good[:-2]),
+             (f"offset {last}: ins_index 11 after 11 in thread 0",
+              bytes(order)))
+    gap = AnalysisConfig(sampling=SamplingConfig(2, 100))
+    full = AnalysisConfig(sampling=SamplingConfig.disabled())
+    path = tmp_path / "t.lrt"
+    for message, raw in cases:
+        path.write_bytes(raw)
+        errors = []
+        for config in (gap, full):
+            with pytest.raises(TraceDecodeError) as err:
+                analyze_path(str(path), config)
+            errors.append((str(err.value), err.value.offset))
+        assert errors[0] == errors[1]
+        assert errors[0][0].startswith(message)
+        assert errors[0][1] == last
+
+
+def _outcome(analyze):
+    """The profile `analyze()` returns, or its RedloadError's type and
+    message."""
+    try:
+        return analyze()
+    except RedloadError as exc:
+        return type(exc), str(exc)
+
+
+def test_fuzz_reader_never_raises_anything_else(tmp_path):
     # Every mutated trace that decodes also goes through the engine, with
-    # every load monitored: it ends in a profile or a RedloadError.
+    # every load monitored: it ends in a profile or a RedloadError. Read
+    # from a file with a 2-in-5 window, where the decoder drops loads, it
+    # ends as the decoded events in memory do.
     rng = random.Random(1234)
     b = Build()
     b.sm.add_site(1, "main", "a.c", 1)
@@ -294,6 +343,8 @@ def test_fuzz_reader_never_raises_anything_else():
     write_trace(b.events, b.sm, buf)
     base = bytearray(buf.getvalue())
     config = AnalysisConfig(sampling=SamplingConfig.disabled())
+    sampled = AnalysisConfig(sampling=SamplingConfig(2, 3))
+    path = tmp_path / "mutant.lrt"
     analyzed = 0
     for trial in range(300):
         if trial % 3 == 0:
@@ -316,6 +367,9 @@ def test_fuzz_reader_never_raises_anything_else():
             analyze_events(iter(events), sm, config)
         except RedloadError:
             pass
+        path.write_bytes(raw)
+        assert _outcome(lambda: analyze_path(str(path), sampled)) == \
+            _outcome(lambda: analyze_events(iter(events), sm, sampled))
     assert analyzed > 50
 
 

@@ -1,4 +1,4 @@
-"""Scenario generation shapes and the naive redundancy oracle."""
+"""Scenario generation shapes, and the test oracle on whole scenarios."""
 
 import io
 import struct
@@ -8,15 +8,23 @@ import pytest
 from redload.engine import AnalysisConfig, analyze_events
 from redload.errors import ConfigError
 from redload.sampling import SamplingConfig
+from redload.temporal import program_fraction
 from redload.trace import LOAD, write_trace
-from redload.workloads import (MAX_ORACLE_LOADS, Scenario,
-                               expected_redundancy, generate)
+from redload.workloads import Scenario, generate
+
+from oracles import MAX_ORACLE_LOADS, instance_fraction, scenario_analysis
 
 FULL = AnalysisConfig(sampling=SamplingConfig.disabled())
 
 
 def loads_of(events):
     return [e for e in events if e.kind == LOAD]
+
+
+def temporal_instances(oracle):
+    """(total, redundant) loads by the oracle's temporal verdicts."""
+    verdicts = oracle.temporal_verdicts
+    return len(verdicts), sum(redundant for _, redundant, _ in verdicts)
 
 
 def test_adjacent_equal_shape():
@@ -72,68 +80,67 @@ def test_generation_is_deterministic_byte_for_byte():
 
 
 def test_oracle_adjacent_equal_values():
-    oracle = expected_redundancy(Scenario("adjacent_equal"))
+    oracle = scenario_analysis(Scenario("adjacent_equal"))
     # Four distinct addresses: no temporal redundancy at all.
-    assert oracle.temporal_redundant_instances == 0
-    assert oracle.totals.redundant_nonfp_bytes == 0
-    assert oracle.totals.total_nonfp_bytes == 16
-    row = oracle.objects[("static", "A")]
+    assert temporal_instances(oracle)[1] == 0
+    assert oracle.profile.totals.redundant_nonfp_bytes == 0
+    assert oracle.profile.totals.total_nonfp_bytes == 16
+    row = oracle.profile.objects[("static", "A")]
     assert row.redundant_instances == 2 and row.total_instances == 4
     assert row.redundant_bytes_precise == 8
 
 
 def test_oracle_single_load_never_redundant():
-    oracle = expected_redundancy(Scenario("adjacent_equal",
-                                          {"values": (42,)}))
-    assert oracle.temporal_redundant_instances == 0
-    assert oracle.objects[("static", "A")].redundant_instances == 0
+    oracle = scenario_analysis(Scenario("adjacent_equal",
+                                        {"values": (42,)}))
+    assert temporal_instances(oracle)[1] == 0
+    assert oracle.profile.objects[("static", "A")].redundant_instances == 0
 
 
 def test_oracle_forward_copy_single_rep():
     # Every load hits a fresh address, so loads 2..7 are redundant only
     # spatially (value 1 reloaded within the same object); the temporal
     # map sees no repeats.
-    oracle = expected_redundancy(Scenario("forward_copy",
-                                          {"len": 8, "reps": 1}))
-    assert oracle.temporal_redundant_instances == 0
-    ((key, row),) = oracle.objects.items()
+    oracle = scenario_analysis(Scenario("forward_copy",
+                                        {"len": 8, "reps": 1}))
+    assert temporal_instances(oracle)[1] == 0
+    ((key, row),) = oracle.profile.objects.items()
     assert key[0] == "dynamic"
     assert row.redundant_instances == 6 and row.total_instances == 7
-    spatial = [red for obj, red, _ in oracle.spatial_verdicts
+    spatial = [red for _, obj, red in oracle.spatial_verdicts
                if obj is not None]
     assert spatial == [False] + [True] * 6
 
 
 def test_oracle_forward_copy_across_reps_temporal():
-    oracle = expected_redundancy(Scenario("forward_copy",
-                                          {"len": 8, "reps": 3}))
+    oracle = scenario_analysis(Scenario("forward_copy",
+                                        {"len": 8, "reps": 3}))
     # 7 loads per rep; every rep after the first repeats the addresses
     # with the same value.
-    assert oracle.temporal_total_instances == 21
-    assert oracle.temporal_redundant_instances == 14
+    assert temporal_instances(oracle) == (21, 14)
 
 
 def test_oracle_refuses_oversized_scenarios():
     big = Scenario("linear_search", {"n": 2000, "queries": 1000})
     with pytest.raises(ConfigError) as err:
-        expected_redundancy(big)
+        scenario_analysis(big)
     assert str(MAX_ORACLE_LOADS) in str(err.value)
 
 
 def test_oracle_sparse_zeros_block_layout():
-    oracle = expected_redundancy(Scenario("sparse_zeros"))
-    frac = oracle.spatial_instance_fraction()
+    oracle = scenario_analysis(Scenario("sparse_zeros"))
+    frac = instance_fraction(oracle.profile.objects)
     # 900 zeros in one run per array: 899 redundant of 1000 per object.
     assert frac == pytest.approx(899 / 1000)
 
 
 def test_oracle_approx_drift_epsilon_sensitivity():
     scenario = Scenario("approx_drift", {"len": 2, "reps": 50})
-    loose = expected_redundancy(scenario, epsilon=0.01)
-    _, approx = loose.program_fraction()
+    loose = scenario_analysis(scenario, epsilon=0.01)
+    _, (approx, _) = program_fraction(loose.profile.totals)
     assert approx == pytest.approx(49 / 50)
-    tight = expected_redundancy(scenario, epsilon=0.001)
-    _, approx = tight.program_fraction()
+    tight = scenario_analysis(scenario, epsilon=0.001)
+    _, (approx, _) = program_fraction(tight.profile.totals)
     assert approx == 0.0
 
 
@@ -151,29 +158,25 @@ def test_oracle_approx_drift_epsilon_sensitivity():
 ])
 def test_engine_matches_oracle_totals(name, params):
     scenario = Scenario(name, params)
-    oracle = expected_redundancy(scenario)
+    oracle = scenario_analysis(scenario)
     events, sm = generate(scenario)
     profile = analyze_events(events, sm, FULL)
-    assert profile.totals == oracle.totals
+    assert profile.totals == oracle.profile.totals
+    total, redundant = temporal_instances(oracle)
     assert sum(r.total_instances for r in profile.temporal_pairs.values()) \
-        == oracle.temporal_total_instances
+        == total
     assert sum(r.redundant_instances
-               for r in profile.temporal_pairs.values()) \
-        == oracle.temporal_redundant_instances
-    # Spatial: the oracle keys dynamic objects by allocation ordinal, the
-    # engine by allocation context; totals must agree regardless.
-    for field in ("total_instances", "redundant_instances",
-                  "total_bytes_precise", "redundant_bytes_precise",
-                  "total_bytes_approx", "redundant_bytes_approx"):
-        assert sum(getattr(r, field) for r in profile.objects.values()) == \
-            sum(getattr(r, field) for r in oracle.objects.values())
+               for r in profile.temporal_pairs.values()) == redundant
+    # Spatial: both key objects by name or allocation context, so every
+    # object row, not only the sums over rows, must agree.
+    assert profile.objects == oracle.profile.objects
 
 
 def test_two_threads_double_the_oracle_and_profile():
-    one = expected_redundancy(Scenario("forward_copy",
-                                       {"len": 8, "reps": 4}))
-    two = expected_redundancy(Scenario("forward_copy",
-                                       {"len": 8, "reps": 4, "threads": 2}))
-    assert two.totals.total_nonfp_bytes == 2 * one.totals.total_nonfp_bytes
-    assert two.temporal_redundant_instances == \
-        2 * one.temporal_redundant_instances
+    one = scenario_analysis(Scenario("forward_copy",
+                                     {"len": 8, "reps": 4}))
+    two = scenario_analysis(Scenario("forward_copy",
+                                     {"len": 8, "reps": 4, "threads": 2}))
+    assert two.profile.totals.total_nonfp_bytes == \
+        2 * one.profile.totals.total_nonfp_bytes
+    assert temporal_instances(two)[1] == 2 * temporal_instances(one)[1]
