@@ -43,8 +43,6 @@ def _build_parser():
                                       f"(default {DEFAULT_WINDOW_DISABLE})")
     an.add_argument("--approx-epsilon", type=float, default=DEFAULT_EPSILON,
                     help="relative FP tolerance (default %(default)s)")
-    an.add_argument("--scope-budget", type=int, default=1,
-                    help="scope resolutions per pair (default %(default)s)")
 
     mg = sub.add_parser("merge", help="coalesce profiles")
     mg.add_argument("profiles", nargs="+")
@@ -93,8 +91,7 @@ def _cmd_analyze(args):
                             if args.window_disable is None
                             else args.window_disable))
     config = AnalysisConfig(sampling=sampling,
-                            approx_epsilon=args.approx_epsilon,
-                            scope_budget=args.scope_budget)
+                            approx_epsilon=args.approx_epsilon)
     profile = analyze_path(args.trace, config)
     profiles.save(profile, args.output)
     return 0

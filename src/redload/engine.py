@@ -26,12 +26,11 @@ from .trace import ALLOC, CALL, FREE, LOAD, LOOPHEAD, RETURN, STATIC_IMAGE
 class AnalysisConfig:
     sampling: SamplingConfig = field(default_factory=SamplingConfig)
     approx_epsilon: float = DEFAULT_EPSILON
-    scope_budget: int = 1
 
     def meta(self):
         return {
             "approx_epsilon": self.approx_epsilon,
-            "scope_budget": self.scope_budget,
+            "scope_budget": 1,      # one scope lookup per pair row
             "sampling": {
                 "enabled": self.sampling.enabled,
                 "window_enable": self.sampling.window_enable,
@@ -46,8 +45,8 @@ class ThreadWorker:
     def __init__(self, registry, config, meta, verdicts):
         self.tree = ContextTree()
         self.shadow = ShadowTable()
-        self.temporal_budget = ScopeBudget(self.tree, config.scope_budget)
-        self.spatial_budget = ScopeBudget(self.tree, config.scope_budget)
+        self.temporal_budget = ScopeBudget(self.tree)
+        self.spatial_budget = ScopeBudget(self.tree)
         self.temporal = TemporalDetector(self.shadow, self.temporal_budget,
                                          config.approx_epsilon, verdicts)
         self.spatial = SpatialDetector(registry, self.spatial_budget,

@@ -233,8 +233,11 @@ _ROW = 2        # depth of a row in its table; its values sit one deeper
 
 _COUNTER_FIELDS = tuple(sorted(f.name for f in fields(PairCounters)))
 _counter_values = attrgetter(*_COUNTER_FIELDS)
-# A counters document's values in PairCounters' argument order.
-_counter_args = itemgetter(*(f.name for f in fields(PairCounters)))
+# A counters or totals document's values in its class's argument order.
+_COUNTER_ARGS = tuple(f.name for f in fields(PairCounters))
+_counter_args = itemgetter(*_COUNTER_ARGS)
+_TOTAL_ARGS = tuple(f.name for f in fields(ProgramTotals))
+_total_args = itemgetter(*_TOTAL_ARGS)
 
 
 def _indented(open_, close, items, depth):
@@ -378,8 +381,22 @@ def _path_from(doc):
     return tuple(_frame_from(f) for f in doc)
 
 
-def _counters_from(doc):
-    return PairCounters(*_counter_args(doc))
+def _counts(values, names, where, index=None):
+    """`values` when each is a non-negative int, not a bool; else raise
+    naming `where` (a table, and a row `index` in it) and the field."""
+    for value in values:    # the cheap loop; the field is named on failure
+        if type(value) is not int or value < 0:
+            name = next(n for n, v in zip(names, values) if v is value)
+            if index is not None:
+                where = f"{where} row {index} counters"
+            raise RedloadError(f"{where}: field {name!r} is {value!r}, "
+                               f"not a non-negative integer")
+    return values
+
+
+def _counters_from(doc, table, index):
+    return PairCounters(*_counts(_counter_args(doc), _COUNTER_ARGS, table,
+                                 index))
 
 
 def _object_key_from(doc):
@@ -404,25 +421,24 @@ def from_json(doc):
 
 
 def _profile_from(doc):
-    t = doc["totals"]
-    profile = Profile(
-        totals=ProgramTotals(t["total_nonfp_bytes"], t["total_fp_bytes"],
-                             t["redundant_nonfp_bytes"],
-                             t["redundant_fp_bytes"]),
-        thread_count=doc["thread_count"],
-        meta=doc.get("meta"),
-    )
-    for row in doc["temporal_pairs"]:
+    totals = _counts(_total_args(doc["totals"]), _TOTAL_ARGS, "totals")
+    (thread_count,) = _counts((doc["thread_count"],), ("thread_count",),
+                              "profile")
+    profile = Profile(totals=ProgramTotals(*totals),
+                      thread_count=thread_count, meta=doc.get("meta"))
+    for index, row in enumerate(doc["temporal_pairs"]):
         key = (_path_from(row["old_context"]), _path_from(row["new_context"]),
                _path_from(row["scope"]))
-        profile.temporal_pairs[key] = _counters_from(row["counters"])
-    for row in doc["objects"]:
-        profile.objects[_object_key_from(row["object"])] = \
-            _counters_from(row["counters"])
-    for row in doc["spatial_pairs"]:
+        profile.temporal_pairs[key] = _counters_from(
+            row["counters"], "temporal_pairs", index)
+    for index, row in enumerate(doc["objects"]):
+        profile.objects[_object_key_from(row["object"])] = _counters_from(
+            row["counters"], "objects", index)
+    for index, row in enumerate(doc["spatial_pairs"]):
         key = (_object_key_from(row["object"]), _path_from(row["old_context"]),
                _path_from(row["new_context"]), _path_from(row["scope"]))
-        profile.spatial_pairs[key] = _counters_from(row["counters"])
+        profile.spatial_pairs[key] = _counters_from(
+            row["counters"], "spatial_pairs", index)
     return profile
 
 

@@ -10,6 +10,7 @@ output byte-stable across runs.
 import json
 from dataclasses import dataclass
 
+from .errors import RedloadError
 from .profiles import fractions_doc, object_doc, path_doc, totals_doc
 from .spatial import STATIC, object_fraction
 from .temporal import pair_fraction, program_fraction
@@ -46,7 +47,7 @@ class ReportRow:
 
 
 def _key_doc(key):
-    return json.dumps(key, sort_keys=True, default=list)
+    return json.dumps(key, sort_keys=True)
 
 
 def _class_rows(kind, key_rows, totals, object_fractions=None):
@@ -90,6 +91,8 @@ def _class_rows(kind, key_rows, totals, object_fractions=None):
 
 def build_report(profile, top=DEFAULT_TOP):
     """(temporal rows, spatial rows), each ranked and cut to the top N."""
+    if top < 0:
+        raise RedloadError(f"top must be >= 0, got {top}")
     object_fractions = {
         key: object_fraction(counters, profile.objects.values())
         for key, counters in profile.objects.items()

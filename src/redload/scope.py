@@ -33,39 +33,23 @@ def resolve_scope(tree, old_handle, t_old, new_handle, t_new):
 
 
 class ScopeBudget:
-    """Caps scope traversals per pair key; the first result sticks.
+    """The scope of each pair key, resolved once: a detector calls
+    `resolve` at a pair row's first redundant instance."""
 
-    Later redundancy instances of the same pair reuse the first resolution
-    even if a fresh traversal (still within the budget) would disagree.
-    """
-
-    _UNSET = object()
-
-    def __init__(self, tree, limit=1):
-        if limit < 1:
-            raise ValueError("scope budget must be >= 1")
+    def __init__(self, tree):
         self.tree = tree
-        self.limit = limit
-        self.entries = {}       # pair key -> [traversals, first scope]
-        self.traversals = 0     # total resolve_scope runs, for tests
+        self.scopes = {}        # pair key -> scope handle or None
+
+    @property
+    def traversals(self):
+        """resolve_scope runs so far: one per resolved pair key."""
+        return len(self.scopes)
 
     def resolve(self, key, old_handle, t_old, new_handle, t_new):
-        entry = self.entries.get(key)
-        if entry is None:
-            entry = [0, self._UNSET]
-            self.entries[key] = entry
-        if entry[0] < self.limit:
-            entry[0] += 1
-            self.traversals += 1
-            scope = resolve_scope(self.tree, old_handle, t_old,
-                                  new_handle, t_new)
-            if entry[1] is self._UNSET:
-                entry[1] = scope
-        return entry[1] if entry[1] is not self._UNSET else None
+        scope = resolve_scope(self.tree, old_handle, t_old, new_handle, t_new)
+        self.scopes[key] = scope
+        return scope
 
     def scope_for(self, key):
         """Resolved scope for a pair key; None when never redundant."""
-        entry = self.entries.get(key)
-        if entry is None or entry[1] is self._UNSET:
-            return None
-        return entry[1]
+        return self.scopes.get(key)

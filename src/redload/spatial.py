@@ -134,9 +134,9 @@ _NO_OBJECT = SpatialVerdict(False, False, None)
 class SpatialDetector:
     """Per-thread spatial accumulator over a shared object registry.
 
-    Like TemporalDetector, asks the scope budget only while a pair row's
-    redundant instances are within its limit, and returns a SpatialVerdict
-    from `process_load` only when `verdicts` is true (else None).
+    Like TemporalDetector, asks the scope budget once per pair row, and
+    returns a SpatialVerdict from `process_load` only when `verdicts` is
+    true (else None).
     """
 
     def __init__(self, registry, scope_budget, epsilon, verdicts=True):
@@ -197,7 +197,10 @@ class SpatialDetector:
                 pkey = (desc.report_key, old_ctx, ctx)
                 pair_row = self.pair_rows.get(pkey)
                 if pair_row is None:
+                    # A pair row is born on its first redundant instance.
                     pair_row = self.pair_rows[pkey] = PairCounters()
+                    self.scope_budget.resolve(pkey, old_ctx, old_ts, ctx,
+                                              load_ts)
                 pair_row.total_instances += 1
                 pair_row.redundant_instances += 1
                 if fp_class == NONFP:
@@ -211,9 +214,6 @@ class SpatialDetector:
                     if bit_equal:
                         obj_row.fp_exact_instances += 1
                         pair_row.fp_exact_instances += 1
-                budget = self.scope_budget
-                if pair_row.redundant_instances <= budget.limit:
-                    budget.resolve(pkey, old_ctx, old_ts, ctx, load_ts)
 
         if self.verdicts:
             outcome = (redundant, fp_class != NONFP, object_id)

@@ -124,9 +124,8 @@ class TemporalDetector:
 
     Rows are keyed by (prior ctx handle or None, current ctx handle); the
     scope resolved for a pair attaches to its row at canonicalization time
-    through the shared ScopeBudget. A row's key is its budget key, so the
-    budget is asked only while the row's redundant instances are within
-    the budget's limit: later asks could not change the scope.
+    through the shared ScopeBudget. A row's key is its budget key, and the
+    budget is asked once, at the row's first redundant instance.
 
     `process_load` returns a LoadVerdict when `verdicts` is true, else
     None; the engine asks for verdicts only when it has a sink for them.
@@ -180,9 +179,9 @@ class TemporalDetector:
                 row.redundant_bytes_approx += size
         if redundant:
             row.redundant_instances += 1
-            budget = self.scope_budget
-            if row.redundant_instances <= budget.limit:
-                budget.resolve(key, prior_ctx, prior_ts, ctx, load_ts)
+            if row.redundant_instances == 1:
+                self.scope_budget.resolve(key, prior_ctx, prior_ts, ctx,
+                                          load_ts)
 
         if self.verdicts:
             prior = (prior_ctx, prior_ts) if prior_ctx is not None else None

@@ -191,7 +191,7 @@ def write_trace(events, source_map, sink):
     """Encode events to `sink` (binary stream); returns bytes written.
 
     Raises TraceEncodeError naming the offending event index when an
-    invariant is violated.
+    invariant is violated or a field does not fit its record.
     """
     written = 0
 
@@ -228,25 +228,29 @@ def write_trace(events, source_map, sink):
     for index, ev in enumerate(events):
         _check_event(ev, index, state, source_map)
         kind, tid, ins = ev.kind, ev.thread_id, ev.ins_index
-        if kind == LOAD:
-            put(_REC_LOAD.pack(kind, tid, ins, ev.addr, ev.size, ev.fp_class,
-                               ev.site_id))
-            put(ev.value)
-        elif kind == CALL or kind == RETURN:
-            put(_REC_SITE.pack(kind, tid, ins, ev.site_id))
-        elif kind == LOOPHEAD:
-            put(_REC_LOOP.pack(kind, tid, ins, ev.loop_id, ev.site_id))
-        elif kind == ALLOC:
-            put(_REC_ALLOC.pack(kind, tid, ins, ev.base, ev.alloc_size))
-        elif kind == FREE:
-            put(_REC_FREE.pack(kind, tid, ins, ev.base))
-        elif kind == STATIC_IMAGE:
-            put(_REC_IMAGE.pack(kind, tid, ins, len(ev.objects)))
-            for name, base, size in ev.objects:
-                put_str(name)
-                put(_2U64.pack(base, size))
-        else:  # THREAD_START has no payload
-            put(_REC.pack(kind, tid, ins))
+        try:
+            if kind == LOAD:
+                put(_REC_LOAD.pack(kind, tid, ins, ev.addr, ev.size,
+                                   ev.fp_class, ev.site_id))
+                put(ev.value)
+            elif kind == CALL or kind == RETURN:
+                put(_REC_SITE.pack(kind, tid, ins, ev.site_id))
+            elif kind == LOOPHEAD:
+                put(_REC_LOOP.pack(kind, tid, ins, ev.loop_id, ev.site_id))
+            elif kind == ALLOC:
+                put(_REC_ALLOC.pack(kind, tid, ins, ev.base, ev.alloc_size))
+            elif kind == FREE:
+                put(_REC_FREE.pack(kind, tid, ins, ev.base))
+            elif kind == STATIC_IMAGE:
+                put(_REC_IMAGE.pack(kind, tid, ins, len(ev.objects)))
+                for name, base, size in ev.objects:
+                    put_str(name)
+                    put(_2U64.pack(base, size))
+            else:  # THREAD_START has no payload
+                put(_REC.pack(kind, tid, ins))
+        except struct.error as exc:
+            raise TraceEncodeError(
+                f"{KIND_NAMES[kind]} record: {exc}", index) from None
     return written
 
 

@@ -151,6 +151,8 @@ def _build_linear_search(p, sm):
 
 def _build_hash_collision(p, sm):
     chain = p["chain"]
+    if chain < 1:
+        raise ConfigError(f"chain must be >= 1, got {chain}")
     searches = p["searches"]
     table_base = STATIC_BASE
     sm.add_site(1, "main", "hash_collision.c", 20)
@@ -504,8 +506,6 @@ def _merge_params(name, params):
                     value = tuple(int(tok) for tok in value.split(","))
                 else:
                     value = tuple(value)
-            elif isinstance(default, bool):
-                value = bool(value)
             elif isinstance(default, int):
                 value = int(value)
             elif isinstance(default, float):

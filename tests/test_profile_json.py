@@ -156,7 +156,7 @@ def test_cli_merge_output_matches_reference(tmp_path):
     inputs = []
     for n, (name, config) in enumerate((
             ("random_mixed", FULL), ("stencil", FULL),
-            ("random_mixed", AnalysisConfig(scope_budget=2)))):
+            ("random_mixed", AnalysisConfig(approx_epsilon=0.02)))):
         params = dict(SMALL_SCENARIOS[name], threads=2)
         profile = analyze_events(*generate(Scenario(name, params)), config)
         inputs.append(str(tmp_path / f"in{n}.json"))

@@ -12,6 +12,7 @@ import pytest
 from redload.cli import main
 from redload.engine import AnalysisConfig, analyze_events
 from redload.profiles import load as load_profile
+from redload.profiles import save, to_json
 from redload.report import build_report, report_json, report_text
 from redload.sampling import SamplingConfig
 from redload.trace import F64, write_trace
@@ -45,6 +46,17 @@ def test_report_top_zero_is_header_only():
     text = report_text(profile, top=0)
     assert "R_prog precise" in text
     assert "#1" not in text
+
+
+def test_cli_report_negative_top_exits_1(tmp_path, capsys):
+    prof = tmp_path / "p.json"
+    save(profile_of("forward_copy", {"len": 8, "reps": 3}), prof)
+    for fmt in ("text", "json"):
+        assert main(["report", str(prof), "--top", "-1",
+                     "--format", fmt]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "redload report: top must be >= 0, got -1\n"
+        assert captured.out == ""
 
 
 def test_report_rows_sorted_and_stable():
@@ -179,6 +191,18 @@ def test_cli_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("scenario,param", [
+    ("random_mixed", "region_bytes=5"), ("sparse_zeros", "len=-3"),
+    ("approx_drift", "len=-1"), ("callee_spill", "reps=-1"),
+    ("hash_collision", "chain=0")])
+def test_cli_gen_out_of_range_params_exit_1(scenario, param, tmp_path,
+                                            capsys):
+    rc = main(["gen", "--scenario", scenario, "--param", param,
+               "-o", str(tmp_path / "t.lrt")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("redload gen: ")
+
+
 def test_cli_bad_param_exits_1(tmp_path, capsys):
     rc = main(["gen", "--scenario", "adjacent_equal", "--param", "oops",
                "-o", str(tmp_path / "t.lrt")])
@@ -227,14 +251,40 @@ def test_cli_sampling_windows_flow_into_profile(tmp_path):
                                         "window_disable": 900}
 
 
+def _mutated_profile(edit):
+    """Bytes of a valid profile document after `edit(doc)`."""
+    doc = to_json(profile_of("adjacent_equal"))
+    edit(doc)
+    return json.dumps(doc).encode()
+
+
 def test_cli_report_and_merge_of_malformed_profiles_exit_1(tmp_path, capsys):
     header = b'{"format": "redload-profile", "version": 1}'
     latin1 = header[:-1] + b', "x": "\xe9"}'
+    not_a_count = "not a non-negative integer"
     cases = {"header.json": (header, "missing field 'totals'"),
              "text.json": (b"not json\n", "line 1 column 1"),
              "latin1.json": (latin1, "invalid UTF-8 at byte "
                                      f"{latin1.index(0xE9)}"),
-             "list.json": (b"[1, 2]", "not a redload-profile document")}
+             "list.json": (b"[1, 2]", "not a redload-profile document"),
+             "str_counter.json": (
+                 _mutated_profile(lambda d: d["objects"][0]["counters"]
+                                  .update(total_instances="5")),
+                 "objects row 0 counters: field 'total_instances' is '5', "
+                 + not_a_count),
+             "bool_counter.json": (
+                 _mutated_profile(lambda d: d["spatial_pairs"][0]["counters"]
+                                  .update(fp_exact_instances=True)),
+                 "spatial_pairs row 0 counters: field 'fp_exact_instances' "
+                 "is True, " + not_a_count),
+             "null_total.json": (
+                 _mutated_profile(lambda d: d["totals"]
+                                  .update(total_nonfp_bytes=None)),
+                 "totals: field 'total_nonfp_bytes' is None, "
+                 + not_a_count),
+             "str_threads.json": (
+                 _mutated_profile(lambda d: d.update(thread_count="two")),
+                 "field 'thread_count' is 'two', " + not_a_count)}
     for name, (data, message) in cases.items():
         path = tmp_path / name
         path.write_bytes(data)
@@ -248,29 +298,48 @@ def test_cli_report_and_merge_of_malformed_profiles_exit_1(tmp_path, capsys):
             assert "Traceback" not in err
 
 
-def test_benchmark_tracer_sees_a_sampled_binary_analyze(tmp_path):
-    # The benchmark's tracer replaces `trace.read_trace` with a wrapper of
-    # its own, so the decoder is not gated under it and every load passes
-    # its decode step: the traced run must still save the untraced bytes
-    # and see both decode time and monitored loads.
+def _traced_analyze(tmp_path, analyze_args):
+    """Per-layer metrics of the benchmark's tracer over `redload analyze`
+    of a small forward_copy binary trace, after checking that the traced
+    run saves the untraced run's bytes."""
     root = Path(__file__).resolve().parents[1]
     trace = tmp_path / "t.lrt"
     events, sm = generate(Scenario("forward_copy", {"len": 8, "reps": 3}))
     with open(trace, "wb") as f:
         write_trace(events, sm, f)
-    window = ["--window-enable", "2", "--window-disable", "3"]
     assert main(["analyze", str(trace), "-o", str(tmp_path / "plain.json"),
-                 *window]) == 0
+                 *analyze_args]) == 0
     stats = tmp_path / "stats.json"
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     done = subprocess.run(
         [sys.executable, str(root / "perfbench" / "tracer.py"), str(stats),
          "analyze", str(trace), "-o", str(tmp_path / "traced.json"),
-         *window], env=env, capture_output=True, text=True, timeout=120)
+         *analyze_args], env=env, capture_output=True, text=True,
+        timeout=120)
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "traced.json").read_bytes() == \
         (tmp_path / "plain.json").read_bytes()
-    metrics = json.loads(stats.read_text())["metrics"]
+    return json.loads(stats.read_text())["metrics"]
+
+
+def test_benchmark_tracer_sees_a_sampled_binary_analyze(tmp_path):
+    # The benchmark's tracer replaces `trace.read_trace` with a wrapper of
+    # its own, so the decoder is not gated under it and every load passes
+    # its decode step: the traced run must still save the untraced bytes
+    # and see both decode time and monitored loads.
+    metrics = _traced_analyze(
+        tmp_path, ["--window-enable", "2", "--window-disable", "3"])
     assert metrics["trace.decode_s"] > 0
     assert metrics["sampling.loads_monitored"] > 0
     assert metrics["sampling.loads_skipped"] > 0
+
+
+def test_benchmark_tracer_sees_every_layer(tmp_path):
+    # The tracer wraps and reads names inside the package; a renamed one
+    # zeroes its metric instead of failing. Every load is monitored and
+    # forward_copy repeats loads, so each of these layers has work to do.
+    metrics = _traced_analyze(tmp_path, ["--no-sampling"])
+    assert metrics["scope.resolves"] == metrics["scope.traversals"] > 0
+    for name in ("cct.nodes", "shadow.pages", "temporal.rows",
+                 "spatial.pair_rows"):
+        assert metrics[name] > 0, name

@@ -1,5 +1,6 @@
-"""Scope resolution: the worked nested-loop cases, the LCA case, budgets,
-and equivalence with a pass-history oracle on randomized traces."""
+"""Scope resolution: the worked nested-loop cases, the LCA case, the
+per-pair-key store, and equivalence with a pass-history oracle on
+randomized traces."""
 
 import pytest
 
@@ -98,29 +99,29 @@ def test_foreign_handle_is_usage_error():
 
 def test_budget_one_resolves_once_and_reuses():
     t, h_old, ts_old, h_new, ts_new = _walk_inner_case()
-    budget = ScopeBudget(t, limit=1)
-    s1 = budget.resolve(("k",), h_old, ts_old, h_new, ts_new)
-    s2 = budget.resolve(("k",), h_old, ts_old, h_new, ts_new)
-    assert s1 == s2
+    budget = ScopeBudget(t)
+    scope = budget.resolve(("k",), h_old, ts_old, h_new, ts_new)
+    assert scope == resolve_scope(t, h_old, ts_old, h_new, ts_new)
+    assert t.node(scope).ident == 12
+    assert budget.scope_for(("k",)) == scope
     assert budget.traversals == 1
 
 
-def test_budget_two_allows_two_traversals_first_wins():
-    t, h_old, ts_old, h_new, ts_new = _walk_inner_case()
-    budget = ScopeBudget(t, limit=2)
-    s1 = budget.resolve(("k",), h_old, ts_old, h_new, ts_new)
-    for _ in range(3):
-        assert budget.resolve(("k",), h_old, ts_old, h_new, ts_new) == s1
-    assert budget.traversals == 2
-
-
 def test_distinct_pair_keys_have_distinct_budgets():
-    t, h_old, ts_old, h_new, ts_new = _walk_inner_case()
-    budget = ScopeBudget(t, limit=1)
-    budget.resolve(("a",), h_old, ts_old, h_new, ts_new)
-    budget.resolve(("b",), h_old, ts_old, h_new, ts_new)
+    # Key "a" is resolved while loop 12 is its scope. Later passes move
+    # every loop's latest pass past ts_a, so a fresh traversal for "a"
+    # finds no scope, but "a" keeps the one it stored.
+    t, h_old, ts_old, h_a, ts_a = _walk_inner_case()
+    budget = ScopeBudget(t)
+    budget.resolve(("a",), h_old, ts_old, h_a, ts_a)
+    t.on_loop_head(11)
+    t.on_loop_head(12)
+    h_b, ts_b = t.current_load_context(2)
+    budget.resolve(("b",), h_old, ts_old, h_b, ts_b)
+    assert t.node(budget.scope_for(("a",))).ident == 12
+    assert t.node(budget.scope_for(("b",))).ident == 11
+    assert resolve_scope(t, h_old, ts_old, h_a, ts_a) is None
     assert budget.traversals == 2
-    assert budget.scope_for(("a",)) == budget.scope_for(("b",))
     assert budget.scope_for(("missing",)) is None
 
 

@@ -63,7 +63,7 @@ def make_spatial():
     tree = ContextTree()
     tree.on_call(1)
     reg = ObjectRegistry()
-    det = SpatialDetector(reg, ScopeBudget(tree, 1), epsilon=0.01)
+    det = SpatialDetector(reg, ScopeBudget(tree), epsilon=0.01)
     return tree, reg, det
 
 

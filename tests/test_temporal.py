@@ -21,7 +21,7 @@ def make_detector(epsilon=0.01):
     tree = ContextTree()
     tree.on_call(1)
     shadow = ShadowTable()
-    budget = ScopeBudget(tree, 1)
+    budget = ScopeBudget(tree)
     det = TemporalDetector(shadow, budget, epsilon)
     return tree, det
 

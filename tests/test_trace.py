@@ -9,7 +9,7 @@ from redload.engine import AnalysisConfig, analyze_events, analyze_path
 from redload.errors import RedloadError, TraceDecodeError, TraceEncodeError
 from redload.sampling import SamplingConfig
 from redload.trace import (CALL, F32, F64, LOAD, NONFP, RETURN,
-                           THREAD_START, SourceMap, TraceEvent,
+                           STATIC_IMAGE, THREAD_START, SourceMap, TraceEvent,
                            _MAX_FP_CLASS, _Reader, _load_error, load_event,
                            read_text_trace, read_trace, write_text_trace,
                            write_trace)
@@ -403,6 +403,18 @@ def test_encode_rejects_bad_events_with_index():
     with pytest.raises(TraceEncodeError) as err:
         write_trace([ok, unresolved], srcmap, io.BytesIO())
     assert "site_id 99" in str(err.value)
+
+    # Fields too wide for their record, in a load and in a static image.
+    negative_addr = load_event(0, 1, -1, u32(1), site_id=1)
+    with pytest.raises(TraceEncodeError) as err:
+        write_trace([ok, negative_addr], srcmap, io.BytesIO())
+    assert err.value.event_index == 1
+    assert "event 1: load record: " in str(err.value)
+    image = TraceEvent(STATIC_IMAGE, 0, 1, objects=[("A", 0x10, 1 << 64)])
+    with pytest.raises(TraceEncodeError) as err:
+        write_trace([ok, image], srcmap, io.BytesIO())
+    assert err.value.event_index == 1
+    assert "event 1: static_image record: " in str(err.value)
 
 
 def test_calls_balance_per_thread_not_globally():
