@@ -65,20 +65,22 @@ class ContextTree:
         self.cursor = node.parent
         return self.cursor.handle
 
-    def on_loop_head(self, loop_id):
+    def on_loop_head(self, loop_id, passes=1):
         # A pass of a loop already on the current frame's loop stack pops
         # back to it; anything else is a descent into a (possibly new)
         # nested loop node. Loops in outer frames are never popped to.
+        # After the first of `passes` consecutive passes the cursor is on
+        # the loop's node, so the rest only tick the counter.
         node = self.cursor
         while node.kind == LOOP:
             if node.ident == loop_id:
                 self.cursor = node
-                self.timestamp += 1
+                self.timestamp += passes
                 node.last_pass_ts = self.timestamp
                 return node.handle
             node = node.parent
         child = self._child(self.cursor, LOOP, loop_id)
-        self.timestamp += 1
+        self.timestamp += passes
         child.last_pass_ts = self.timestamp
         self.cursor = child
         return child.handle

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import sys
 
 from . import profiles, workloads
@@ -68,12 +69,19 @@ def _parse_params(pairs):
 def _cmd_gen(args):
     scenario = workloads.Scenario(args.scenario, _parse_params(args.param))
     events, source_map = workloads.generate(scenario)
-    if args.text:
-        with open(args.output, "w", encoding="utf-8") as f:
-            write_text_trace(events, source_map, f)
-    else:
-        with open(args.output, "wb") as f:
-            write_trace(events, source_map, f)
+    # Encoding can fail part way: write beside the output and rename over
+    # it only once the whole trace is written.
+    write, mode, encoding = ((write_text_trace, "x", "utf-8") if args.text
+                             else (write_trace, "xb", None))
+    tmp = f"{args.output}.{os.getpid()}.tmp"
+    f = open(tmp, mode, encoding=encoding)
+    try:
+        with f:
+            write(events, source_map, f)
+        os.replace(tmp, args.output)
+    except BaseException:
+        os.remove(tmp)
+        raise
     return 0
 
 

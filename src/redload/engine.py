@@ -5,7 +5,10 @@ detectors; object lifecycle events apply globally in file order. Only load
 detection is gated by the sampler: calls, returns and loop headers always
 maintain the context trees so contexts stay correct when a monitoring
 window reopens. A binary trace's decoder drops unmonitored loads before
-building them; they still count in the event positions errors name.
+building them, and hands over consecutive passes of one loop, with only
+dropped loads between them, as one event carrying `passes`; the dropped
+loads and the folded passes still count in the event positions errors
+name.
 """
 
 from dataclasses import dataclass, field
@@ -113,7 +116,7 @@ def analyze_events(events, source_map, config=None, verdict_sink=None):
             elif kind == RETURN:
                 tree.on_return(ev.site_id)
             elif kind == LOOPHEAD:
-                tree.on_loop_head(ev.loop_id)
+                tree.on_loop_head(ev.loop_id, ev.passes)
             elif kind == ALLOC:
                 ctx_path = tree.structural_path(tree.cursor.handle)
                 registry.on_alloc(ev.base, ev.alloc_size, ctx_path)

@@ -82,6 +82,9 @@ class TraceEvent:
     base: int = 0
     alloc_size: int = 0
     objects: tuple = ()  # StaticImage: tuple of (name, base, size)
+    # LoopHead: consecutive passes of the loop this event stands for (a
+    # gated BinaryEvents folds a run of them); never encoded.
+    passes: int = 1
 
 
 @dataclass
@@ -156,6 +159,9 @@ def _check_event(ev, index, state, source_map):
     if ev.ins_index <= last_ins:
         raise TraceEncodeError(
             f"ins_index {ev.ins_index} not increasing in thread {tid}", index)
+    if ev.passes != 1:
+        raise TraceEncodeError(
+            f"event stands for {ev.passes} passes; a record holds one", index)
     kind = ev.kind
     if kind == LOAD:
         error = _load_error(ev.size, ev.fp_class, len(ev.value))
@@ -350,8 +356,16 @@ class BinaryEvents:
     With `sampling` set to an enabled SamplingConfig before the first step,
     the decoder drops each load outside a monitoring window after
     validating it like any other record: it slices no value and builds no
-    TraceEvent. `skipped` counts the loads dropped so far. A thread's first
-    event is never dropped, so the consumer still sees every thread.
+    TraceEvent. A thread's first event is never dropped, so the consumer
+    still sees every thread. It also folds each run of consecutive passes
+    of one loop in one thread, with only dropped loads between them, into
+    the run's first loop head, whose `passes` is the run's length; the
+    event is held back until the next event is built or the stream ends.
+
+    `skipped` is the number of records before the event last yielded that
+    were not yielded (dropped loads and folded passes), and after the last
+    event the number of all such records, so the event index an error
+    names can count them. Ungated, every record is yielded as it is read.
     """
 
     def __init__(self, reader):
@@ -373,13 +387,17 @@ class BinaryEvents:
         # has ended) such a record decodes without a refill; one that the
         # stream cuts short makes unpack_from raise struct.error.
         sampling = self.sampling
+        gated = sampling is not None and sampling.enabled
         # Loads with an ins_index in [lo, hi) are all `monitored` or all not.
-        if sampling is not None and sampling.enabled:
-            lo = hi = 0
-        else:
-            lo, hi = 0, 1 << 64
+        lo, hi = (0, 0) if gated else (0, 1 << 64)
         monitored = True
         last_ins = {}       # thread_id -> ins_index of its latest event
+        skipped = 0         # records read and not yielded
+        # The loop head held back while later passes fold into it; no
+        # thread has id -1, so nothing folds while none is held.
+        held = None
+        held_tid = held_loop = -1
+        passes = held_skipped = 0   # its passes so far; `skipped` at it
         buf, pos = r.buf, r.pos
         end = len(buf)
         while True:
@@ -389,7 +407,7 @@ class BinaryEvents:
                 buf, pos = r.buf, r.pos
                 end = len(buf)
                 if pos == end:
-                    return
+                    break
             start = pos
             kind = buf[pos]
             try:
@@ -414,9 +432,13 @@ class BinaryEvents:
                     _, tid, ins, loop_id, site_id = \
                         _REC_LOOP.unpack_from(buf, pos)
                     pos += _REC_LOOP.size
-                    # Positional: loop heads are as frequent as loads.
-                    ev = TraceEvent(LOOPHEAD, tid, ins, 0, 0, b"", NONFP,
-                                    site_id, loop_id)
+                    if tid == held_tid and loop_id == held_loop:
+                        passes += 1
+                        ev = None
+                    else:
+                        # Positional: loop heads are as frequent as loads.
+                        ev = TraceEvent(LOOPHEAD, tid, ins, 0, 0, b"", NONFP,
+                                        site_id, loop_id)
                 elif kind == CALL or kind == RETURN:
                     _, tid, ins, site_id = _REC_SITE.unpack_from(buf, pos)
                     pos += _REC_SITE.size
@@ -464,9 +486,27 @@ class BinaryEvents:
                 raise _not_increasing(tid, ins, previous, r.base + start)
             last_ins[tid] = ins
             if ev is None:
-                self.skipped += 1
-            else:
+                skipped += 1
+            elif not gated:
                 yield ev
+            else:
+                if held is not None:
+                    held.passes = passes
+                    self.skipped = held_skipped
+                    yield held
+                    held = None
+                    held_tid = -1
+                if kind == LOOPHEAD:
+                    held, held_tid, held_loop = ev, tid, loop_id
+                    held_skipped, passes = skipped, 1
+                else:
+                    self.skipped = skipped
+                    yield ev
+        if held is not None:
+            held.passes = passes
+            self.skipped = held_skipped
+            yield held
+        self.skipped = skipped
 
 
 TEXT_HEADER = "LRT1 1"

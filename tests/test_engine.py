@@ -9,9 +9,9 @@ from redload.errors import MalformedTraceError, TraceDecodeError
 from redload.profiles import Profile, merge_all, save
 from redload.sampling import SamplingConfig, is_monitored
 from redload.scope import ScopeBudget
-from redload.trace import (ALLOC, CALL, FREE, LOAD, RETURN, STATIC_IMAGE,
-                           THREAD_START, SourceMap, TraceEvent, read_trace,
-                           write_text_trace, write_trace)
+from redload.trace import (ALLOC, CALL, FREE, LOAD, LOOPHEAD, RETURN,
+                           STATIC_IMAGE, THREAD_START, SourceMap, TraceEvent,
+                           read_trace, write_text_trace, write_trace)
 from redload.workloads import Scenario, generate
 
 from helpers import SMALL_SCENARIOS, Build, u32
@@ -276,27 +276,17 @@ def _write_binary(events, sm, path):
     return str(path)
 
 
-def test_gated_decoder_keeps_error_positions(tmp_path, capsys,
-                                            monkeypatch):
-    # The decoder drops the five unmonitored loads, yet the engine's
-    # error still counts them: the bad return is event 7.
-    sm = SourceMap()
-    sm.add_site(1, "main", "m.c", 1)
-    sm.add_site(2, "helper", "m.c", 5)
-    events = [TraceEvent(THREAD_START, 0, 0),
-              TraceEvent(CALL, 0, 1, site_id=1)]
-    events += [TraceEvent(LOAD, 0, ins, addr=0x100, size=8,
-                          value=bytes(8), site_id=1)
-               for ins in range(10, 15)]
-    events.append(TraceEvent(RETURN, 0, 20, site_id=2))
+def _assert_error_position(events, sm, tmp_path, capsys, monkeypatch,
+                           kinds, skipped, prefix):
+    """The gated decoder yields `kinds` and skips `skipped` records, and
+    analyze_events, analyze_path and the CLI all fail with `prefix`."""
     path = _write_binary(events, sm, tmp_path / "t.lrt")
     with open(path, "rb") as f:
         decoded, _ = read_trace(f)
         decoded.sampling = GAP.sampling
-        assert [ev.kind for ev in decoded] == [THREAD_START, CALL, RETURN]
-        assert decoded.skipped == 5
+        assert [ev.kind for ev in decoded] == kinds
+        assert decoded.skipped == skipped
 
-    prefix = "event 7 (thread 0, ins_index 20): "
     with pytest.raises(MalformedTraceError) as memory:
         analyze_events(events, sm, GAP)
     opened = []
@@ -309,13 +299,53 @@ def test_gated_decoder_keeps_error_positions(tmp_path, capsys,
     monkeypatch.setattr(engine.tr, "read_trace", recorded_read_trace)
     with pytest.raises(MalformedTraceError) as binary:
         analyze_path(path, GAP)
-    assert [decoded.skipped for decoded in opened] == [5]
+    assert [decoded.skipped for decoded in opened] == [skipped]
     assert str(memory.value).startswith(prefix)
     assert str(binary.value) == str(memory.value)
     rc = cli_main(["analyze", path, "-o", str(tmp_path / "p.json"),
                    "--window-enable", "2", "--window-disable", "100"])
     assert rc == 1
     assert f"redload analyze: {prefix}" in capsys.readouterr().err
+
+
+def _bad_return_after(middle):
+    """Events of thread 0: a call at site 1, `middle`, and a return at
+    site 2, which does not match the call."""
+    sm = SourceMap()
+    sm.add_site(1, "main", "m.c", 1)
+    sm.add_site(2, "helper", "m.c", 5)
+    sm.add_loop(11, "m.c", 2)
+    return ([TraceEvent(THREAD_START, 0, 0),
+             TraceEvent(CALL, 0, 1, site_id=1)] + middle
+            + [TraceEvent(RETURN, 0, 20, site_id=2)]), sm
+
+
+def test_gated_decoder_keeps_error_positions(tmp_path, capsys,
+                                            monkeypatch):
+    # The decoder drops the five unmonitored loads, yet the engine's
+    # error still counts them: the bad return is event 7.
+    events, sm = _bad_return_after(
+        [TraceEvent(LOAD, 0, ins, addr=0x100, size=8, value=bytes(8),
+                    site_id=1) for ins in range(10, 15)])
+    _assert_error_position(events, sm, tmp_path, capsys, monkeypatch,
+                           [THREAD_START, CALL, RETURN], 5,
+                           "event 7 (thread 0, ins_index 20): ")
+
+
+def test_gated_decoder_keeps_error_positions_past_folded_passes(
+        tmp_path, capsys, monkeypatch):
+    # Three passes of one loop, with dropped loads between them, reach the
+    # engine as one loop head; the bad return is still event 9.
+    middle = []
+    for ins in range(10, 17):
+        middle.append(
+            TraceEvent(LOOPHEAD, 0, ins, loop_id=11, site_id=1) if ins % 2
+            else TraceEvent(LOAD, 0, ins, addr=0x100, size=8,
+                            value=bytes(8), site_id=1))
+    events, sm = _bad_return_after(middle)
+    _assert_error_position(events, sm, tmp_path, capsys, monkeypatch,
+                           [THREAD_START, CALL, LOOPHEAD, RETURN], 6,
+                           "event 9 (thread 0, ins_index 20): ")
 
 
 def test_gated_decoder_keeps_thread_count(tmp_path):
@@ -387,3 +417,100 @@ def test_gated_decoder_analyzes_like_every_other_source(name, threads,
             assert other == profile, (label, sampling)
             assert other_saved == saved, (label, sampling)
             assert other_verdicts == verdicts, (label, sampling)
+
+
+# 4 instructions monitored in every 24: ins_index 4 to 23 and 28 to 47
+# fall in gaps.
+FOLD = AnalysisConfig(sampling=SamplingConfig(4, 20))
+
+
+def _fold_trace():
+    """Two threads whose gap events interleave, under FOLD: nested loops
+    11 (outer) and 12 (inner) in thread 0, loop 12 in thread 1, which
+    starts with a loop head in a gap, and a run of passes that ends the
+    stream. The loads of thread 0 at ins_index 3 and 25 pair across a
+    gap."""
+    sm = SourceMap()
+    sm.add_site(1, "main", "f.c", 1)
+    sm.add_site(2, "main", "f.c", 4)
+    sm.add_loop(11, "f.c", 2)
+    sm.add_loop(12, "f.c", 3)
+
+    def head(tid, ins, loop_id):
+        return TraceEvent(LOOPHEAD, tid, ins, loop_id=loop_id, site_id=1)
+
+    def load(tid, ins, addr):
+        return TraceEvent(LOAD, tid, ins, addr=addr, size=4,
+                          value=u32(addr), site_id=2)
+
+    events = [
+        TraceEvent(STATIC_IMAGE, 0, 0, objects=(("A", 0x100, 64),)),
+        TraceEvent(CALL, 0, 1, site_id=1),
+        head(0, 2, 11), load(0, 3, 0x100), head(0, 4, 12),
+        head(1, 5, 12), load(0, 5, 0x100), load(1, 6, 0x104),
+        head(1, 7, 12),
+        head(0, 6, 12), head(1, 8, 12), head(0, 7, 12),
+        load(0, 8, 0x100), head(0, 9, 12), head(0, 10, 12),
+        head(0, 11, 11), head(0, 12, 12), load(0, 13, 0x104),
+        head(0, 14, 12), load(1, 9, 0x104), head(0, 24, 12),
+        load(0, 25, 0x100),
+        load(1, 24, 0x104), head(1, 25, 12), load(1, 26, 0x104),
+        head(1, 30, 12), load(1, 31, 0x104), head(1, 32, 12),
+        load(0, 30, 0x100), head(1, 33, 12),
+    ]
+    return events, sm
+
+
+def test_gated_decoder_folds_loop_head_runs(tmp_path):
+    # A run of one loop's passes in one thread, with only dropped loads
+    # between them, reaches the engine as its first loop head carrying the
+    # run's length; any built event, another thread or another loop ends
+    # the run.
+    events, sm = _fold_trace()
+    path = _write_binary(events, sm, tmp_path / "t.lrt")
+    with open(path, "rb") as f:
+        decoded, _ = read_trace(f)
+        decoded.sampling = FOLD.sampling
+        got = [(ev.kind, ev.thread_id, ev.passes) for ev in decoded]
+    H, L = LOOPHEAD, LOAD
+    assert got == [(STATIC_IMAGE, 0, 1), (CALL, 0, 1), (H, 0, 1), (L, 0, 1),
+                   (H, 0, 1), (H, 1, 2), (H, 0, 1), (H, 1, 1), (H, 0, 3),
+                   (H, 0, 1), (H, 0, 3), (L, 0, 1), (L, 1, 1), (H, 1, 1),
+                   (L, 1, 1), (H, 1, 3)]
+    dropped = sum(ev.kind == LOAD and not is_monitored(ev.ins_index,
+                                                       FOLD.sampling)
+                  for ev in events)
+    folded = sum(passes - 1 for _, _, passes in got)
+    assert (dropped, folded) == (7, 7)
+    assert decoded.skipped == dropped + folded
+    assert len(got) + decoded.skipped == len(events)
+    # Ungated, every record is its own event.
+    with open(path, "rb") as f:
+        assert list(read_trace(f)[0]) == events
+
+
+def test_folded_loop_heads_analyze_like_every_pass(tmp_path):
+    # Binary (folded in the decoder), text and in-memory events give one
+    # profile, the same saved bytes and the same verdicts, prior
+    # timestamps included.
+    events, sm = _fold_trace()
+    binary = _write_binary(events, sm, tmp_path / "t.lrt")
+    text = tmp_path / "t.txt"
+    with open(text, "w") as f:
+        write_text_trace(events, sm, f)
+    results = []
+    for label, run in (
+            ("binary", lambda sink: analyze_path(binary, FOLD, sink)),
+            ("text", lambda sink: analyze_path(str(text), FOLD, sink)),
+            ("memory", lambda sink: analyze_events(events, sm, FOLD, sink))):
+        sink = []
+        profile = run(sink.append)
+        save(profile, tmp_path / f"{label}.json")
+        results.append((profile, (tmp_path / f"{label}.json").read_bytes(),
+                        _verdicts(sink)))
+    profile, saved, verdicts = results[0]
+    assert [v[1] for v in verdicts] == [False, True, False, True]
+    assert (profile, saved, verdicts) == results[1] == results[2]
+    # The pair across the gap has the outer loop (f.c:2) as its scope.
+    assert any(scope and scope[-1] == ("loop", "", "f.c", 2)
+               for _, _, scope in profile.temporal_pairs)

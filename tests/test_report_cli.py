@@ -197,10 +197,20 @@ def test_cli_usage_errors_exit_2(capsys):
     ("hash_collision", "chain=0")])
 def test_cli_gen_out_of_range_params_exit_1(scenario, param, tmp_path,
                                             capsys):
+    # A failed gen leaves no partial trace, and no changed one.
+    out = tmp_path / "t.lrt"
     rc = main(["gen", "--scenario", scenario, "--param", param,
-               "-o", str(tmp_path / "t.lrt")])
+               "-o", str(out)])
     assert rc == 1
     assert capsys.readouterr().err.startswith("redload gen: ")
+    assert not out.exists()
+    out.write_bytes(b"earlier trace")
+    rc = main(["gen", "--scenario", scenario, "--param", param,
+               "-o", str(out)])
+    assert rc == 1
+    assert out.read_bytes() == b"earlier trace"
+    assert os.listdir(tmp_path) == ["t.lrt"]
+    capsys.readouterr()
 
 
 def test_cli_bad_param_exits_1(tmp_path, capsys):
@@ -237,6 +247,20 @@ def test_cli_module_entry_point(tmp_path):
     assert "R_prog" in done.stdout
     usage = run("definitely-not-a-command")
     assert usage.returncode == 2
+
+
+def test_python_m_redload_reports_like_main(tmp_path, capsys):
+    root = Path(__file__).resolve().parents[1]
+    prof = tmp_path / "p.json"
+    save(profile_of("forward_copy", {"len": 8, "reps": 3}), prof)
+    assert main(["report", str(prof), "--top", "3"]) == 0
+    expected = capsys.readouterr().out
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "redload", "report", str(prof), "--top", "3"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == expected
 
 
 def test_cli_sampling_windows_flow_into_profile(tmp_path):

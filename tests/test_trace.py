@@ -8,7 +8,7 @@ import pytest
 from redload.engine import AnalysisConfig, analyze_events, analyze_path
 from redload.errors import RedloadError, TraceDecodeError, TraceEncodeError
 from redload.sampling import SamplingConfig
-from redload.trace import (CALL, F32, F64, LOAD, NONFP, RETURN,
+from redload.trace import (CALL, F32, F64, LOAD, LOOPHEAD, NONFP, RETURN,
                            STATIC_IMAGE, THREAD_START, SourceMap, TraceEvent,
                            _MAX_FP_CLASS, _Reader, _load_error, load_event,
                            read_text_trace, read_trace, write_text_trace,
@@ -415,6 +415,16 @@ def test_encode_rejects_bad_events_with_index():
         write_trace([ok, image], srcmap, io.BytesIO())
     assert err.value.event_index == 1
     assert "event 1: static_image record: " in str(err.value)
+
+    # A loop head folded by a gated decode stands for several records.
+    srcmap.add_loop(7, "a.c", 2)
+    folded = TraceEvent(LOOPHEAD, 0, 1, loop_id=7, site_id=1, passes=3)
+    for write in (write_trace, write_text_trace):
+        sink = io.BytesIO() if write is write_trace else io.StringIO()
+        with pytest.raises(TraceEncodeError) as err:
+            write([ok, folded], srcmap, sink)
+        assert err.value.event_index == 1
+        assert "3 passes" in str(err.value)
 
 
 def test_calls_balance_per_thread_not_globally():
