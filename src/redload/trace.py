@@ -64,6 +64,11 @@ _FP_WIDTHS = {NONFP: 1, F32: 4, F64: 8}
 _MAX_FP_CLASS = {size: max(fp for fp, width in _FP_WIDTHS.items()
                            if size % width == 0)
                  for size in LOAD_SIZES}
+# Every valid (size, fp_class) of a load: one membership test per encoded
+# load, while `_load_error` words the error when the test fails.
+_LOAD_SHAPES = frozenset((size, fp) for size in LOAD_SIZES
+                         for fp, width in _FP_WIDTHS.items()
+                         if size % width == 0)
 
 
 @dataclass(slots=True)
@@ -148,8 +153,9 @@ def _load_error(size, fp_class, value_len):
     return None
 
 
-def _check_event(ev, index, state, source_map):
-    """Validate one event against the format invariants.
+def _check_event(ev, index, state, sites, loops):
+    """Validate one event against the format invariants and the source
+    map's `sites` and `loops` tables.
 
     `state` carries per-thread (last ins_index, open call depth) so a single
     streaming pass can enforce ordering and balance.
@@ -164,100 +170,108 @@ def _check_event(ev, index, state, source_map):
             f"event stands for {ev.passes} passes; a record holds one", index)
     kind = ev.kind
     if kind == LOAD:
-        error = _load_error(ev.size, ev.fp_class, len(ev.value))
-        if error:
-            raise TraceEncodeError(error, index)
-        if source_map is not None and ev.site_id not in source_map.sites:
+        size = ev.size
+        if (size, ev.fp_class) not in _LOAD_SHAPES or len(ev.value) != size:
+            raise TraceEncodeError(
+                _load_error(size, ev.fp_class, len(ev.value)), index)
+        if ev.site_id not in sites:
+            raise TraceEncodeError(f"unresolved site_id {ev.site_id}", index)
+    elif kind == LOOPHEAD:
+        if ev.loop_id not in loops:
+            raise TraceEncodeError(f"unresolved loop_id {ev.loop_id}", index)
+        if ev.site_id not in sites:
             raise TraceEncodeError(f"unresolved site_id {ev.site_id}", index)
     elif kind == CALL:
         depth += 1
-        if source_map is not None and ev.site_id not in source_map.sites:
+        if ev.site_id not in sites:
             raise TraceEncodeError(f"unresolved site_id {ev.site_id}", index)
     elif kind == RETURN:
         if depth == 0:
             raise TraceEncodeError(
                 f"return with no open call in thread {tid}", index)
         depth -= 1
-        if source_map is not None and ev.site_id not in source_map.sites:
+        if ev.site_id not in sites:
             raise TraceEncodeError(f"unresolved site_id {ev.site_id}", index)
-    elif kind == LOOPHEAD:
-        if source_map is not None:
-            if ev.loop_id not in source_map.loops:
-                raise TraceEncodeError(
-                    f"unresolved loop_id {ev.loop_id}", index)
-            if ev.site_id not in source_map.sites:
-                raise TraceEncodeError(
-                    f"unresolved site_id {ev.site_id}", index)
     elif kind not in KIND_NAMES:
         raise TraceEncodeError(f"unknown event kind {kind}", index)
     state[tid] = (ev.ins_index, depth)
 
 
+def _encode_str(s):
+    raw = s.encode("utf-8")
+    if len(raw) > 0xFFFF:
+        raise TraceEncodeError(f"string too long ({len(raw)} bytes)")
+    return _U16.pack(len(raw)) + raw
+
+
 def write_trace(events, source_map, sink):
     """Encode events to `sink` (binary stream); returns bytes written.
 
-    Raises TraceEncodeError naming the offending event index when an
-    invariant is violated or a field does not fit its record.
+    Records collect in one buffer that goes to `sink.write` whenever it
+    holds `_Reader.CHUNK` bytes, and once at the end. Raises
+    TraceEncodeError naming the offending event index when an invariant is
+    violated or a field does not fit its record; the sink then holds at
+    most the header and a prefix of whole records (`redload gen` discards
+    it).
     """
-    written = 0
-
-    def put(b):
-        nonlocal written
-        sink.write(b)
-        written += len(b)
-
-    def put_str(s):
-        raw = s.encode("utf-8")
-        if len(raw) > 0xFFFF:
-            raise TraceEncodeError(f"string too long ({len(raw)} bytes)")
-        put(_U16.pack(len(raw)))
-        put(raw)
-
-    put(MAGIC)
-    put(_U16.pack(VERSION))
-
-    put(_U32.pack(len(source_map.sites)))
+    out = bytearray(MAGIC)
+    out += _U16.pack(VERSION)
+    out += _U32.pack(len(source_map.sites))
     for site_id in sorted(source_map.sites):
         function, file, line = source_map.sites[site_id]
-        put(_U32.pack(site_id))
-        put_str(function)
-        put_str(file)
-        put(_U32.pack(line))
-    put(_U32.pack(len(source_map.loops)))
+        out += _U32.pack(site_id)
+        out += _encode_str(function)
+        out += _encode_str(file)
+        out += _U32.pack(line)
+    out += _U32.pack(len(source_map.loops))
     for loop_id in sorted(source_map.loops):
         file, line = source_map.loops[loop_id]
-        put(_U32.pack(loop_id))
-        put_str(file)
-        put(_U32.pack(line))
+        out += _U32.pack(loop_id)
+        out += _encode_str(file)
+        out += _U32.pack(line)
 
+    written = 0
+    flush_at = _Reader.CHUNK
     state = {}
+    sites, loops = source_map.sites, source_map.loops
     for index, ev in enumerate(events):
-        _check_event(ev, index, state, source_map)
-        kind, tid, ins = ev.kind, ev.thread_id, ev.ins_index
+        _check_event(ev, index, state, sites, loops)
+        kind = ev.kind
         try:
             if kind == LOAD:
-                put(_REC_LOAD.pack(kind, tid, ins, ev.addr, ev.size,
-                                   ev.fp_class, ev.site_id))
-                put(ev.value)
-            elif kind == CALL or kind == RETURN:
-                put(_REC_SITE.pack(kind, tid, ins, ev.site_id))
+                out += _REC_LOAD.pack(kind, ev.thread_id, ev.ins_index,
+                                      ev.addr, ev.size, ev.fp_class,
+                                      ev.site_id)
+                out += ev.value
             elif kind == LOOPHEAD:
-                put(_REC_LOOP.pack(kind, tid, ins, ev.loop_id, ev.site_id))
+                out += _REC_LOOP.pack(kind, ev.thread_id, ev.ins_index,
+                                      ev.loop_id, ev.site_id)
+            elif kind == CALL or kind == RETURN:
+                out += _REC_SITE.pack(kind, ev.thread_id, ev.ins_index,
+                                      ev.site_id)
             elif kind == ALLOC:
-                put(_REC_ALLOC.pack(kind, tid, ins, ev.base, ev.alloc_size))
+                out += _REC_ALLOC.pack(kind, ev.thread_id, ev.ins_index,
+                                       ev.base, ev.alloc_size)
             elif kind == FREE:
-                put(_REC_FREE.pack(kind, tid, ins, ev.base))
+                out += _REC_FREE.pack(kind, ev.thread_id, ev.ins_index,
+                                      ev.base)
             elif kind == STATIC_IMAGE:
-                put(_REC_IMAGE.pack(kind, tid, ins, len(ev.objects)))
+                out += _REC_IMAGE.pack(kind, ev.thread_id, ev.ins_index,
+                                       len(ev.objects))
                 for name, base, size in ev.objects:
-                    put_str(name)
-                    put(_2U64.pack(base, size))
+                    out += _encode_str(name)
+                    out += _2U64.pack(base, size)
             else:  # THREAD_START has no payload
-                put(_REC.pack(kind, tid, ins))
+                out += _REC.pack(kind, ev.thread_id, ev.ins_index)
         except struct.error as exc:
             raise TraceEncodeError(
                 f"{KIND_NAMES[kind]} record: {exc}", index) from None
-    return written
+        if len(out) >= flush_at:
+            sink.write(out)
+            written += len(out)
+            out = bytearray()
+    sink.write(out)
+    return written + len(out)
 
 
 class _Reader:
@@ -524,8 +538,9 @@ def write_text_trace(events, source_map, sink):
         file, line = source_map.loops[loop_id]
         w(f"loopsite {loop_id} {quote(file, safe='')} {line}\n")
     state = {}
+    sites, loops = source_map.sites, source_map.loops
     for index, ev in enumerate(events):
-        _check_event(ev, index, state, source_map)
+        _check_event(ev, index, state, sites, loops)
         k = ev.kind
         if k == LOAD:
             w(f"L {ev.thread_id} {ev.ins_index} 0x{ev.addr:x} {ev.size} "

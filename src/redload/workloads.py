@@ -8,6 +8,7 @@ loads carrying the values the simulated memory really holds. Identical
 golden inputs for the analysis engine and for the test suite's oracle.
 """
 
+import itertools
 import random
 import struct
 from dataclasses import dataclass, field
@@ -49,7 +50,11 @@ class Scenario:
 
 class _Emitter:
     """Builds one thread's events with a monotonically increasing
-    instruction index."""
+    instruction index.
+
+    Each method bumps the index inline and builds its event positionally:
+    a scenario emits one event per call, so these are the generator's
+    per-event cost."""
 
     __slots__ = ("tid", "ins")
 
@@ -57,35 +62,43 @@ class _Emitter:
         self.tid = tid
         self.ins = start_ins
 
-    def _next(self):
-        i = self.ins
-        self.ins += 1
-        return i
-
     def thread_start(self):
-        return TraceEvent(THREAD_START, self.tid, self._next())
+        i = self.ins
+        self.ins = i + 1
+        return TraceEvent(THREAD_START, self.tid, i)
 
     def call(self, site):
-        return TraceEvent(CALL, self.tid, self._next(), site_id=site)
+        i = self.ins
+        self.ins = i + 1
+        return TraceEvent(CALL, self.tid, i, 0, 0, b"", NONFP, site)
 
     def ret(self, site):
-        return TraceEvent(RETURN, self.tid, self._next(), site_id=site)
+        i = self.ins
+        self.ins = i + 1
+        return TraceEvent(RETURN, self.tid, i, 0, 0, b"", NONFP, site)
 
     def loop(self, loop_id, site):
-        return TraceEvent(LOOPHEAD, self.tid, self._next(), loop_id=loop_id,
-                          site_id=site)
+        i = self.ins
+        self.ins = i + 1
+        return TraceEvent(LOOPHEAD, self.tid, i, 0, 0, b"", NONFP, site,
+                          loop_id)
 
     def load(self, addr, value, site, fp=NONFP):
-        return TraceEvent(LOAD, self.tid, self._next(), addr=addr,
-                          size=len(value), value=value, fp_class=fp,
-                          site_id=site)
+        i = self.ins
+        self.ins = i + 1
+        return TraceEvent(LOAD, self.tid, i, addr, len(value), value, fp,
+                          site)
 
     def alloc(self, base, size):
-        return TraceEvent(ALLOC, self.tid, self._next(), base=base,
-                          alloc_size=size)
+        i = self.ins
+        self.ins = i + 1
+        return TraceEvent(ALLOC, self.tid, i, 0, 0, b"", NONFP, 0, 0, base,
+                          size)
 
     def free(self, base):
-        return TraceEvent(FREE, self.tid, self._next(), base=base)
+        i = self.ins
+        self.ins = i + 1
+        return TraceEvent(FREE, self.tid, i, 0, 0, b"", NONFP, 0, 0, base)
 
 
 def _dyn_base(tid, offset=0):
@@ -93,9 +106,25 @@ def _dyn_base(tid, offset=0):
     return DYNAMIC_BASE + (tid << 36) + offset
 
 
+def _at_least(p, **minimums):
+    """Reject a count below its minimum; builders call this before any
+    event is built, so a bad parameter never reaches a writer."""
+    for key, low in minimums.items():
+        if p[key] < low:
+            raise ConfigError(f"{key} must be >= {low}, got {p[key]}")
+
+
+def _fraction(p, key, high=1.0):
+    value = p[key]
+    if not 0.0 <= value <= high:
+        raise ConfigError(f"{key} must be in [0, {high}], got {value}")
+    return value
+
+
 # ------------------------------------------------------------ scenarios --
 
 def _build_adjacent_equal(p, sm):
+    _at_least(p, reps=0)
     values = tuple(p["values"])
     reps = p["reps"]
     base = STATIC_BASE
@@ -117,6 +146,7 @@ def _build_adjacent_equal(p, sm):
 
 
 def _build_linear_search(p, sm):
+    _at_least(p, n=1, queries=0)
     n = p["n"]
     queries = p["queries"]
     probe = p["probe"]
@@ -150,9 +180,8 @@ def _build_linear_search(p, sm):
 
 
 def _build_hash_collision(p, sm):
+    _at_least(p, chain=1, searches=0)
     chain = p["chain"]
-    if chain < 1:
-        raise ConfigError(f"chain must be >= 1, got {chain}")
     searches = p["searches"]
     table_base = STATIC_BASE
     sm.add_site(1, "main", "hash_collision.c", 20)
@@ -189,6 +218,7 @@ def _build_hash_collision(p, sm):
 
 
 def _build_stencil(p, sm):
+    _at_least(p, nx=0, ny=0, reps=0)
     nx, ny, reps = p["nx"], p["ny"], p["reps"]
     base = STATIC_BASE
     sm.add_site(1, "main", "stencil.c", 1)
@@ -222,6 +252,7 @@ def _build_stencil(p, sm):
 
 
 def _build_forward_copy(p, sm):
+    _at_least(p, len=0, reps=0)
     length, reps = p["len"], p["reps"]
     sm.add_site(1, "main", "forward_copy.c", 12)
     sm.add_site(2, "init", "forward_copy.c", 3)
@@ -250,6 +281,7 @@ def _build_forward_copy(p, sm):
 
 
 def _build_callee_spill(p, sm):
+    _at_least(p, reps=0)
     reps = p["reps"]
     params = (7, 480, 640)
     data_base = STATIC_BASE
@@ -289,6 +321,8 @@ def _sparse_layout(length, zero_density, layout, seed, salt):
 
 
 def _build_sparse_zeros(p, sm):
+    _at_least(p, len=0, passes=0)
+    _fraction(p, "zero_density")
     length = p["len"]
     delta_vals = _sparse_layout(length, p["zero_density"], p["layout"],
                                 p["seed"], 1000)
@@ -320,7 +354,13 @@ def _build_sparse_zeros(p, sm):
 
 
 def _build_approx_drift(p, sm):
+    _at_least(p, len=0, reps=0)
     length, reps, step = p["len"], p["reps"], p["step"]
+    try:
+        (1.0 + step) ** max(reps - 1, 0)    # the largest scale emitted
+    except OverflowError:
+        raise ConfigError(f"step {step} overflows a float within {reps} "
+                          "reps") from None
     base = STATIC_BASE
     sm.add_site(1, "main", "approx_drift.c", 1)
     sm.add_site(3, "main", "approx_drift.c", 5)
@@ -350,11 +390,14 @@ _RM_FP_POOL = (0.0, 1.0, 100.0, 100.4, 100.5, -3.75, float("nan"))
 
 
 def _build_random_mixed(p, sm):
+    # Each third of the region holds an 8-byte gap; at churn 0.8 or more
+    # no draw is left for a load and the stream would never end.
+    _at_least(p, loads=0, region_bytes=24, max_depth=1)
     loads = p["loads"]
     region = p["region_bytes"]
     max_depth = p["max_depth"]
-    fp_fraction = p["fp_fraction"]
-    churn = p["churn"]
+    fp_fraction = _fraction(p, "fp_fraction")
+    churn = _fraction(p, "churn", high=0.79)
     base = STATIC_BASE
 
     sm.add_site(1, "main", "random_mixed.c", 1)
@@ -553,9 +596,6 @@ def generate(scenario):
                                    objects=tuple(statics)))
     streams = [body(_Emitter(tid, start_ins=1 if tid == 0 and prologue else 0),
                     tid) for tid in range(threads)]
-
-    def events():
-        yield from prologue
-        yield from _interleave(streams)
-
-    return events(), sm
+    # One stream interleaves to itself: hand it over without a layer.
+    stream = streams[0] if threads == 1 else _interleave(streams)
+    return itertools.chain(prologue, stream), sm

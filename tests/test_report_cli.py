@@ -191,22 +191,29 @@ def test_cli_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("scenario,param", [
+_OUT_OF_RANGE = (
     ("random_mixed", "region_bytes=5"), ("sparse_zeros", "len=-3"),
     ("approx_drift", "len=-1"), ("callee_spill", "reps=-1"),
-    ("hash_collision", "chain=0")])
-def test_cli_gen_out_of_range_params_exit_1(scenario, param, tmp_path,
+    ("hash_collision", "chain=0"))
+
+
+@pytest.mark.parametrize("scenario,param,form", [
+    pytest.param(scenario, param, form,
+                 id=f"{scenario}-{param}" + ("-text" if form else ""))
+    for form in ((), ("--text",)) for scenario, param in _OUT_OF_RANGE])
+def test_cli_gen_out_of_range_params_exit_1(scenario, param, form, tmp_path,
                                             capsys):
-    # A failed gen leaves no partial trace, and no changed one.
+    # A failed gen leaves no partial trace, and no changed one; the text
+    # form, which has no field a bad size overflows, rejects it as well.
     out = tmp_path / "t.lrt"
-    rc = main(["gen", "--scenario", scenario, "--param", param,
-               "-o", str(out)])
+    argv = ["gen", "--scenario", scenario, "--param", param, *form,
+            "-o", str(out)]
+    rc = main(argv)
     assert rc == 1
     assert capsys.readouterr().err.startswith("redload gen: ")
     assert not out.exists()
     out.write_bytes(b"earlier trace")
-    rc = main(["gen", "--scenario", scenario, "--param", param,
-               "-o", str(out)])
+    rc = main(argv)
     assert rc == 1
     assert out.read_bytes() == b"earlier trace"
     assert os.listdir(tmp_path) == ["t.lrt"]

@@ -10,9 +10,9 @@ from redload.errors import RedloadError, TraceDecodeError, TraceEncodeError
 from redload.sampling import SamplingConfig
 from redload.trace import (CALL, F32, F64, LOAD, LOOPHEAD, NONFP, RETURN,
                            STATIC_IMAGE, THREAD_START, SourceMap, TraceEvent,
-                           _MAX_FP_CLASS, _Reader, _load_error, load_event,
-                           read_text_trace, read_trace, write_text_trace,
-                           write_trace)
+                           _LOAD_SHAPES, _MAX_FP_CLASS, _Reader, _load_error,
+                           load_event, read_text_trace, read_trace,
+                           write_text_trace, write_trace)
 from redload.workloads import Scenario, generate
 
 from helpers import Build, f64, u32
@@ -212,6 +212,52 @@ def test_static_image_larger_than_refill_chunk_roundtrips():
     assert err.value.offset == image_start
 
 
+class ChunkSink:
+    """A binary sink that keeps a copy of each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, b):
+        self.writes.append(bytes(b))
+        return len(b)
+
+    def getvalue(self):
+        return b"".join(self.writes)
+
+
+def test_write_trace_across_chunks_counts_roundtrips_and_fails_whole():
+    events, sm = generate(Scenario("stencil", {"nx": 128, "ny": 64,
+                                               "reps": 3}))
+    events = list(events)
+    sink = ChunkSink()
+    written = write_trace(events, sm, sink)
+    raw = sink.getvalue()
+    assert len(sink.writes) > 1 and len(raw) > _Reader.CHUNK
+    assert written == len(raw)
+    decoded, _ = read_trace(io.BytesIO(raw))
+    assert list(decoded) == events
+
+    # An event past the first chunk fails as it would in the first, and
+    # the sink holds the header and a prefix of whole records.
+    index = len(events) - 10
+    bad = events[index]
+    assert bad.kind == LOAD
+    events[index] = TraceEvent(LOAD, bad.thread_id, bad.ins_index,
+                               addr=bad.addr, size=8, value=b"\x01",
+                               fp_class=F64, site_id=bad.site_id)
+    sink = ChunkSink()
+    with pytest.raises(TraceEncodeError) as err:
+        write_trace(events, sm, sink)
+    assert err.value.event_index == index
+    assert str(err.value) == f"event {index}: value has 1 bytes, size says 8"
+    prefix = sink.getvalue()
+    assert raw.startswith(prefix)
+    decoded, _ = read_trace(io.BytesIO(prefix))
+    kept = list(decoded)    # a record cut short would raise here
+    assert 0 < len(kept) < index and kept == events[:len(kept)]
+
+
 def test_reader_rejects_ins_index_not_increasing_per_thread():
     b = Build(tid=3)
     b.sm.add_site(1, "main", "a.c", 1)
@@ -272,12 +318,15 @@ def test_binary_reader_rejects_bad_load_shapes():
 
 
 def test_decoder_load_shape_check_agrees_with_the_rule():
-    # The decoder's one-lookup test must accept exactly the (size,
-    # fp_class) pairs, both u8, that the full rule accepts.
+    # The decoder's and the encoder's one-lookup tests must accept exactly
+    # the (size, fp_class) pairs that the full rule accepts: all u8 pairs,
+    # and for the encoder, whose input is not u8, negative classes too.
     for size in range(256):
-        for fp in range(256):
-            fast = fp <= _MAX_FP_CLASS.get(size, -1)
-            assert fast == (_load_error(size, fp, size) is None), (size, fp)
+        for fp in range(-2, 256):
+            ok = _load_error(size, fp, size) is None
+            assert ((size, fp) in _LOAD_SHAPES) == ok, (size, fp)
+            if fp >= 0:
+                assert (fp <= _MAX_FP_CLASS.get(size, -1)) == ok, (size, fp)
 
 
 def test_malformed_loads_in_a_gap_are_rejected_like_monitored_ones(

@@ -1,5 +1,6 @@
 """Scenario generation shapes, and the test oracle on whole scenarios."""
 
+import hashlib
 import io
 import struct
 
@@ -9,7 +10,7 @@ from redload.engine import AnalysisConfig, analyze_events
 from redload.errors import ConfigError
 from redload.sampling import SamplingConfig
 from redload.temporal import program_fraction
-from redload.trace import LOAD, write_trace
+from redload.trace import LOAD, write_text_trace, write_trace
 from redload.workloads import Scenario, generate
 
 from oracles import MAX_ORACLE_LOADS, instance_fraction, scenario_analysis
@@ -66,6 +67,19 @@ def test_unknown_scenario_and_params_rejected():
         generate(Scenario("adjacent_equal", {"threads": 0}))
 
 
+@pytest.mark.parametrize("name,params", [
+    ("adjacent_equal", {"reps": -1}), ("linear_search", {"n": 0}),
+    ("linear_search", {"queries": -1}), ("hash_collision", {"searches": -1}),
+    ("stencil", {"nx": -2, "ny": -2}), ("forward_copy", {"len": -1}),
+    ("sparse_zeros", {"zero_density": 1.5}), ("sparse_zeros", {"passes": -1}),
+    ("approx_drift", {"step": 1e10}), ("random_mixed", {"region_bytes": 23}),
+    ("random_mixed", {"churn": 0.8}), ("random_mixed", {"fp_fraction": -0.1}),
+    ("random_mixed", {"max_depth": 0})])
+def test_out_of_range_params_rejected_before_any_event(name, params):
+    with pytest.raises(ConfigError, match="must be|overflows"):
+        generate(Scenario(name, params))
+
+
 def test_generation_is_deterministic_byte_for_byte():
     for name, params in (("random_mixed", {"loads": 800, "seed": 5}),
                          ("sparse_zeros", {"layout": "shuffled", "seed": 9}),
@@ -77,6 +91,62 @@ def test_generation_is_deterministic_byte_for_byte():
             write_trace(events, sm, buf)
             raws.append(buf.getvalue())
         assert raws[0] == raws[1]
+
+
+# SHA-256 of the binary and of the text trace of every scenario, one with
+# two interleaved threads and one in the shape of criterion 9's long scan.
+# Traces are golden inputs, so generation and encoding may get faster but
+# must not change a byte.
+PRODUCER_DIGESTS = [
+    ("adjacent_equal", {},
+     "a355d94f29233e6ad4bbb276445674ca89316b3c6d9f234e2594ad0bb67980a6",
+     "01db20e03af349d9e487dbbba65d9d643dfbdaca6eac5c2fad07be29c5eaddc6"),
+    ("approx_drift", {"len": 2, "reps": 40},
+     "024f3fbc17557e40238b859868285af64e74c5a5d0e4f109f3c62aae9780f7a9",
+     "7ac2b8472923774390aab92e1fa1165eb1701799e1344fb6f74b8f282fecf517"),
+    ("callee_spill", {"reps": 10},
+     "34ab2dc9eed3c890745fdc2e42bd5bc99a867c0d51ed27755c5529bb7b2841bf",
+     "713560f0450efecad26cf70bbbdb4eabd93c14ae7f1b82a3bd534639797fee94"),
+    ("forward_copy", {"len": 16, "reps": 4},
+     "6831112e18eabf2dccb39a34eb1870d35a99b0d5e2e9ebd546f50ba1dc0e0962",
+     "3ba8d29a1ff4fabe4214447b8ee06feae13159d081d81d269f3111d6c2a030b2"),
+    ("hash_collision", {"chain": 8, "searches": 10},
+     "425c0b15cf7f3797eeffe1ef0487bd0c8bc8ee6acd6dabed8564ce5f68f66592",
+     "a1c3159084f347934754fada3945fb1d87d1871cd81b4baa8a388b1d0b37ba4b"),
+    ("linear_search", {"n": 40, "queries": 12},
+     "c8929aaab42c30f287f679c73ff7b418ea6e7e9ea19955e129870d722fac3300",
+     "3b49eed7728dd4341644afced1566f5c5183e4393e94f95c48a77f3c508e2991"),
+    ("random_mixed", {"loads": 1200, "seed": 3},
+     "2fa274677addc9a914282acde93670759734412dc43f73d8f676713e462d9c08",
+     "e2ecd188945487fc767df3ed9e8a865536fd7917c02d3581e9f3abe2a38f8b37"),
+    ("sparse_zeros", {"len": 120},
+     "9baecd606d03d56b144a9e6b518fc91f01cbf6abe767f005e55f67342d2af195",
+     "15c5d391d14ab184d2808e60aa9d5ac001b9b8fd816d6fd90a7502bfc93ace55"),
+    ("stencil", {"nx": 16, "ny": 4},
+     "069a9f815b248cf50bd7ecfe53f540b37370175305d3d47867cc372b7ca8fb32",
+     "b931fb2188c989167f4bd24b870165e67cea2162b9b59882f2c7a0434aa520c9"),
+    ("random_mixed", {"loads": 1200, "seed": 3, "threads": 2},
+     "b348a3f80a49cdd2443699a7bca48262b821b09ff3275ea6a0222cc1e6403027",
+     "2a2c1df8a73953f98bba3b51b60df4a36f97a6273b8a2df7d05a8a93b4e39b4b"),
+    ("linear_search", {"n": 2500, "queries": 4},
+     "3e91845c0f1d9c846f2358354a6b685a9df368e46e08863d14ef6590881dbd4a",
+     "be5564bab78641ae13b35fa48d255100b516cdd4281dc5adb172e677b0511dca"),
+]
+
+
+@pytest.mark.parametrize(
+    "name,params,binary,text", PRODUCER_DIGESTS,
+    ids=[name + "".join(f"-{k}={v}" for k, v in params.items())
+         for name, params, _, _ in PRODUCER_DIGESTS])
+def test_producer_bytes_are_pinned(name, params, binary, text):
+    events, sm = generate(Scenario(name, params))
+    raw = io.BytesIO()
+    write_trace(events, sm, raw)
+    assert hashlib.sha256(raw.getvalue()).hexdigest() == binary
+    events, sm = generate(Scenario(name, params))
+    out = io.StringIO()
+    write_text_trace(events, sm, out)
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == text
 
 
 def test_oracle_adjacent_equal_values():
