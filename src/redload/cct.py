@@ -91,24 +91,17 @@ class ContextTree:
         self.timestamp += 1
         return self._child(self.cursor, LOADSITE, site_id).handle, self.timestamp
 
-    def node(self, handle):
+    def root_path(self, handle):
+        """Node list from the root down to the handle's node; the
+        orientation scope search wants."""
         try:
-            return self.nodes[handle]
+            node = self.nodes[handle]
         except IndexError:
             raise KeyError(f"unknown context handle {handle}") from None
-
-    def path_to_root(self, handle):
-        """Node list from the handle's node (leaf first) up to the root."""
-        node = self.node(handle)
         path = []
         while node is not None:
             path.append(node)
             node = node.parent
-        return path
-
-    def root_path(self, handle):
-        """Node list root-first; the orientation scope search wants."""
-        path = self.path_to_root(handle)
         path.reverse()
         return path
 

@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import signal
 import sys
 
 from . import profiles, workloads
@@ -73,16 +74,25 @@ def _cmd_gen(args):
     # it only once the whole trace is written.
     write, mode, encoding = ((write_text_trace, "x", "utf-8") if args.text
                              else (write_trace, "xb", None))
+    # Until then a SIGTERM becomes SystemExit, so that the cleanup runs.
     tmp = f"{args.output}.{os.getpid()}.tmp"
-    f = open(tmp, mode, encoding=encoding)
+    on_term = signal.signal(signal.SIGTERM, _exit_on_signal)
     try:
-        with f:
-            write(events, source_map, f)
-        os.replace(tmp, args.output)
-    except BaseException:
-        os.remove(tmp)
-        raise
+        f = open(tmp, mode, encoding=encoding)
+        try:
+            with f:
+                write(events, source_map, f)
+            os.replace(tmp, args.output)
+        except BaseException:
+            os.remove(tmp)
+            raise
+    finally:
+        signal.signal(signal.SIGTERM, on_term)
     return 0
+
+
+def _exit_on_signal(signum, frame):
+    raise SystemExit(128 + signum)
 
 
 def _cmd_analyze(args):

@@ -28,14 +28,14 @@ META_MIXED = {"mixed": True}
 def canonical_frame(kind, ident, source_map):
     if kind == FUNCTION or kind == LOADSITE:
         try:
-            function, file, line = source_map.site(ident)
+            function, file, line = source_map.sites[ident]
         except KeyError:
             raise RedloadError(f"unresolved site_id {ident}") from None
         name = function
         tag = "function" if kind == FUNCTION else "load"
     elif kind == LOOP:
         try:
-            file, line = source_map.loop(ident)
+            file, line = source_map.loops[ident]
         except KeyError:
             raise RedloadError(f"unresolved loop_id {ident}") from None
         name = ""

@@ -1,23 +1,18 @@
 """Event model and the binary / text encodings of memory-access traces.
 
 A trace is a header, a source map, and a flat stream of per-thread events.
-The binary form is canonical:
-
-    magic   b"LRT1", version u16 (=1), all integers little-endian
-    source map:
-        u32 site_count, then per site:  u32 id, str function, str file, u32 line
-        u32 loop_count, then per loop:  u32 id, str file, u32 line
-        (str = u16 byte length + UTF-8 bytes)
-    events until EOF, one record each:
-        u8 kind, u32 thread_id, u64 ins_index, kind-specific payload
-
-The text form (one event per line, strings percent-encoded) exists for
-golden-file tests and debugging; see docs/trace-format.md for both layouts.
+The binary form is canonical; the text form (one record per line, strings
+percent-encoded) exists for golden-file tests and debugging. RECORDS
+describes each record once for both forms, so both hold the same values;
+docs/trace-format.md lays them out.
 """
 
 import struct
 from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import fields as dataclass_fields
+from functools import partial
+from itertools import chain, takewhile
+from operator import attrgetter
 from urllib.parse import quote, unquote
 
 from .errors import TraceDecodeError, TraceEncodeError
@@ -25,32 +20,14 @@ from .sampling import monitoring_window
 
 MAGIC = b"LRT1"
 VERSION = 1
+TEXT_HEADER = "LRT1 1"
 
-# Event kinds (u8 tags in the binary encoding).
-LOAD = 1
-CALL = 2
-RETURN = 3
-LOOPHEAD = 4
-ALLOC = 5
-FREE = 6
-STATIC_IMAGE = 7
-THREAD_START = 8
-
-KIND_NAMES = {
-    LOAD: "load",
-    CALL: "call",
-    RETURN: "return",
-    LOOPHEAD: "loophead",
-    ALLOC: "alloc",
-    FREE: "free",
-    STATIC_IMAGE: "static_image",
-    THREAD_START: "thread_start",
-}
+# Event kinds: the u8 tags 1 to 8 of the binary encoding.
+LOAD, CALL, RETURN, LOOPHEAD, ALLOC, FREE, STATIC_IMAGE, THREAD_START = \
+    range(1, 9)
 
 # Floating-point classes of a load.
-NONFP = 0
-F32 = 1
-F64 = 2
+NONFP, F32, F64 = range(3)
 
 FP_NAMES = {NONFP: "nonfp", F32: "f32", F64: "f64"}
 FP_BY_NAME = {v: k for k, v in FP_NAMES.items()}
@@ -108,33 +85,103 @@ class SourceMap:
     def add_loop(self, loop_id, file, line):
         self.loops[loop_id] = (file, line)
 
-    def site(self, site_id):
-        return self.sites[site_id]
-
-    def loop(self, loop_id):
-        return self.loops[loop_id]
-
 
 def load_event(thread_id, ins_index, addr, value, fp_class=NONFP, site_id=0):
     return TraceEvent(LOAD, thread_id, ins_index, addr=addr, size=len(value),
                       value=bytes(value), fp_class=fp_class, site_id=site_id)
 
 
-# One struct per record kind: the common header (kind, thread_id,
-# ins_index) followed by the kind's fixed fields.
-_REC = struct.Struct("<BIQ")             # thread_start
-_REC_LOAD = struct.Struct("<BIQQBBI")    # addr, size, fp_class, site_id
-_REC_SITE = struct.Struct("<BIQI")       # call, return: site_id
-_REC_LOOP = struct.Struct("<BIQII")      # loop_id, site_id
-_REC_ALLOC = struct.Struct("<BIQQQ")     # base, size
-_REC_FREE = struct.Struct("<BIQQ")       # base
-_REC_IMAGE = struct.Struct("<BIQI")      # static_image: object count
-# The longest record other than static_image: a load of 32 value bytes.
-_MAX_FIXED = _REC_LOAD.size + max(LOAD_SIZES)
-
+_HEADER = struct.Struct("<BIQ")   # every record: kind, thread_id, ins_index
 _U32 = struct.Struct("<I")
 _2U64 = struct.Struct("<QQ")
 _U16 = struct.Struct("<H")
+
+
+# Text codecs, (format, parse): a field's value to one token and back.
+_DEC = (str, int)
+_HEX = ("0x{:x}".format, partial(int, base=16))
+_STR = (partial(quote, safe=""), unquote)
+
+
+def _format_objects(objects):
+    return " ".join(f"{quote(name, safe='')}:0x{base:x}:{size}"
+                    for name, base, size in objects)
+
+
+def _parse_objects(tokens):
+    return tuple((unquote(name), int(base, 16), int(size))
+                 for name, base, size in (t.rsplit(":", 2) for t in tokens))
+
+
+class _Row:
+    """One record kind, described once for both forms.
+
+    `fields` are its (attribute, codec) pairs in text order. An event's
+    binary record is `struct` (the kind, then the `packed` fields, with a
+    static image's object count for its objects), then a load's value or
+    an image's objects. A source-map entry (`kind` None, in the SourceMap's
+    `table`) is a u32 id, its strings and a u32 line."""
+
+    def __init__(self, kind, name, tag, layout, *fields, table=None):
+        self.kind, self.name, self.tag, self.table = kind, name, tag, table
+        if layout is not None:      # an event: the header comes first
+            self.struct = struct.Struct(_HEADER.format + layout)
+            fields = (("thread_id", _DEC), ("ins_index", _DEC), *fields)
+            packed = [attr for attr, _ in fields if attr != "value"]
+            self.packed = attrgetter(*packed)
+            # TraceEvent's defaults after ins_index, up to its first payload
+            # field: a kind whose payload fields are adjacent in TraceEvent
+            # (call, return, alloc, free, thread_start) decodes positionally.
+            self.pad = tuple(f.default for f in takewhile(
+                lambda f: f.name not in packed,
+                dataclass_fields(TraceEvent)[3:]))
+        self.fields = fields
+        self.names = [attr for attr, _ in fields]
+
+    def text(self, values):
+        """The text line, without its newline, of `values` in text order."""
+        return " ".join([self.tag, *[fmt(value) for (_, (fmt, _)), value
+                                     in zip(self.fields, values)]]).rstrip()
+
+    def parse(self, tokens):
+        """The values of the tokens after a text line's tag."""
+        if self.kind == STATIC_IMAGE:   # its objects take every token left
+            tokens[2:] = [tokens[2:]]
+        if len(tokens) != len(self.fields):
+            raise ValueError(f"{self.name} takes {len(self.fields)} fields, "
+                             f"not {len(tokens)}")
+        return [parse(t) for (_, (_, parse)), t in zip(self.fields, tokens)]
+
+
+# The record table, by event kind; then the source map's two rows.
+RECORDS = {row.kind: row for row in (
+    _Row(LOAD, "load", "L", "QBBI", ("addr", _HEX), ("size", _DEC),
+         ("value", (bytes.hex, bytes.fromhex)),
+         ("fp_class", (FP_NAMES.__getitem__, FP_BY_NAME.__getitem__)),
+         ("site_id", _DEC)),
+    _Row(CALL, "call", "C", "I", ("site_id", _DEC)),
+    _Row(RETURN, "return", "R", "I", ("site_id", _DEC)),
+    _Row(LOOPHEAD, "loophead", "H", "II", ("loop_id", _DEC),
+         ("site_id", _DEC)),
+    _Row(ALLOC, "alloc", "A", "QQ", ("base", _HEX), ("alloc_size", _DEC)),
+    _Row(FREE, "free", "F", "Q", ("base", _HEX)),
+    _Row(STATIC_IMAGE, "static_image", "S", "I",
+         ("objects", (_format_objects, _parse_objects))),
+    _Row(THREAD_START, "thread_start", "T", ""),
+)}
+_MAP_ROWS = (
+    _Row(None, "site", "site", None, ("id", _DEC), ("function", _STR),
+         ("file", _STR), ("line", _DEC), table="sites"),
+    _Row(None, "loopsite", "loopsite", None, ("id", _DEC), ("file", _STR),
+         ("line", _DEC), table="loops"),
+)
+_BY_TAG = {row.tag: row for row in (*RECORDS.values(), *_MAP_ROWS)}
+
+_REC_LOAD = RECORDS[LOAD].struct    # the hot records, coded unrolled
+_REC_LOOP = RECORDS[LOOPHEAD].struct
+_REC_IMAGE = RECORDS[STATIC_IMAGE].struct
+# The longest record other than static_image: a load of 32 value bytes.
+_MAX_FIXED = _REC_LOAD.size + max(LOAD_SIZES)
 
 
 def _load_error(size, fp_class, value_len):
@@ -192,7 +239,7 @@ def _check_event(ev, index, state, sites, loops):
         depth -= 1
         if ev.site_id not in sites:
             raise TraceEncodeError(f"unresolved site_id {ev.site_id}", index)
-    elif kind not in KIND_NAMES:
+    elif kind not in RECORDS:
         raise TraceEncodeError(f"unknown event kind {kind}", index)
     state[tid] = (ev.ins_index, depth)
 
@@ -200,8 +247,41 @@ def _check_event(ev, index, state, sites, loops):
 def _encode_str(s):
     raw = s.encode("utf-8")
     if len(raw) > 0xFFFF:
-        raise TraceEncodeError(f"string too long ({len(raw)} bytes)")
+        raise struct.error(f"string too long ({len(raw)} bytes)")
     return _U16.pack(len(raw)) + raw
+
+
+def _pack(ev):
+    """The binary record of `ev`; struct.error when a field does not fit."""
+    kind, row = ev.kind, RECORDS[ev.kind]
+    if kind == STATIC_IMAGE:
+        head = row.struct.pack(kind, ev.thread_id, ev.ins_index,
+                               len(ev.objects))
+        return head + b"".join(_encode_str(name) + _2U64.pack(base, size)
+                               for name, base, size in ev.objects)
+    out = row.struct.pack(kind, *row.packed(ev))
+    return out + ev.value if kind == LOAD else out
+
+
+def _pack_entry(values):
+    """A source-map entry's binary form; struct.error as `_pack`."""
+    ident, *strings, line = values
+    return (_U32.pack(ident) + b"".join(map(_encode_str, strings))
+            + _U32.pack(line))
+
+
+def _binary_header(source_map):
+    """Magic, version and source map; TraceEncodeError names a bad entry."""
+    out = bytearray(MAGIC + _U16.pack(VERSION))
+    for row in _MAP_ROWS:
+        table = getattr(source_map, row.table)
+        out += _U32.pack(len(table))
+        for ident in sorted(table):
+            try:
+                out += _pack_entry((ident, *table[ident]))
+            except struct.error as exc:
+                raise TraceEncodeError(f"{row.name} {ident}: {exc}") from None
+    return out
 
 
 def write_trace(events, source_map, sink):
@@ -214,22 +294,7 @@ def write_trace(events, source_map, sink):
     most the header and a prefix of whole records (`redload gen` discards
     it).
     """
-    out = bytearray(MAGIC)
-    out += _U16.pack(VERSION)
-    out += _U32.pack(len(source_map.sites))
-    for site_id in sorted(source_map.sites):
-        function, file, line = source_map.sites[site_id]
-        out += _U32.pack(site_id)
-        out += _encode_str(function)
-        out += _encode_str(file)
-        out += _U32.pack(line)
-    out += _U32.pack(len(source_map.loops))
-    for loop_id in sorted(source_map.loops):
-        file, line = source_map.loops[loop_id]
-        out += _U32.pack(loop_id)
-        out += _encode_str(file)
-        out += _U32.pack(line)
-
+    out = _binary_header(source_map)
     written = 0
     flush_at = _Reader.CHUNK
     state = {}
@@ -246,26 +311,11 @@ def write_trace(events, source_map, sink):
             elif kind == LOOPHEAD:
                 out += _REC_LOOP.pack(kind, ev.thread_id, ev.ins_index,
                                       ev.loop_id, ev.site_id)
-            elif kind == CALL or kind == RETURN:
-                out += _REC_SITE.pack(kind, ev.thread_id, ev.ins_index,
-                                      ev.site_id)
-            elif kind == ALLOC:
-                out += _REC_ALLOC.pack(kind, ev.thread_id, ev.ins_index,
-                                       ev.base, ev.alloc_size)
-            elif kind == FREE:
-                out += _REC_FREE.pack(kind, ev.thread_id, ev.ins_index,
-                                      ev.base)
-            elif kind == STATIC_IMAGE:
-                out += _REC_IMAGE.pack(kind, ev.thread_id, ev.ins_index,
-                                       len(ev.objects))
-                for name, base, size in ev.objects:
-                    out += _encode_str(name)
-                    out += _2U64.pack(base, size)
-            else:  # THREAD_START has no payload
-                out += _REC.pack(kind, ev.thread_id, ev.ins_index)
+            else:
+                out += _pack(ev)
         except struct.error as exc:
-            raise TraceEncodeError(
-                f"{KIND_NAMES[kind]} record: {exc}", index) from None
+            raise TraceEncodeError(f"{RECORDS[kind].name} record: {exc}",
+                                   index) from None
         if len(out) >= flush_at:
             sink.write(out)
             written += len(out)
@@ -309,11 +359,7 @@ class _Reader:
         return out
 
     def unpack(self, st, record_start):
-        if not self.fill(st.size):
-            raise TraceDecodeError("truncated record", record_start)
-        out = st.unpack_from(self.buf, self.pos)
-        self.pos += st.size
-        return out
+        return st.unpack(self.take(st.size, record_start))
 
     def read_str(self, record_start):
         (n,) = self.unpack(_U16, record_start)
@@ -348,19 +394,13 @@ def read_trace(source):
 
     source_map = SourceMap()
     map_start = r.base + r.pos
-    (n_sites,) = r.unpack(_U32, map_start)
-    for _ in range(n_sites):
-        (site_id,) = r.unpack(_U32, map_start)
-        function = r.read_str(map_start)
-        file = r.read_str(map_start)
-        (line,) = r.unpack(_U32, map_start)
-        source_map.add_site(site_id, function, file, line)
-    (n_loops,) = r.unpack(_U32, map_start)
-    for _ in range(n_loops):
-        (loop_id,) = r.unpack(_U32, map_start)
-        file = r.read_str(map_start)
-        (line,) = r.unpack(_U32, map_start)
-        source_map.add_loop(loop_id, file, line)
+    for row in _MAP_ROWS:
+        table = getattr(source_map, row.table)
+        (count,) = r.unpack(_U32, map_start)
+        for _ in range(count):
+            (ident,) = r.unpack(_U32, map_start)
+            table[ident] = (*[r.read_str(map_start) for _ in row.fields[2:]],
+                            *r.unpack(_U32, map_start))
     return BinaryEvents(r), source_map
 
 
@@ -453,43 +493,27 @@ class BinaryEvents:
                         # Positional: loop heads are as frequent as loads.
                         ev = TraceEvent(LOOPHEAD, tid, ins, 0, 0, b"", NONFP,
                                         site_id, loop_id)
-                elif kind == CALL or kind == RETURN:
-                    _, tid, ins, site_id = _REC_SITE.unpack_from(buf, pos)
-                    pos += _REC_SITE.size
-                    ev = TraceEvent(kind, tid, ins, 0, 0, b"", NONFP, site_id)
-                elif kind == ALLOC:
-                    _, tid, ins, base, size = _REC_ALLOC.unpack_from(buf, pos)
-                    pos += _REC_ALLOC.size
-                    ev = TraceEvent(ALLOC, tid, ins, base=base,
-                                    alloc_size=size)
-                elif kind == FREE:
-                    _, tid, ins, base = _REC_FREE.unpack_from(buf, pos)
-                    pos += _REC_FREE.size
-                    ev = TraceEvent(FREE, tid, ins, base=base)
-                elif kind == THREAD_START:
-                    _, tid, ins = _REC.unpack_from(buf, pos)
-                    pos += _REC.size
-                    ev = TraceEvent(THREAD_START, tid, ins)
                 elif kind == STATIC_IMAGE:
                     # May be longer than a chunk: decoded through `r`, which
                     # refills as each object needs.
                     record_start = r.base + start
                     r.pos = pos
                     _, tid, ins, count = r.unpack(_REC_IMAGE, record_start)
-                    objs = []
-                    for _ in range(count):
-                        name = r.read_str(record_start)
-                        base, size = r.unpack(_2U64, record_start)
-                        objs.append((name, base, size))
+                    objs = tuple((r.read_str(record_start),
+                                  *r.unpack(_2U64, record_start))
+                                 for _ in range(count))
                     buf, pos = r.buf, r.pos
                     end = len(buf)
                     start = record_start - r.base   # r.base may have moved
-                    ev = TraceEvent(STATIC_IMAGE, tid, ins,
-                                    objects=tuple(objs))
+                    ev = TraceEvent(STATIC_IMAGE, tid, ins, objects=objs)
+                elif (row := RECORDS.get(kind)) is not None:  # the rest
+                    _, tid, ins, *payload = row.struct.unpack_from(buf, pos)
+                    pos += row.struct.size
+                    ev = TraceEvent(kind, tid, ins, *row.pad, *payload)
                 else:
                     # Read like a record header first: a cut-short one is
                     # truncated, not of unknown kind.
-                    _REC.unpack_from(buf, pos)
+                    _HEADER.unpack_from(buf, pos)
                     raise TraceDecodeError(f"unknown event kind {kind}",
                                            r.base + start)
             except struct.error:
@@ -523,44 +547,27 @@ class BinaryEvents:
         self.skipped = skipped
 
 
-TEXT_HEADER = "LRT1 1"
-
-
 def write_text_trace(events, source_map, sink):
     """One event per line; strings percent-encoded. For debugging and
-    golden-file tests; the binary format is canonical."""
+    golden-file tests; the binary format is canonical, and a record that
+    it cannot hold is a TraceEncodeError here too."""
     w = sink.write
     w(TEXT_HEADER + "\n")
-    for site_id in sorted(source_map.sites):
-        function, file, line = source_map.sites[site_id]
-        w(f"site {site_id} {quote(function, safe='')} {quote(file, safe='')} {line}\n")
-    for loop_id in sorted(source_map.loops):
-        file, line = source_map.loops[loop_id]
-        w(f"loopsite {loop_id} {quote(file, safe='')} {line}\n")
+    _binary_header(source_map)  # fails on an entry the binary cannot hold
+    for row in _MAP_ROWS:
+        table = getattr(source_map, row.table)
+        for ident in sorted(table):
+            w(row.text((ident, *table[ident])) + "\n")
     state = {}
     sites, loops = source_map.sites, source_map.loops
     for index, ev in enumerate(events):
         _check_event(ev, index, state, sites, loops)
-        k = ev.kind
-        if k == LOAD:
-            w(f"L {ev.thread_id} {ev.ins_index} 0x{ev.addr:x} {ev.size} "
-              f"{ev.value.hex()} {FP_NAMES[ev.fp_class]} {ev.site_id}\n")
-        elif k == CALL:
-            w(f"C {ev.thread_id} {ev.ins_index} {ev.site_id}\n")
-        elif k == RETURN:
-            w(f"R {ev.thread_id} {ev.ins_index} {ev.site_id}\n")
-        elif k == LOOPHEAD:
-            w(f"H {ev.thread_id} {ev.ins_index} {ev.loop_id} {ev.site_id}\n")
-        elif k == ALLOC:
-            w(f"A {ev.thread_id} {ev.ins_index} 0x{ev.base:x} {ev.alloc_size}\n")
-        elif k == FREE:
-            w(f"F {ev.thread_id} {ev.ins_index} 0x{ev.base:x}\n")
-        elif k == STATIC_IMAGE:
-            objs = " ".join(f"{quote(name, safe='')}:0x{base:x}:{size}"
-                            for name, base, size in ev.objects)
-            w(f"S {ev.thread_id} {ev.ins_index} {objs}".rstrip() + "\n")
-        elif k == THREAD_START:
-            w(f"T {ev.thread_id} {ev.ins_index}\n")
+        row = RECORDS[ev.kind]
+        try:
+            _pack(ev)
+        except struct.error as exc:
+            raise TraceEncodeError(f"{row.name} record: {exc}", index) from None
+        w(row.text([getattr(ev, attr) for attr in row.names]) + "\n")
 
 
 def _text_events(lines, source_map):
@@ -568,58 +575,27 @@ def _text_events(lines, source_map):
     go into `source_map` as they come."""
     last_ins = {}       # thread_id -> ins_index of its latest event
     for lineno, line in lines:
-        if not line.strip():
+        tag, *tokens = line.split() or (None,)
+        if tag is None:
             continue
-        parts = line.split()
-        tag = parts[0]
+        row = _BY_TAG.get(tag)
+        if row is None:
+            raise TraceDecodeError(f"unknown line tag {tag!r}", lineno)
         try:
-            if tag == "site":
-                source_map.add_site(int(parts[1]), unquote(parts[2]),
-                                    unquote(parts[3]), int(parts[4]))
+            values = row.parse(tokens)
+            if row.kind is None:
+                _pack_entry(values)
+                getattr(source_map, row.table)[values[0]] = tuple(values[1:])
                 continue
-            if tag == "loopsite":
-                source_map.add_loop(int(parts[1]), unquote(parts[2]),
-                                    int(parts[3]))
-                continue
-            if tag == "L":
-                value = bytes.fromhex(parts[5])
-                ev = TraceEvent(
-                    LOAD, int(parts[1]), int(parts[2]), addr=int(parts[3], 16),
-                    size=int(parts[4]), value=value,
-                    fp_class=FP_BY_NAME[parts[6]], site_id=int(parts[7]))
-                error = _load_error(ev.size, ev.fp_class, len(value))
-                if error:
-                    raise TraceDecodeError(error, lineno)
-            elif tag == "C":
-                ev = TraceEvent(CALL, int(parts[1]), int(parts[2]),
-                                site_id=int(parts[3]))
-            elif tag == "R":
-                ev = TraceEvent(RETURN, int(parts[1]), int(parts[2]),
-                                site_id=int(parts[3]))
-            elif tag == "H":
-                ev = TraceEvent(LOOPHEAD, int(parts[1]), int(parts[2]),
-                                loop_id=int(parts[3]), site_id=int(parts[4]))
-            elif tag == "A":
-                ev = TraceEvent(ALLOC, int(parts[1]), int(parts[2]),
-                                base=int(parts[3], 16),
-                                alloc_size=int(parts[4]))
-            elif tag == "F":
-                ev = TraceEvent(FREE, int(parts[1]), int(parts[2]),
-                                base=int(parts[3], 16))
-            elif tag == "S":
-                objs = []
-                for tok in parts[3:]:
-                    name, base, size = tok.rsplit(":", 2)
-                    objs.append((unquote(name), int(base, 16), int(size)))
-                ev = TraceEvent(STATIC_IMAGE, int(parts[1]), int(parts[2]),
-                                objects=tuple(objs))
-            elif tag == "T":
-                ev = TraceEvent(THREAD_START, int(parts[1]), int(parts[2]))
-            else:
-                raise TraceDecodeError(f"unknown line tag {tag!r}", lineno)
-        except TraceDecodeError:
-            raise
-        except (ValueError, KeyError, IndexError) as exc:
+            ev = TraceEvent(row.kind, **dict(zip(row.names, values)))
+            if ev.kind == LOAD and (error := _load_error(
+                    ev.size, ev.fp_class, len(ev.value))):
+                raise TraceDecodeError(error, lineno)
+            _pack(ev)
+        except struct.error as exc:
+            raise TraceDecodeError(f"{row.name} record: {exc}",
+                                   lineno) from None
+        except (ValueError, KeyError) as exc:
             raise TraceDecodeError(f"bad line: {exc}", lineno) from None
         previous = last_ins.get(ev.thread_id, -1)
         if ev.ins_index <= previous:

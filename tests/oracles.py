@@ -88,10 +88,10 @@ def canonical(path, source_map, frames):
         if frame is None:
             kind, ident = step
             if kind == "loop":
-                file, line = source_map.loop(ident)
+                file, line = source_map.loops[ident]
                 frame = ("loop", "", file, line)
             else:
-                function, file, line = source_map.site(ident)
+                function, file, line = source_map.sites[ident]
                 frame = (kind, function, file, line)
             frames[step] = frame
         out.append(frame)

@@ -144,7 +144,7 @@ def test_criterion_3_scope_worked_examples_and_random():
     t.on_loop_head(12)
     h_new, ts_new = t.current_load_context(2)
     assert (ts_old, ts_new) == (3, 5)
-    assert t.node(resolve_scope(t, h_old, ts_old, h_new, ts_new)).ident == 12
+    assert t.nodes[resolve_scope(t, h_old, ts_old, h_new, ts_new)].ident == 12
 
     # Outer-loop walkthrough: timestamps 3 and 10, loops at 8 and 9,
     # select the outer loop.
@@ -160,9 +160,9 @@ def test_criterion_3_scope_worked_examples_and_random():
     l2 = t.on_loop_head(12)
     h_new, ts_new = t.current_load_context(2)
     assert (first[1], ts_new) == (3, 10)
-    assert (t.node(l1).last_pass_ts, t.node(l2).last_pass_ts) == (8, 9)
+    assert (t.nodes[l1].last_pass_ts, t.nodes[l2].last_pass_ts) == (8, 9)
     scope = resolve_scope(t, first[0], first[1], h_new, ts_new)
-    assert t.node(scope).ident == 11
+    assert t.nodes[scope].ident == 11
 
     # 200 seeded randomized nested-loop traces against the pass-history
     # oracle: scopes are part of every row key, so whole-profile equality

@@ -11,7 +11,7 @@ from redload.errors import MalformedTraceError
 def test_call_from_root():
     t = ContextTree()
     h = t.on_call(7)
-    node = t.node(h)
+    node = t.nodes[h]
     assert node.kind == FUNCTION and node.ident == 7
     assert node.parent is t.root
 
@@ -22,7 +22,7 @@ def test_repeated_loop_head_is_one_node_with_updated_pass():
     h1 = t.on_loop_head(4)
     h2 = t.on_loop_head(4)
     assert h1 == h2
-    node = t.node(h1)
+    node = t.nodes[h1]
     # Second pass stores the second counter value.
     assert node.last_pass_ts == 2
     assert t.timestamp == 2
@@ -34,9 +34,9 @@ def test_nested_loops_across_calls_get_ordered_timestamps():
     l1 = t.on_loop_head(10)
     t.on_call(2)            # g
     l2 = t.on_loop_head(20)
-    path = [n.kind for n in t.path_to_root(l2)]
-    assert path == [LOOP, FUNCTION, LOOP, FUNCTION, ROOT]
-    assert t.node(l1).last_pass_ts < t.node(l2).last_pass_ts
+    path = [n.kind for n in t.root_path(l2)]
+    assert path == [ROOT, FUNCTION, LOOP, FUNCTION, LOOP]
+    assert t.nodes[l1].last_pass_ts < t.nodes[l2].last_pass_ts
 
 
 def test_load_context_interns_and_counts():
@@ -47,7 +47,7 @@ def test_load_context_interns_and_counts():
     assert h1 == h2
     assert ts1 == 1         # first timestamp with no prior loops
     assert ts2 == 2
-    leaf = t.node(h1)
+    leaf = t.nodes[h1]
     assert leaf.kind == LOADSITE and leaf.ident == 5
 
 
@@ -62,7 +62,7 @@ def test_paper_inner_loop_walkthrough_timestamps():
     t.on_loop_head(12)
     h_new, ts_new = t.current_load_context(2)
     assert ts_new == 5
-    assert t.node(t.node(h_new).parent.handle).last_pass_ts == 4
+    assert t.nodes[t.nodes[h_new].parent.handle].last_pass_ts == 4
 
 
 def test_paper_outer_loop_walkthrough_timestamps():
@@ -78,8 +78,8 @@ def test_paper_outer_loop_walkthrough_timestamps():
     l2 = t.on_loop_head(12)
     _, ts_new = t.current_load_context(2)
     assert ts_new == 10
-    assert t.node(l1).last_pass_ts == 8
-    assert t.node(l2).last_pass_ts == 9
+    assert t.nodes[l1].last_pass_ts == 8
+    assert t.nodes[l2].last_pass_ts == 9
 
 
 def test_return_unwinds_past_loop_nodes():
@@ -127,24 +127,29 @@ def test_same_loop_id_in_recursive_frames_stays_separate():
     assert t.on_loop_head(10) == inner
 
 
-def test_path_to_root_examples():
+def test_root_path_examples():
     t = ContextTree()
-    assert [n.kind for n in t.path_to_root(0)] == [ROOT]
+    assert t.root_path(0) == [t.root]
     t.on_call(1)
     t.on_loop_head(10)
     t.on_call(2)
     t.on_loop_head(20)
     h, _ = t.current_load_context(3)
-    kinds = [n.kind for n in t.path_to_root(h)]
-    assert kinds == [LOADSITE, LOOP, FUNCTION, LOOP, FUNCTION, ROOT]
-    idents = [n.ident for n in t.path_to_root(h)][:-1]
-    assert idents == [3, 20, 2, 10, 1]
+    path = t.root_path(h)
+    assert [n.kind for n in path] == [ROOT, FUNCTION, LOOP, FUNCTION, LOOP,
+                                      LOADSITE]
+    assert [n.ident for n in path][1:] == [1, 10, 2, 20, 3]
+    # Each node's parent is the one before it, and the last is the handle's.
+    assert path[-1].handle == h
+    assert all(n.parent is p for p, n in zip(path, path[1:]))
 
 
 def test_unknown_handle_raises():
     t = ContextTree()
     with pytest.raises(KeyError):
-        t.node(99)
+        t.root_path(99)
+    with pytest.raises(KeyError):
+        t.structural_path(99)
 
 
 def test_counter_strictly_monotonic_random_walk():
@@ -205,4 +210,4 @@ def test_nesting_property_inner_pass_after_outer():
             t.on_loop_head(20)
         else:
             t.on_loop_head(20)
-        assert t.node(outer).last_pass_ts < t.node(inner).last_pass_ts
+        assert t.nodes[outer].last_pass_ts < t.nodes[inner].last_pass_ts

@@ -3,8 +3,10 @@
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -218,6 +220,29 @@ def test_cli_gen_out_of_range_params_exit_1(scenario, param, form, tmp_path,
     assert out.read_bytes() == b"earlier trace"
     assert os.listdir(tmp_path) == ["t.lrt"]
     capsys.readouterr()
+
+
+def test_cli_gen_killed_by_sigterm_leaves_no_file(tmp_path):
+    # A gen terminated part way through its write removes its temporary
+    # file and writes no output.
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = tmp_path / "t.lrt"
+    gen = subprocess.Popen(
+        [sys.executable, "-m", "redload.cli", "gen", "--scenario",
+         "random_mixed", "--param", "loads=10000000", "-o", str(out)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while not list(tmp_path.glob("t.lrt.*.tmp")):
+            assert gen.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        gen.send_signal(signal.SIGTERM)
+        assert gen.wait(timeout=60) != 0
+    finally:
+        gen.kill()
+        gen.wait()
+    assert os.listdir(tmp_path) == []
 
 
 def test_cli_bad_param_exits_1(tmp_path, capsys):

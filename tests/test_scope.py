@@ -31,7 +31,7 @@ def test_inner_loop_case_resolves_inner_loop():
     t, h_old, ts_old, h_new, ts_new = _walk_inner_case()
     assert (ts_old, ts_new) == (3, 5)
     scope = resolve_scope(t, h_old, ts_old, h_new, ts_new)
-    node = t.node(scope)
+    node = t.nodes[scope]
     assert node.kind == LOOP and node.ident == 12
     assert node.last_pass_ts == 4
 
@@ -50,7 +50,7 @@ def test_outer_loop_case_resolves_outer_loop():
     h_old, ts_old = holds[0]
     assert (ts_old, ts_new) == (3, 10)
     scope = resolve_scope(t, h_old, ts_old, h_new, ts_new)
-    node = t.node(scope)
+    node = t.nodes[scope]
     assert node.kind == LOOP and node.ident == 11
     assert node.last_pass_ts == 8
 
@@ -78,11 +78,11 @@ def test_lca_case_searches_only_common_prefix():
     t.on_loop_head(41)
     h_new, ts_new = t.current_load_context(5)
     scope = resolve_scope(t, h_old, ts_old, h_new, ts_new)
-    node = t.node(scope)
+    node = t.nodes[scope]
     assert node.kind == LOOP and node.ident == 11
     # loop 41 passed between the loads too, but it is not on the common
     # prefix, so it can never be the scope.
-    assert ts_old < t.node(t.cursor.handle).last_pass_ts < ts_new
+    assert ts_old < t.nodes[t.cursor.handle].last_pass_ts < ts_new
 
 
 def test_requires_ordered_timestamps():
@@ -102,7 +102,7 @@ def test_budget_one_resolves_once_and_reuses():
     budget = ScopeBudget(t)
     scope = budget.resolve(("k",), h_old, ts_old, h_new, ts_new)
     assert scope == resolve_scope(t, h_old, ts_old, h_new, ts_new)
-    assert t.node(scope).ident == 12
+    assert t.nodes[scope].ident == 12
     assert budget.scope_for(("k",)) == scope
     assert budget.traversals == 1
 
@@ -118,8 +118,8 @@ def test_distinct_pair_keys_have_distinct_budgets():
     t.on_loop_head(12)
     h_b, ts_b = t.current_load_context(2)
     budget.resolve(("b",), h_old, ts_old, h_b, ts_b)
-    assert t.node(budget.scope_for(("a",))).ident == 12
-    assert t.node(budget.scope_for(("b",))).ident == 11
+    assert t.nodes[budget.scope_for(("a",))].ident == 12
+    assert t.nodes[budget.scope_for(("b",))].ident == 11
     assert resolve_scope(t, h_old, ts_old, h_a, ts_a) is None
     assert budget.traversals == 2
     assert budget.scope_for(("missing",)) is None

@@ -1,18 +1,23 @@
 """Trace format: round-trips, error reporting, fuzz robustness."""
 
+import dataclasses
 import io
 import random
+import re
+from pathlib import Path
 
 import pytest
 
+from redload.cli import main
 from redload.engine import AnalysisConfig, analyze_events, analyze_path
 from redload.errors import RedloadError, TraceDecodeError, TraceEncodeError
 from redload.sampling import SamplingConfig
-from redload.trace import (CALL, F32, F64, LOAD, LOOPHEAD, NONFP, RETURN,
-                           STATIC_IMAGE, THREAD_START, SourceMap, TraceEvent,
-                           _LOAD_SHAPES, _MAX_FP_CLASS, _Reader, _load_error,
-                           load_event, read_text_trace, read_trace,
-                           write_text_trace, write_trace)
+from redload.trace import (ALLOC, CALL, F32, F64, FREE, LOAD, LOOPHEAD,
+                           NONFP, RECORDS, RETURN, STATIC_IMAGE, THREAD_START,
+                           SourceMap, TraceEvent, _BY_TAG, _LOAD_SHAPES,
+                           _MAX_FP_CLASS, _Reader, _load_error, load_event,
+                           read_text_trace, read_trace, write_text_trace,
+                           write_trace)
 from redload.workloads import Scenario, generate
 
 from helpers import Build, f64, u32
@@ -44,7 +49,7 @@ def test_single_load_roundtrips_bit_exactly():
     events, sm, _ = roundtrip([ev], srcmap)
     assert events == [ev]
     assert events[0].value == b"\x01\x00\x00\x00"
-    assert sm.site(1) == ("main", "a.c", 1)
+    assert sm.sites[1] == ("main", "a.c", 1)
 
 
 def _all_kinds_build():
@@ -559,3 +564,149 @@ def test_text_reader_rejects_garbage():
             list(events)
         assert err.value.offset == line, body
         assert str(err.value).startswith(f"offset {line}: {message}"), body
+
+
+# One event of each kind with every field in range; each follows a call,
+# so a return has a frame to close.
+_SAMPLES = {
+    LOAD: TraceEvent(LOAD, 3, 1, addr=0x10, size=8, value=bytes(range(8)),
+                     fp_class=F32, site_id=1),
+    CALL: TraceEvent(CALL, 3, 1, site_id=1),
+    RETURN: TraceEvent(RETURN, 3, 1, site_id=1),
+    LOOPHEAD: TraceEvent(LOOPHEAD, 3, 1, loop_id=2, site_id=1),
+    ALLOC: TraceEvent(ALLOC, 3, 1, base=0x9000, alloc_size=64),
+    FREE: TraceEvent(FREE, 3, 1, base=0x9000),
+    STATIC_IMAGE: TraceEvent(STATIC_IMAGE, 3, 1,
+                             objects=(("a b", 0x2000, 16),)),
+    THREAD_START: TraceEvent(THREAD_START, 3, 1),
+}
+
+# Per field: a value the binary record cannot hold, and a text token of it.
+_OUT_OF_RANGE = {
+    "thread_id": (1 << 32, "4294967296"),
+    "ins_index": (1 << 64, "18446744073709551616"),
+    "addr": (1 << 64, "0x10000000000000000"),
+    "size": (256, "256"),
+    "value": (bytes(3), "000000"),
+    "fp_class": (256, "f16"),
+    "site_id": (1 << 32, "4294967296"),
+    "loop_id": (-1, "-1"),
+    "base": (-0x40, "-0x40"),
+    "alloc_size": (1 << 64, "18446744073709551616"),
+    "objects": ((("a", 0x10, 1 << 64),), "a:0x10:18446744073709551616"),
+}
+
+
+def _two_writes(events, source_map):
+    """The TraceEncodeError of each writer: both must raise one."""
+    errors = []
+    for write, sink in ((write_trace, io.BytesIO()),
+                        (write_text_trace, io.StringIO())):
+        with pytest.raises(TraceEncodeError) as err:
+            write(events, source_map, sink)
+        errors.append(err.value)
+    return errors
+
+
+@pytest.mark.parametrize("kind", sorted(RECORDS),
+                         ids=lambda kind: RECORDS[kind].name)
+def test_every_record_kind_roundtrips_and_rejects_each_field_out_of_range(
+        kind):
+    sm = SourceMap()
+    sm.add_site(1, "main", "a.c", 1)
+    sm.add_loop(2, "a.c", 2)
+    opener = TraceEvent(CALL, 3, 0, site_id=1)
+    good = _SAMPLES[kind]
+    assert roundtrip([opener, good], sm)[0] == [opener, good]
+    out = io.StringIO()
+    write_text_trace([opener, good], sm, out)
+    decoded, got_sm = read_text_trace(text_stream(out.getvalue()))
+    assert list(decoded) == [opener, good] and got_sm == sm
+    *head, line = out.getvalue().splitlines()
+
+    for position, (attr, _) in enumerate(RECORDS[kind].fields):
+        value, token = _OUT_OF_RANGE[attr]
+        bad = dataclasses.replace(good, **{attr: value})
+        binary, text = _two_writes([opener, bad], sm)
+        assert binary.event_index == text.event_index == 1, attr
+        assert str(binary) == str(text)
+        tokens = line.split()
+        tokens[1 + position] = token
+        decoded, _ = read_text_trace(text_stream(
+            "\n".join([*head, " ".join(tokens)]) + "\n"))
+        with pytest.raises(TraceDecodeError) as err:
+            list(decoded)
+        assert err.value.offset == len(head) + 1, attr
+
+
+def test_text_form_holds_only_what_the_binary_form_holds(tmp_path, capsys):
+    sm = SourceMap()
+    sm.add_site(1, "main", "a.c", 1)
+    for ev in (TraceEvent(THREAD_START, 1 << 32, 0),
+               TraceEvent(ALLOC, 0, 0, base=-0x40, alloc_size=-8)):
+        binary, text = _two_writes([ev], sm)
+        assert binary.event_index == text.event_index == 0
+        assert str(text).startswith(f"event 0: {RECORDS[ev.kind].name} "
+                                    "record: ")
+
+    trace, profile = tmp_path / "t.txt", tmp_path / "p.json"
+    for line in ("S 4294967296 1 A:0x10:-12", "A 0 1 -0x40 -8",
+                 "L 0 1 -0x10 4 00000000 nonfp 1"):
+        trace.write_text(f"LRT1 1\nsite 1 main a.c 1\nT 0 0\n{line}\n")
+        assert main(["analyze", str(trace), "-o", str(profile)]) == 1
+        assert "offset 4: " in capsys.readouterr().err
+        assert not profile.exists()
+
+    with pytest.raises(TraceDecodeError) as err:
+        read_text_trace(text_stream("LRT1 1\nsite 4294967296 main a.c -1\n"))
+    assert err.value.offset == 2
+    assert str(err.value).startswith("offset 2: site record: ")
+
+    # A source-map entry out of range names itself in either writer.
+    for site_id, line in ((1 << 32, 1), (1, -1)):
+        big = SourceMap()
+        big.add_site(site_id, "main", "a.c", line)
+        for error in _two_writes([], big):
+            assert str(error).startswith(f"site {site_id}: ")
+    long_name = SourceMap()
+    long_name.add_loop(1, "x" * 0x10000, 3)
+    for error in _two_writes([], long_name):
+        assert str(error) == "loopsite 1: string too long (65536 bytes)"
+
+
+def test_text_line_with_a_field_missing_or_extra_is_a_bad_line():
+    for line, message in (("C 0 1", "call takes 3 fields, not 2"),
+                          ("C 0 1 1 7", "call takes 3 fields, not 4"),
+                          ("T 0 1 x", "thread_start takes 2 fields, not 3"),
+                          ("L 0 1 0x10 4 00000000 nonfp",
+                           "load takes 7 fields, not 6"),
+                          ("site 2 f a.c", "site takes 4 fields, not 3"),
+                          ("loopsite 2 a.c 3 4",
+                           "loopsite takes 3 fields, not 4")):
+        with pytest.raises(TraceDecodeError) as err:
+            events, _ = read_text_trace(text_stream(
+                f"LRT1 1\nsite 1 main a.c 1\n{line}\n"))
+            list(events)
+        assert str(err.value) == f"offset 3: bad line: {message}", line
+
+
+def test_doc_record_table_matches_the_code():
+    doc = (Path(__file__).resolve().parents[1] / "docs"
+           / "trace-format.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| (\w+) \| (\d+) \| `(\w)` \| (.+) \|$", doc,
+                      re.MULTILINE)
+    assert sorted(int(number) for _, number, _, _ in rows) == sorted(RECORDS)
+    codes = {"u8": "B", "u32": "I", "u64": "Q"}
+    for name, number, tag, payload in rows:
+        row = RECORDS[int(number)]
+        assert (row.name, row.tag) == (name, tag)
+        # The record's fixed fields come before a value or object list.
+        fixed = re.findall(r"\w+ (u8|u32|u64)\b", payload.split("then")[0])
+        assert row.struct.format == "<BIQ" + "".join(map(codes.get, fixed))
+    # The text form's line layouts: every tag, with its field count.
+    block = doc[doc.index("LRT1 1\nsite"):].split("```")[0]
+    layouts = [line.split() for line in block.splitlines()[1:]]
+    assert sorted(tag for tag, *_ in layouts) == sorted(_BY_TAG)
+    for tag, *fields in layouts:
+        assert len([f for f in fields if f != "..."]) == \
+            len(_BY_TAG[tag].fields), tag
