@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from . import trace as tr
 from .cct import ContextTree
-from .errors import MalformedTraceError, TraceDecodeError
+from .errors import ConfigError, MalformedTraceError, TraceDecodeError
 from .profiles import canonicalize, merge_all
 from .sampling import SamplingConfig, monitoring_window
 from .scope import ScopeBudget
@@ -29,6 +29,12 @@ from .trace import ALLOC, CALL, FREE, LOAD, LOOPHEAD, RETURN, STATIC_IMAGE
 class AnalysisConfig:
     sampling: SamplingConfig = field(default_factory=SamplingConfig)
     approx_epsilon: float = DEFAULT_EPSILON
+
+    def __post_init__(self):
+        # NaN fails the comparison too: JSON holds neither it nor inf.
+        if not 0 <= self.approx_epsilon < float("inf"):
+            raise ConfigError("approx_epsilon must be finite and >= 0, "
+                              f"not {self.approx_epsilon!r}")
 
     def meta(self):
         return {

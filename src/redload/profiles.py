@@ -25,29 +25,29 @@ PROFILE_VERSION = 1
 META_MIXED = {"mixed": True}
 
 
-def canonical_frame(kind, ident, source_map):
-    if kind == FUNCTION or kind == LOADSITE:
-        try:
-            function, file, line = source_map.sites[ident]
-        except KeyError:
-            raise RedloadError(f"unresolved site_id {ident}") from None
-        name = function
-        tag = "function" if kind == FUNCTION else "load"
-    elif kind == LOOP:
-        try:
-            file, line = source_map.loops[ident]
-        except KeyError:
-            raise RedloadError(f"unresolved loop_id {ident}") from None
-        name = ""
-        tag = "loop"
-    else:
-        raise RedloadError(f"cannot canonicalize node kind {kind}")
-    return (tag, name, file, line)
+def _frame_table(source_map):
+    """(kind, ident) -> canonical frame, for each context-tree node kind
+    and each id the source map resolves; a structural path is a tuple of
+    these keys."""
+    table = {}
+    for ident, (function, file, line) in source_map.sites.items():
+        table[FUNCTION, ident] = ("function", function, file, line)
+        table[LOADSITE, ident] = ("load", function, file, line)
+    for ident, (file, line) in source_map.loops.items():
+        table[LOOP, ident] = ("loop", "", file, line)
+    return table
 
 
-def canonical_path(structural_path, source_map):
-    return tuple(canonical_frame(kind, ident, source_map)
-                 for kind, ident in structural_path)
+def _frames(table, keys, where):
+    """The frames of `keys`. A trace reader rejects an id that its source
+    map does not resolve; an event list given in memory meets no reader,
+    so a key missing from `table` is a RedloadError naming `where`."""
+    try:
+        return tuple([table[key] for key in keys])
+    except KeyError as exc:
+        kind, ident = exc.args[0]
+        name = "loop_id" if kind == LOOP else "site_id"
+        raise RedloadError(f"{where}: unresolved {name} {ident}") from None
 
 
 @dataclass(eq=True)
@@ -63,9 +63,13 @@ class Profile:
 
 
 def _fold(key, counters, rows):
+    """Add `counters` to the row of `key` in `rows`. A new row is the
+    counters object itself; a row already there is replaced by a new sum,
+    so no counters object is changed, even one that two profiles share."""
+    size = len(rows)
     # setdefault hashes the nested key once for the common, new-key case.
     row = rows.setdefault(key, counters)
-    if row is not counters:
+    if len(rows) == size:
         total = row.copy()
         total.add(counters)
         rows[key] = total
@@ -76,10 +80,10 @@ def canonicalize(worker, source_map):
 
     `worker` carries tree, temporal and spatial detectors, and the two
     scope budgets. Raises when a handle's site or loop id is missing from
-    the source map, naming the handle. A row that alone makes up its
-    canonical key keeps the worker's counter object; rows that fold
-    together are summed into a new one, so the worker is never changed.
+    the source map, naming the handle and the id. Rows fold through
+    `_fold`, so the worker is never changed.
     """
+    frames = _frame_table(source_map)
     tree = worker.tree
     nodes = tree.nodes
     paths = {tree.root.handle: ()}      # handle -> canonical path
@@ -98,12 +102,12 @@ def canonicalize(worker, source_map):
         while (path := paths.get(node.handle)) is None:
             pending.append(node)
             node = node.parent
-        try:
-            for node in reversed(pending):
-                path += (canonical_frame(node.kind, node.ident, source_map),)
-                paths[node.handle] = path
-        except RedloadError as exc:
-            raise RedloadError(f"context handle {handle}: {exc}") from None
+        pending.reverse()
+        keys = [(n.kind, n.ident) for n in pending]
+        where = f"context handle {handle}"
+        for node, frame in zip(pending, _frames(frames, keys, where)):
+            path += (frame,)
+            paths[node.handle] = path
         return path
 
     temporal = worker.temporal
@@ -119,8 +123,8 @@ def canonicalize(worker, source_map):
     def object_key(rkey):
         kind, ident = rkey
         if kind == STATIC:
-            return (STATIC, ident)
-        return (DYNAMIC, canonical_path(ident, source_map))
+            return rkey
+        return (DYNAMIC, _frames(frames, ident, "allocation context"))
 
     spatial = worker.spatial
     for rkey, counters in spatial.object_rows.items():
@@ -148,23 +152,17 @@ def _merge_meta(a, b):
 
 
 def merge(a, b):
-    """Row-wise sum of two profiles; keys match iff fully equal."""
+    """Row-wise sum of two profiles; keys match iff fully equal. Rows fold
+    as in `canonicalize`, so neither input is changed."""
     out = Profile(totals=a.totals.copy(),
                   thread_count=a.thread_count + b.thread_count,
                   meta=_merge_meta(a.meta, b.meta))
     out.totals.add(b.totals)
-    for source, target in ((a.temporal_pairs, out.temporal_pairs),
-                           (b.temporal_pairs, out.temporal_pairs),
-                           (a.objects, out.objects),
-                           (b.objects, out.objects),
-                           (a.spatial_pairs, out.spatial_pairs),
-                           (b.spatial_pairs, out.spatial_pairs)):
-        for key, counters in source.items():
-            copy = counters.copy()
-            # One hash of the nested key, where get-then-set takes two.
-            row = target.setdefault(key, copy)
-            if row is not copy:
-                row.add(counters)
+    for table in ("temporal_pairs", "objects", "spatial_pairs"):
+        rows = getattr(out, table)
+        for source in (a, b):
+            for key, counters in getattr(source, table).items():
+                _fold(key, counters, rows)
     return out
 
 

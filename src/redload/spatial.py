@@ -19,26 +19,23 @@ DYNAMIC = "dynamic"
 
 
 class ObjectDescriptor:
-    __slots__ = ("object_id", "kind", "name", "alloc_context", "base",
-                 "size", "end", "live", "report_key")
+    """One object's identity and range. `report_key` is (STATIC, name) or
+    (DYNAMIC, structural path of its allocation context): objects with
+    equal keys share their rows."""
 
-    def __init__(self, object_id, kind, name, alloc_context, base, size):
+    __slots__ = ("object_id", "report_key", "base", "size", "end", "live")
+
+    def __init__(self, object_id, report_key, base, size):
         self.object_id = object_id
-        self.kind = kind
-        self.name = name                    # static objects
-        self.alloc_context = alloc_context  # dynamic objects: structural path
+        self.report_key = report_key
         self.base = base
         self.size = size
         self.end = base + size
         self.live = True
-        if kind == STATIC:
-            self.report_key = (STATIC, name)
-        else:
-            self.report_key = (DYNAMIC, alloc_context)
 
 
 # An empty range: the lookup memo of a registry that has hit nothing.
-_NOWHERE = ObjectDescriptor(0, STATIC, None, None, 0, 0)
+_NOWHERE = ObjectDescriptor(0, (STATIC, None), 0, 0)
 
 
 class ObjectRegistry:
@@ -55,7 +52,10 @@ class ObjectRegistry:
         self.next_id = 1
         self._last = _NOWHERE   # the object the latest hit found
 
-    def _insert(self, desc):
+    def _insert(self, report_key, base, size):
+        """The descriptor of a new live object, registered."""
+        desc = ObjectDescriptor(self.next_id, report_key, base, size)
+        self.next_id += 1
         idx = bisect_right(self.bases, desc.base)
         if idx > 0:
             prev = self.by_base[self.bases[idx - 1]]
@@ -71,17 +71,14 @@ class ObjectRegistry:
                     f"live object at {nxt.base:#x}")
         insort(self.bases, desc.base)
         self.by_base[desc.base] = desc
+        return desc
 
     def on_alloc(self, base, size, alloc_context):
-        desc = ObjectDescriptor(self.next_id, DYNAMIC, None, alloc_context,
-                                base, size)
-        self.next_id += 1
-        self._insert(desc)
-        return desc.object_id
+        return self._insert((DYNAMIC, alloc_context), base, size).object_id
 
     def on_free(self, base):
         desc = self.by_base.get(base)
-        if desc is None or desc.kind != DYNAMIC:
+        if desc is None or desc.report_key[0] != DYNAMIC:
             raise MalformedTraceError(f"free of {base:#x} matches no live "
                                       "dynamic object")
         desc.live = False
@@ -91,10 +88,7 @@ class ObjectRegistry:
 
     def on_static_image(self, objects):
         for name, base, size in objects:
-            desc = ObjectDescriptor(self.next_id, STATIC, name, None,
-                                    base, size)
-            self.next_id += 1
-            self._insert(desc)
+            self._insert((STATIC, name), base, size)
 
     def lookup(self, addr):
         """The unique live object containing addr, or None.

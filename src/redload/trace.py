@@ -25,6 +25,7 @@ TEXT_HEADER = "LRT1 1"
 # Event kinds: the u8 tags 1 to 8 of the binary encoding.
 LOAD, CALL, RETURN, LOOPHEAD, ALLOC, FREE, STATIC_IMAGE, THREAD_START = \
     range(1, 9)
+_SITED = frozenset((LOAD, CALL, RETURN, LOOPHEAD))    # kinds with a site_id
 
 # Floating-point classes of a load.
 NONFP, F32, F64 = range(3)
@@ -100,7 +101,9 @@ _U16 = struct.Struct("<H")
 # Text codecs, (format, parse): a field's value to one token and back.
 _DEC = (str, int)
 _HEX = ("0x{:x}".format, partial(int, base=16))
-_STR = (partial(quote, safe=""), unquote)
+# Percent-encoded, and '' as `""`, a token quote never writes (`"` is %22).
+_STR = (lambda s: quote(s, safe="") or '""',
+        lambda token: "" if token == '""' else unquote(token))
 
 
 def _format_objects(objects):
@@ -200,9 +203,15 @@ def _load_error(size, fp_class, value_len):
     return None
 
 
-def _check_event(ev, index, state, sites, loops):
-    """Validate one event against the format invariants and the source
-    map's `sites` and `loops` tables.
+def _not_increasing(tid, ins_index, previous):
+    return (f"ins_index {ins_index} after {previous} in thread {tid}: "
+            "not strictly increasing")
+
+
+def _check_event(ev, state, source_map):
+    """Why `ev` breaks the format, or None when it does not: the rule of
+    both writers and of the text reader, whose ids must resolve in
+    `source_map`.
 
     `state` carries per-thread (last ins_index, open call depth) so a single
     streaming pass can enforce ordering and balance.
@@ -210,38 +219,29 @@ def _check_event(ev, index, state, sites, loops):
     tid = ev.thread_id
     last_ins, depth = state.get(tid, (-1, 0))
     if ev.ins_index <= last_ins:
-        raise TraceEncodeError(
-            f"ins_index {ev.ins_index} not increasing in thread {tid}", index)
+        return _not_increasing(tid, ev.ins_index, last_ins)
     if ev.passes != 1:
-        raise TraceEncodeError(
-            f"event stands for {ev.passes} passes; a record holds one", index)
+        return f"event stands for {ev.passes} passes; a record holds one"
     kind = ev.kind
     if kind == LOAD:
         size = ev.size
         if (size, ev.fp_class) not in _LOAD_SHAPES or len(ev.value) != size:
-            raise TraceEncodeError(
-                _load_error(size, ev.fp_class, len(ev.value)), index)
-        if ev.site_id not in sites:
-            raise TraceEncodeError(f"unresolved site_id {ev.site_id}", index)
+            return _load_error(size, ev.fp_class, len(ev.value))
     elif kind == LOOPHEAD:
-        if ev.loop_id not in loops:
-            raise TraceEncodeError(f"unresolved loop_id {ev.loop_id}", index)
-        if ev.site_id not in sites:
-            raise TraceEncodeError(f"unresolved site_id {ev.site_id}", index)
+        if ev.loop_id not in source_map.loops:
+            return f"unresolved loop_id {ev.loop_id}"
     elif kind == CALL:
         depth += 1
-        if ev.site_id not in sites:
-            raise TraceEncodeError(f"unresolved site_id {ev.site_id}", index)
     elif kind == RETURN:
         if depth == 0:
-            raise TraceEncodeError(
-                f"return with no open call in thread {tid}", index)
+            return f"return with no open call in thread {tid}"
         depth -= 1
-        if ev.site_id not in sites:
-            raise TraceEncodeError(f"unresolved site_id {ev.site_id}", index)
     elif kind not in RECORDS:
-        raise TraceEncodeError(f"unknown event kind {kind}", index)
+        return f"unknown event kind {kind}"
+    if kind in _SITED and ev.site_id not in source_map.sites:
+        return f"unresolved site_id {ev.site_id}"
     state[tid] = (ev.ins_index, depth)
+    return None
 
 
 def _encode_str(s):
@@ -298,9 +298,9 @@ def write_trace(events, source_map, sink):
     written = 0
     flush_at = _Reader.CHUNK
     state = {}
-    sites, loops = source_map.sites, source_map.loops
     for index, ev in enumerate(events):
-        _check_event(ev, index, state, sites, loops)
+        if (error := _check_event(ev, state, source_map)) is not None:
+            raise TraceEncodeError(error, index)
         kind = ev.kind
         try:
             if kind == LOAD:
@@ -370,19 +370,13 @@ class _Reader:
                                    record_start) from None
 
 
-def _not_increasing(tid, ins_index, previous, record_start):
-    return TraceDecodeError(
-        f"ins_index {ins_index} after {previous} in thread {tid}: "
-        "not strictly increasing", record_start)
-
-
 def read_trace(source):
     """Decode a binary trace; returns (BinaryEvents, SourceMap).
 
     The header and source map are read eagerly; events stream lazily with
     memory bounded independent of trace length. Raises TraceDecodeError with
-    a byte offset on bad magic, truncation, an unknown event kind, or an
-    ins_index that does not increase within its thread.
+    a byte offset on bad magic, truncation, or a record that breaks a rule
+    of docs/trace-format.md, ids resolving in the source map included.
     """
     r = _Reader(source)
     magic = r.take(4, 0) if r.fill(1) else b""
@@ -401,7 +395,7 @@ def read_trace(source):
             (ident,) = r.unpack(_U32, map_start)
             table[ident] = (*[r.read_str(map_start) for _ in row.fields[2:]],
                             *r.unpack(_U32, map_start))
-    return BinaryEvents(r), source_map
+    return BinaryEvents(r, source_map), source_map
 
 
 class BinaryEvents:
@@ -422,10 +416,11 @@ class BinaryEvents:
     names can count them. Ungated, every record is yielded as it is read.
     """
 
-    def __init__(self, reader):
+    def __init__(self, reader, source_map):
         self.sampling = None
         self.skipped = 0
-        self._events = self._decode(reader)
+        self._events = self._decode(reader, source_map.sites,
+                                    source_map.loops)
 
     def __iter__(self):
         # A for loop steps the generator itself, without a call per event.
@@ -434,7 +429,7 @@ class BinaryEvents:
     def __next__(self):
         return next(self._events)
 
-    def _decode(self, r):
+    def _decode(self, r, sites, loops):
         # The loop keeps the buffer and the offset in locals and hands them
         # back to `r` only to refill. Every record but static_image fits in
         # _MAX_FIXED bytes, so once that many are buffered (or the stream
@@ -469,12 +464,12 @@ class BinaryEvents:
                     _, tid, ins, addr, size, fp_class, site_id = \
                         _REC_LOAD.unpack_from(buf, pos)
                     if fp_class > _MAX_FP_CLASS.get(size, -1):
-                        raise TraceDecodeError(
-                            _load_error(size, fp_class, size), r.base + start)
+                        raise ValueError(_load_error(size, fp_class, size))
+                    if site_id not in sites:
+                        raise ValueError(f"unresolved site_id {site_id}")
                     pos += _REC_LOAD.size + size
                     if pos > end:
-                        raise TraceDecodeError("truncated record",
-                                               r.base + start)
+                        raise ValueError("truncated record")
                     if not lo <= ins < hi:
                         lo, hi, monitored = monitoring_window(ins, sampling)
                     if monitored or tid not in last_ins:
@@ -486,6 +481,11 @@ class BinaryEvents:
                     _, tid, ins, loop_id, site_id = \
                         _REC_LOOP.unpack_from(buf, pos)
                     pos += _REC_LOOP.size
+                    # The held loop head's loop_id has passed this test.
+                    if loop_id != held_loop and loop_id not in loops:
+                        raise ValueError(f"unresolved loop_id {loop_id}")
+                    if site_id not in sites:
+                        raise ValueError(f"unresolved site_id {site_id}")
                     if tid == held_tid and loop_id == held_loop:
                         passes += 1
                         ev = None
@@ -509,19 +509,22 @@ class BinaryEvents:
                 elif (row := RECORDS.get(kind)) is not None:  # the rest
                     _, tid, ins, *payload = row.struct.unpack_from(buf, pos)
                     pos += row.struct.size
+                    if kind in _SITED and payload[0] not in sites:
+                        raise ValueError(f"unresolved site_id {payload[0]}")
                     ev = TraceEvent(kind, tid, ins, *row.pad, *payload)
                 else:
                     # Read like a record header first: a cut-short one is
                     # truncated, not of unknown kind.
                     _HEADER.unpack_from(buf, pos)
-                    raise TraceDecodeError(f"unknown event kind {kind}",
-                                           r.base + start)
+                    raise ValueError(f"unknown event kind {kind}")
+                previous = last_ins.get(tid, -1)
+                if ins <= previous:
+                    raise ValueError(_not_increasing(tid, ins, previous))
             except struct.error:
                 raise TraceDecodeError("truncated record",
                                        r.base + start) from None
-            previous = last_ins.get(tid, -1)
-            if ins <= previous:
-                raise _not_increasing(tid, ins, previous, r.base + start)
+            except ValueError as exc:   # the record breaks a format rule
+                raise TraceDecodeError(str(exc), r.base + start) from None
             last_ins[tid] = ins
             if ev is None:
                 skipped += 1
@@ -559,9 +562,9 @@ def write_text_trace(events, source_map, sink):
         for ident in sorted(table):
             w(row.text((ident, *table[ident])) + "\n")
     state = {}
-    sites, loops = source_map.sites, source_map.loops
     for index, ev in enumerate(events):
-        _check_event(ev, index, state, sites, loops)
+        if (error := _check_event(ev, state, source_map)) is not None:
+            raise TraceEncodeError(error, index)
         row = RECORDS[ev.kind]
         try:
             _pack(ev)
@@ -572,8 +575,9 @@ def write_text_trace(events, source_map, sink):
 
 def _text_events(lines, source_map):
     """Events of the numbered lines after the header; source-map lines
-    go into `source_map` as they come."""
-    last_ins = {}       # thread_id -> ins_index of its latest event
+    go into `source_map` as they come, so an id resolves only in the
+    events after its line."""
+    state = {}
     for lineno, line in lines:
         tag, *tokens = line.split() or (None,)
         if tag is None:
@@ -588,8 +592,7 @@ def _text_events(lines, source_map):
                 getattr(source_map, row.table)[values[0]] = tuple(values[1:])
                 continue
             ev = TraceEvent(row.kind, **dict(zip(row.names, values)))
-            if ev.kind == LOAD and (error := _load_error(
-                    ev.size, ev.fp_class, len(ev.value))):
+            if (error := _check_event(ev, state, source_map)) is not None:
                 raise TraceDecodeError(error, lineno)
             _pack(ev)
         except struct.error as exc:
@@ -597,10 +600,6 @@ def _text_events(lines, source_map):
                                    lineno) from None
         except (ValueError, KeyError) as exc:
             raise TraceDecodeError(f"bad line: {exc}", lineno) from None
-        previous = last_ins.get(ev.thread_id, -1)
-        if ev.ins_index <= previous:
-            raise _not_increasing(ev.thread_id, ev.ins_index, previous, lineno)
-        last_ins[ev.thread_id] = ev.ins_index
         yield ev
 
 

@@ -1,5 +1,6 @@
 """Canonicalization, merge algebra, profile JSON round-trips."""
 
+import copy
 import json
 import random
 import sys
@@ -90,6 +91,26 @@ def test_merge_sums_matching_rows():
     assert row.total_instances == 8 and row.redundant_bytes_precise == 32
     # Inputs are untouched.
     assert a.temporal_pairs[key].total_instances == 3
+
+
+def test_merge_leaves_both_inputs_unchanged():
+    rng = random.Random(5)
+    for _ in range(20):
+        a, b = _random_profile(rng), _random_profile(rng)
+        for key in a.temporal_pairs:        # rows that must be summed
+            b.temporal_pairs[key] = _random_counters(rng)
+        before = copy.deepcopy((a, b))
+        merged = merge(a, b)
+        assert (a, b) == before
+        # A merged profile shares rows with its inputs; folding it with
+        # one of them again must neither change it nor skip a row.
+        twice = merge(merged, a)
+        assert (a, b) == before
+        for key, row in a.temporal_pairs.items():
+            expected = merged.temporal_pairs[key].copy()
+            expected.add(row)
+            assert twice.temporal_pairs[key] == expected
+        assert merge(a, a) == merge(a, copy.deepcopy(a))
 
 
 def test_scope_none_only_merges_with_none():
@@ -201,6 +222,20 @@ def test_canonicalize_unresolved_ancestor_names_requested_handle():
         analyze_events(b.events, b.sm, FULL)
     assert "context handle 3" in str(err.value)
     assert "unresolved site_id 9" in str(err.value)
+
+
+def test_canonicalize_unresolved_allocation_context_names_the_id():
+    # No load runs inside call 9, so only the object's key holds it.
+    b = Build()
+    b.sm.add_site(1, "main", "m.c", 1)
+    b.thread_start()
+    b.call(9)
+    b.alloc(0x100, 8)
+    b.ret(9)
+    b.load(0x100, u32(1), 1)
+    with pytest.raises(RedloadError) as err:
+        analyze_events(b.events, b.sm, FULL)
+    assert str(err.value) == "allocation context: unresolved site_id 9"
 
 
 def test_canonicalize_path_deeper_than_recursion_limit():

@@ -13,6 +13,7 @@ import pytest
 
 from redload.cli import main
 from redload.engine import AnalysisConfig, analyze_events
+from redload.errors import ConfigError
 from redload.profiles import load as load_profile
 from redload.profiles import save, to_json
 from redload.report import build_report, report_json, report_text
@@ -262,6 +263,24 @@ def test_cli_sampling_flags_conflict(tmp_path, capsys):
                "--no-sampling", "--window-enable", "10"])
     assert rc == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf", "-1"])
+def test_cli_analyze_rejects_a_bad_approx_epsilon(epsilon, tmp_path,
+                                                  capsys):
+    # A profile's JSON can hold neither NaN nor an infinity.
+    trace, profile = tmp_path / "t.lrt", tmp_path / "p.json"
+    main(["gen", "--scenario", "adjacent_equal", "-o", str(trace)])
+    rc = main(["analyze", str(trace), "-o", str(profile),
+               f"--approx-epsilon={epsilon}"])
+    assert rc == 1
+    assert "approx_epsilon must be finite and >= 0" in \
+        capsys.readouterr().err
+    assert not profile.exists()
+    with pytest.raises(ConfigError):
+        AnalysisConfig(approx_epsilon=float(epsilon))
+    assert main(["analyze", str(trace), "-o", str(profile),
+                 "--approx-epsilon=0"]) == 0
 
 
 def test_cli_module_entry_point(tmp_path):

@@ -28,7 +28,6 @@ def test_static_image_lookup():
     reg = ObjectRegistry()
     reg.on_static_image([("A", 0x2000, 16)])
     desc = reg.lookup(0x2004)
-    assert desc.kind == "static" and desc.name == "A"
     assert desc.report_key == ("static", "A")
 
 

@@ -7,6 +7,8 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from redload.cli import main
 from redload.engine import AnalysisConfig, analyze_events, analyze_path
@@ -400,7 +402,7 @@ def test_fuzz_reader_never_raises_anything_else(tmp_path):
     sampled = AnalysisConfig(sampling=SamplingConfig(2, 3))
     path = tmp_path / "mutant.lrt"
     analyzed = 0
-    for trial in range(300):
+    for trial in range(400):
         if trial % 3 == 0:
             raw = bytes(rng.randrange(256)
                         for _ in range(rng.randrange(0, 80)))
@@ -425,6 +427,196 @@ def test_fuzz_reader_never_raises_anything_else(tmp_path):
         assert _outcome(lambda: analyze_path(str(path), sampled)) == \
             _outcome(lambda: analyze_events(iter(events), sm, sampled))
     assert analyzed > 50
+
+
+def _fuzz_trace():
+    """Two threads: a static object, an allocation, loop heads, FP and
+    integer loads, and balanced calls."""
+    b = Build()
+    b.sm.add_site(1, "main", "a.c", 1)
+    b.sm.add_site(2, "", "a.c", 2)
+    b.sm.add_loop(3, "a.c", 3)
+    b.thread_start()
+    b.static_image([("A", 0x1000, 16)])
+    b.call(1)
+    b.alloc(0x2000, 16)
+    for k in range(3):
+        b.loop(3, 1)
+        b.load(0x1000, u32(5), 2)
+        b.load(0x2000 + 8 * (k % 2), f64(1.0 + k % 2), 2, fp=F64)
+    b.free(0x2000)
+    b.ret(1)
+    other = Build(tid=1, source_map=b.sm)
+    other.thread_start()
+    other.call(2)
+    other.load(0x1004, u32(5), 1)
+    other.ret(2)
+    return b.events + other.events, b.sm
+
+
+def _analyze_both_ways(path):
+    """What `analyze_path` gives with a 2-in-5 sampling window and with
+    sampling off: None for a profile, else the RedloadError's type and
+    message. Any other exception fails the test."""
+    outcomes = []
+    for sampling in (SamplingConfig(2, 3), SamplingConfig.disabled()):
+        try:
+            analyze_path(str(path), AnalysisConfig(sampling=sampling))
+            outcomes.append(None)
+        except RedloadError as exc:
+            outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+_FUZZ = settings(max_examples=150, derandomize=True, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _fuzz_encoded(write, sink):
+    write(*_fuzz_trace(), sink)
+    return sink.getvalue()
+
+
+_BINARY = _fuzz_encoded(write_trace, io.BytesIO())
+_TEXT = _fuzz_encoded(write_text_trace, io.StringIO()).splitlines()
+
+
+# Edits keep the magic and version (6 bytes) and the text header line:
+# other tests cover those, and a trace without them reads as nothing.
+@_FUZZ
+@given(edits=st.lists(st.tuples(st.integers(6, len(_BINARY) - 1),
+                                st.integers(0, 255) | st.integers(0, 9)),
+                      min_size=1, max_size=4))
+def test_fuzz_binary_trace_analyzes_alike_sampled_or_not(edits, tmp_path):
+    raw = bytearray(_BINARY)
+    for position, byte in edits:
+        raw[position] = byte
+    path = tmp_path / "mutant.lrt"
+    path.write_bytes(bytes(raw))
+    sampled, full = _analyze_both_ways(path)
+    assert sampled == full
+
+
+_TOKENS = st.sampled_from(["0", "1", "2", "3", "9", "-1", "0x1000", "8",
+                           "nonfp", "f64", "zz", '""', "C", "R", "H",
+                           "site", "loopsite"])
+
+
+@_FUZZ
+@given(edits=st.lists(st.one_of(
+    st.tuples(st.just("token"), st.integers(1, len(_TEXT) - 1),
+              st.integers(0, 8), _TOKENS),
+    st.tuples(st.just("drop"), st.integers(1, len(_TEXT) - 1)),
+    st.tuples(st.just("swap"), st.integers(1, len(_TEXT) - 1),
+              st.integers(1, len(_TEXT) - 1))), min_size=1, max_size=3))
+def test_fuzz_text_trace_analyzes_alike_sampled_or_not(edits, tmp_path):
+    lines = list(_TEXT)
+    for op, index, *args in edits:
+        index = 1 + index % (len(lines) - 1)
+        if op == "token":
+            tokens = lines[index].split()
+            tokens[args[0] % len(tokens)] = args[1]
+            lines[index] = " ".join(tokens)
+        elif op == "drop" and len(lines) > 2:
+            del lines[index]
+        elif op == "swap":
+            other = 1 + args[0] % (len(lines) - 1)
+            lines[index], lines[other] = lines[other], lines[index]
+    path = tmp_path / "mutant.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    sampled, full = _analyze_both_ways(path)
+    assert sampled == full
+
+
+def test_binary_reader_rejects_an_unknown_id_at_its_record(tmp_path,
+                                                          capsys):
+    # Every record with an id is checked as it is read, so a trace fails
+    # alike with sampling on or off: a load the gate drops and a loop-head
+    # pass it folds are checked as much as any other record.
+    b = Build()
+    b.sm.add_site(1, "main", "a.c", 1)
+    b.sm.add_loop(2, "a.c", 2)
+    b.thread_start()
+    b.call(1)
+    b.ins = 4999
+    b.loop(2, 1)
+    b.load(0x1000, u32(5), 1)   # ins_index 5000, outside a 1-in-100 window
+    b.loop(2, 1)                # folded into the first pass when sampled
+    b.load(0x1000, u32(5), 1)
+    b.ret(1)
+
+    def encoded(events):
+        buf = io.BytesIO()
+        write_trace(events, b.sm, buf)
+        return buf.getvalue()
+
+    good = encoded(b.events)
+    path, profile = tmp_path / "t.lrt", tmp_path / "p.json"
+    flag_sets = (("--window-enable", "1000", "--window-disable", "99000"),
+                 ("--no-sampling",))
+    # (event index, offset of the id in its record, error)
+    for index, field, message in ((3, 23, "unresolved site_id 9"),
+                                  (4, 17, "unresolved site_id 9"),
+                                  (2, 13, "unresolved loop_id 9"),
+                                  (1, 13, "unresolved site_id 9"),
+                                  (6, 13, "unresolved site_id 9")):
+        start = len(encoded(b.events[:index]))
+        raw = bytearray(good)
+        raw[start + field:start + field + 4] = (9).to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        for flags in flag_sets:
+            assert main(["analyze", str(path), "-o", str(profile),
+                         *flags]) == 1
+            assert capsys.readouterr().err == \
+                f"redload analyze: offset {start}: {message}\n", index
+            assert not profile.exists()
+    path.write_bytes(good)
+    for flags in flag_sets:
+        assert main(["analyze", str(path), "-o", str(profile), *flags]) == 0
+
+
+def test_text_reader_rejects_an_unknown_id_at_its_line():
+    site = "site 1 main a.c 1"
+    # (lines after the header, line number of the error, message)
+    cases = [
+        (f"{site}\nT 0 0\nL 0 1 0x10 4 00000000 nonfp 9", 4,
+         "unresolved site_id 9"),
+        (f"{site}\nH 0 1 9 1", 3, "unresolved loop_id 9"),
+        (f"{site}\nC 0 1 9", 3, "unresolved site_id 9"),
+        (f"{site}\nC 0 1 1\nR 0 2 9", 4, "unresolved site_id 9"),
+        # An id resolves only after its source-map line.
+        ("C 0 1 1\nsite 1 main a.c 1", 2, "unresolved site_id 1"),
+        (f"{site}\nH 0 1 2 1\nloopsite 2 a.c 2", 3,
+         "unresolved loop_id 2"),
+        # Calls and returns balance per thread, as the writers require.
+        (f"{site}\nC 0 1 1\nR 1 2 1", 4,
+         "return with no open call in thread 1"),
+    ]
+    for body, line, message in cases:
+        with pytest.raises(TraceDecodeError) as err:
+            events, _ = read_text_trace(text_stream(f"LRT1 1\n{body}\n"))
+            list(events)
+        assert str(err.value) == f"offset {line}: {message}", body
+
+
+def test_empty_strings_roundtrip_in_both_forms():
+    sm = SourceMap()
+    sm.add_site(1, "", "a.c", 3)
+    sm.add_site(2, "main", "", 4)
+    sm.add_site(3, '""', "%", 5)    # the empty token's text, quoted
+    sm.add_loop(4, "", 6)
+    events = [TraceEvent(CALL, 0, 0, site_id=1),
+              TraceEvent(LOOPHEAD, 0, 1, loop_id=4, site_id=2),
+              load_event(0, 2, 0x10, u32(1), site_id=3)]
+    got, got_sm, _ = roundtrip(events, sm)
+    assert got == events and got_sm == sm
+    out = io.StringIO()
+    write_text_trace(events, sm, out)
+    lines = out.getvalue().splitlines()
+    assert lines[1:5] == ['site 1 "" a.c 3', 'site 2 main "" 4',
+                          "site 3 %22%22 %25 5", 'loopsite 4 "" 6']
+    decoded, text_sm = read_text_trace(text_stream(out.getvalue()))
+    assert list(decoded) == events and text_sm == sm
 
 
 def test_encode_rejects_bad_events_with_index():
