@@ -51,15 +51,15 @@ class AnalysisConfig:
 class ThreadWorker:
     """Analysis state confined to one thread's event stream."""
 
-    def __init__(self, registry, config, meta, verdicts):
+    def __init__(self, registry, config, meta):
         self.tree = ContextTree()
         self.shadow = ShadowTable()
         self.temporal_budget = ScopeBudget(self.tree)
         self.spatial_budget = ScopeBudget(self.tree)
         self.temporal = TemporalDetector(self.shadow, self.temporal_budget,
-                                         config.approx_epsilon, verdicts)
+                                         config.approx_epsilon)
         self.spatial = SpatialDetector(registry, self.spatial_budget,
-                                       config.approx_epsilon, verdicts)
+                                       config.approx_epsilon)
         self.meta = meta
 
 
@@ -67,17 +67,16 @@ def analyze_events(events, source_map, config=None, verdict_sink=None):
     """Run the full analysis over an event stream; returns the merged
     canonical Profile.
 
-    `verdict_sink`, when given, receives one
-    (thread_id, temporal LoadVerdict, SpatialVerdict) tuple per monitored
-    load, in file order; used by oracle-equivalence tests. Only then do
-    the detectors build verdicts.
+    Every monitored load gets a temporal verdict (redundant, approx_class,
+    prior_ctx, prior_ts) and a spatial verdict (redundant, object_id).
+    `verdict_sink`, when given, receives (thread_id, temporal, spatial)
+    for each, in file order; oracle-equivalence tests use it.
     """
     if config is None:
         config = AnalysisConfig()
     registry = ObjectRegistry()
     workers = {}
     meta = config.meta()
-    verdicts = verdict_sink is not None
     sampling = config.sampling
     gated = sampling.enabled
     # The sampling window of the latest gated load: every ins_index in
@@ -99,7 +98,7 @@ def analyze_events(events, source_map, config=None, verdict_sink=None):
                 worker = workers.get(tid)
                 if worker is None:
                     worker = workers[tid] = ThreadWorker(registry, config,
-                                                         meta, verdicts)
+                                                         meta)
                 tree = worker.tree
                 load_context = tree.current_load_context
                 temporal_load = worker.temporal.process_load
@@ -115,7 +114,7 @@ def analyze_events(events, source_map, config=None, verdict_sink=None):
                 ctx, load_ts = load_context(ev.site_id)
                 tv = temporal_load(ev, ctx, load_ts)
                 sv = spatial_load(ev, ctx, load_ts)
-                if verdicts:
+                if verdict_sink is not None:
                     verdict_sink((tid, tv, sv))
             elif kind == CALL:
                 tree.on_call(ev.site_id)

@@ -369,14 +369,37 @@ def to_json(profile):
     return json.loads(out.getvalue())
 
 
-def _frame_from(doc):
-    return (doc["kind"], doc["name"], doc["file"], doc["line"])
+def _require(ok, where, field, value, want):
+    """Raise naming `where`, the field and its value unless `ok`."""
+    if not ok:
+        raise RedloadError(f"{where}: field {field!r} is {value!r:.60}, "
+                           f"not {want}")
 
 
-def _path_from(doc):
-    if doc is None:
+def _path_from(docs, frames, where, field):
+    """The path in `field` of the document at `where`. A pair row's
+    old_context and scope may be null, an object's context may be empty;
+    `frames` maps each frame checked so far to its one tuple."""
+    if docs is None and field in ("old_context", "scope"):
         return None
-    return tuple(_frame_from(f) for f in doc)
+    _require(type(docs) is list and (docs or field == "context"), where,
+             field, docs, "a list of frames, empty only in an object")
+    path = []
+    for doc in docs:
+        frame = kind, name, file, line = (doc["kind"], doc["name"],
+                                          doc["file"], doc["line"])
+        try:
+            path.append(frames[frame])
+        except (KeyError, TypeError):   # new, or holds an unhashable value
+            at = f"{where} {field} frame {len(path)}"
+            _require(kind in ("function", "loop", "load"), at, "kind", kind,
+                     "'function', 'loop' or 'load'")
+            _require(type(name) is str, at, "name", name, "a string")
+            _require(type(file) is str, at, "file", file, "a string")
+            _require(type(line) is int and line >= 0, at, "line", line,
+                     "a non-negative integer")
+            path.append(frames.setdefault(frame, frame))
+    return tuple(path)
 
 
 def _counts(values, names, where, index=None):
@@ -387,8 +410,7 @@ def _counts(values, names, where, index=None):
             name = next(n for n, v in zip(names, values) if v is value)
             if index is not None:
                 where = f"{where} row {index} counters"
-            raise RedloadError(f"{where}: field {name!r} is {value!r}, "
-                               f"not a non-negative integer")
+            _require(False, where, name, value, "a non-negative integer")
     return values
 
 
@@ -397,10 +419,12 @@ def _counters_from(doc, table, index):
                                  index))
 
 
-def _object_key_from(doc):
-    if doc["kind"] == STATIC:
+def _object_key_from(doc, frames, where):
+    kind = doc["kind"]
+    if kind == STATIC:
         return (STATIC, doc["name"])
-    return (DYNAMIC, _path_from(doc["context"]))
+    _require(kind == DYNAMIC, where, "kind", kind, "'static' or 'dynamic'")
+    return (DYNAMIC, _path_from(doc["context"], frames, where, "context"))
 
 
 def from_json(doc):
@@ -422,19 +446,28 @@ def _profile_from(doc):
     totals = _counts(_total_args(doc["totals"]), _TOTAL_ARGS, "totals")
     (thread_count,) = _counts((doc["thread_count"],), ("thread_count",),
                               "profile")
+    meta = doc.get("meta")
+    _require(meta is None or type(meta) is dict, "profile", "meta", meta,
+             "an object or null")
     profile = Profile(totals=ProgramTotals(*totals),
-                      thread_count=thread_count, meta=doc.get("meta"))
+                      thread_count=thread_count, meta=meta)
+    frames = {}
     for index, row in enumerate(doc["temporal_pairs"]):
-        key = (_path_from(row["old_context"]), _path_from(row["new_context"]),
-               _path_from(row["scope"]))
+        where = f"temporal_pairs row {index}"
+        key = tuple([_path_from(row[field], frames, where, field)
+                     for field in ("old_context", "new_context", "scope")])
         profile.temporal_pairs[key] = _counters_from(
             row["counters"], "temporal_pairs", index)
     for index, row in enumerate(doc["objects"]):
-        profile.objects[_object_key_from(row["object"])] = _counters_from(
-            row["counters"], "objects", index)
+        key = _object_key_from(row["object"], frames,
+                               f"objects row {index} object")
+        profile.objects[key] = _counters_from(row["counters"], "objects",
+                                              index)
     for index, row in enumerate(doc["spatial_pairs"]):
-        key = (_object_key_from(row["object"]), _path_from(row["old_context"]),
-               _path_from(row["new_context"]), _path_from(row["scope"]))
+        where = f"spatial_pairs row {index}"
+        key = (_object_key_from(row["object"], frames, f"{where} object"),
+               *[_path_from(row[field], frames, where, field)
+                 for field in ("old_context", "new_context", "scope")])
         profile.spatial_pairs[key] = _counters_from(
             row["counters"], "spatial_pairs", index)
     return profile

@@ -23,13 +23,12 @@ class ObjectDescriptor:
     (DYNAMIC, structural path of its allocation context): objects with
     equal keys share their rows."""
 
-    __slots__ = ("object_id", "report_key", "base", "size", "end", "live")
+    __slots__ = ("object_id", "report_key", "base", "end", "live")
 
     def __init__(self, object_id, report_key, base, size):
         self.object_id = object_id
         self.report_key = report_key
         self.base = base
-        self.size = size
         self.end = base + size
         self.live = True
 
@@ -59,7 +58,8 @@ class ObjectRegistry:
         idx = bisect_right(self.bases, desc.base)
         if idx > 0:
             prev = self.by_base[self.bases[idx - 1]]
-            if prev.end > desc.base:
+            # A zero-size object still owns its base.
+            if prev.end > desc.base or prev.base == desc.base:
                 raise MalformedTraceError(
                     f"allocation [{desc.base:#x}, {desc.end:#x}) overlaps "
                     f"live object at {prev.base:#x}")
@@ -110,39 +110,22 @@ class ObjectRegistry:
         return None
 
 
-class SpatialVerdict:
-    """Outcome of one load's spatial check. Equal verdicts are shared
-    instances, so treat them as read-only."""
-
-    __slots__ = ("redundant", "approx_class", "object_id")
-
-    def __init__(self, redundant, approx_class, object_id):
-        self.redundant = redundant
-        self.approx_class = approx_class
-        self.object_id = object_id
-
-
-_NO_OBJECT = SpatialVerdict(False, False, None)
-
-
 class SpatialDetector:
     """Per-thread spatial accumulator over a shared object registry.
 
     Like TemporalDetector, asks the scope budget once per pair row, and
-    returns a SpatialVerdict from `process_load` only when `verdicts` is
-    true (else None).
+    returns every load's verdict from `process_load`, as a tuple
+    (redundant, object_id): object_id is None for a load that hits no
+    object.
     """
 
-    def __init__(self, registry, scope_budget, epsilon, verdicts=True):
+    def __init__(self, registry, scope_budget, epsilon):
         self.registry = registry
         self.scope_budget = scope_budget
         self.epsilon = epsilon
-        self.verdicts = verdicts
         self.prior = {}          # object_id -> (value, ctx, ts)
         self.object_rows = {}    # report key -> PairCounters
         self.pair_rows = {}      # (report key, old ctx, new ctx) -> PairCounters
-        # (redundant, approx_class, object_id) -> its one SpatialVerdict
-        self.shared_verdicts = {}
         # The object the latest hit found, and its object row.
         self._last = None
         self._last_row = None
@@ -150,7 +133,7 @@ class SpatialDetector:
     def process_load(self, event, ctx, load_ts):
         desc = self.registry.lookup(event.addr)
         if desc is None:
-            return _NO_OBJECT if self.verdicts else None
+            return False, None
 
         size = event.size
         value = event.value
@@ -208,14 +191,7 @@ class SpatialDetector:
                     if bit_equal:
                         obj_row.fp_exact_instances += 1
                         pair_row.fp_exact_instances += 1
-
-        if self.verdicts:
-            outcome = (redundant, fp_class != NONFP, object_id)
-            verdict = self.shared_verdicts.get(outcome)
-            if verdict is None:
-                verdict = self.shared_verdicts[outcome] = \
-                    SpatialVerdict(*outcome)
-            return verdict
+        return redundant, object_id
 
 
 def object_fraction(record, object_rows):

@@ -67,13 +67,6 @@ class ProgramTotals:
                              self.redundant_fp_bytes)
 
 
-@dataclass(slots=True)
-class LoadVerdict:
-    redundant: bool
-    approx_class: bool          # True for FP loads (approximate counters)
-    prior: tuple | None         # (ctx handle, timestamp) of the prior load
-
-
 def approx_equal(a, b, epsilon=DEFAULT_EPSILON):
     """True when bit-identical, or both finite and within a relative
     epsilon of the larger magnitude. NaN and infinities only ever match
@@ -127,16 +120,16 @@ class TemporalDetector:
     through the shared ScopeBudget. A row's key is its budget key, and the
     budget is asked once, at the row's first redundant instance.
 
-    `process_load` returns a LoadVerdict when `verdicts` is true, else
-    None; the engine asks for verdicts only when it has a sink for them.
+    `process_load` returns every load's verdict as a tuple
+    (redundant, approx_class, prior_ctx, prior_ts): approx_class is True
+    for FP loads, and the prior context and timestamp are those of the
+    load that last touched the start byte, or None when none did.
     """
 
-    def __init__(self, shadow, scope_budget, epsilon=DEFAULT_EPSILON,
-                 verdicts=True):
+    def __init__(self, shadow, scope_budget, epsilon=DEFAULT_EPSILON):
         self.shadow = shadow
         self.scope_budget = scope_budget
         self.epsilon = epsilon
-        self.verdicts = verdicts
         self.rows = {}              # (old handle | None, new handle) -> PairCounters
 
     @property
@@ -165,7 +158,8 @@ class TemporalDetector:
         row.total_instances += 1
         # A partly unloaded span (old is None) equals no value.
         redundant = old == value
-        if fp_class == NONFP:
+        approx_class = fp_class != NONFP
+        if not approx_class:
             row.total_bytes_precise += size
             if redundant:
                 row.redundant_bytes_precise += size
@@ -182,10 +176,7 @@ class TemporalDetector:
             if row.redundant_instances == 1:
                 self.scope_budget.resolve(key, prior_ctx, prior_ts, ctx,
                                           load_ts)
-
-        if self.verdicts:
-            prior = (prior_ctx, prior_ts) if prior_ctx is not None else None
-            return LoadVerdict(redundant, fp_class != NONFP, prior)
+        return redundant, approx_class, prior_ctx, prior_ts
 
 
 def _fraction(redundant, total):

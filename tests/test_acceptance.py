@@ -96,15 +96,14 @@ def oracle_sweep():
         stages["engine"] += t_end - t_engine
         check_conservation(profile)
 
-        got = [(tid, tv.redundant, tv.approx_class) for tid, tv, _ in sink]
+        got = [(tid, tv[0], tv[1]) for tid, tv, _ in sink]
         if got != expected.temporal_verdicts \
                 or profile.totals != expected.profile.totals \
                 or profile.temporal_pairs != expected.profile.temporal_pairs:
             temporal_failures.append(seed)
 
-        got_s = [(tid,
-                  sv.object_id - 1 if sv.object_id is not None else None,
-                  sv.redundant) for tid, _, sv in sink]
+        got_s = [(tid, object_id - 1 if object_id is not None else None,
+                  redundant) for tid, _, (redundant, object_id) in sink]
         if got_s != expected.spatial_verdicts \
                 or profile.objects != expected.profile.objects \
                 or profile.spatial_pairs != expected.profile.spatial_pairs:

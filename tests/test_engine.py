@@ -206,11 +206,9 @@ def _capture_workers(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", range(10))
-def test_analysis_without_sink_matches_sink_and_oracle(seed, tmp_path,
-                                                       monkeypatch):
-    # The CLI never passes a verdict sink, so the detectors build no
-    # verdicts; that path must give the profile of the sink path and of
-    # the oracle, to the byte.
+def test_analysis_without_sink_matches_sink_and_oracle(seed, tmp_path):
+    # The CLI never passes a verdict sink; without one the analysis must
+    # give the profile of the sink path and of the oracle, to the byte.
     from oracles import assert_profiles_equal, expected_analysis
     scenario = Scenario("random_mixed", {
         "loads": 1500, "seed": 900 + seed, "threads": 1 + seed % 2,
@@ -218,10 +216,7 @@ def test_analysis_without_sink_matches_sink_and_oracle(seed, tmp_path,
         "churn": (0.005, 0.02, 0.05, 0.1)[seed % 4]})
     events, sm = generate(scenario)
     events = list(events)
-    workers = _capture_workers(monkeypatch)
     plain = analyze_events(events, sm, FULL)
-    assert workers and not any(w.temporal.verdicts or w.spatial.verdicts
-                               for w in workers)
     sink = []
     sunk = analyze_events(events, sm, FULL, verdict_sink=sink.append)
     assert len(sink) == sum(e.kind == LOAD for e in events)
@@ -374,8 +369,7 @@ SAMPLINGS = [SamplingConfig(1, 0), SamplingConfig(1, 1), SamplingConfig(2, 3),
 
 
 def _verdicts(sink):
-    return [(tid, tv.redundant, tv.approx_class, tv.prior, sv.redundant,
-             sv.object_id) for tid, tv, sv in sink]
+    return [(tid, *tv, *sv) for tid, tv, sv in sink]
 
 
 @pytest.mark.parametrize("threads", [1, 2])

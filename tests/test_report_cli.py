@@ -10,12 +10,14 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from redload.cli import main
 from redload.engine import AnalysisConfig, analyze_events
 from redload.errors import ConfigError
 from redload.profiles import load as load_profile
-from redload.profiles import save, to_json
+from redload.profiles import merge_all, save, to_json
 from redload.report import build_report, report_json, report_text
 from redload.sampling import SamplingConfig
 from redload.trace import F64, write_trace
@@ -158,17 +160,28 @@ def test_cli_analyze_malformed_traces_exit_1(tmp_path, capsys):
     raw = bytearray(buf.getvalue())
     raw[-9] = F64       # the fp_class of the last 4-byte load
     (tmp_path / "t.lrt").write_bytes(bytes(raw))
+    # A second object at the base of a live zero-size one, then a free
+    # and a load there.
+    same_base = ("LRT1 1\nsite 1 main m.c 1\nA 0 0 0x100 0\nA 0 1 0x100 {}\n"
+                 "F 0 2 0x100\nL 0 3 {} 4 01000000 nonfp 1\n")
     texts = {"short.txt": b"LRT1 1\nL 0 1 0x1000 8 aabb nonfp 1\n",
-             "utf8.txt": b"LRT1 1\n\xff\xfe\n"}
+             "utf8.txt": b"LRT1 1\n\xff\xfe\n",
+             "zero.txt": same_base.format(0, "0x100").encode(),
+             "zero8.txt": same_base.format(8, "0x104").encode()}
     for name, data in texts.items():
         (tmp_path / name).write_bytes(data)
+    overlap = "event 1 (thread 0, ins_index 1): allocation [0x100, {}) " \
+        "overlaps live object at 0x100"
     for name, message in (("t.lrt", "f64 load size 4 not a multiple of 8"),
                           ("short.txt", "offset 2: value has 2 bytes"),
-                          ("utf8.txt", "offset 2: invalid UTF-8")):
+                          ("utf8.txt", "offset 2: invalid UTF-8"),
+                          ("zero.txt", overlap.format("0x100")),
+                          ("zero8.txt", overlap.format("0x108"))):
         rc = main(["analyze", str(tmp_path / name), "-o",
                    str(tmp_path / "p.json"), "--no-sampling"])
         assert rc == 1
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "redload analyze: " in err and message in err, err
 
 
 def test_cli_merge_with_self_doubles(tmp_path):
@@ -333,6 +346,41 @@ def _mutated_profile(edit):
     return json.dumps(doc).encode()
 
 
+def _reported_row_cases():
+    """Cases of a hash_collision profile whose first reported temporal
+    row, one with a prior context and redundant bytes, is edited: a null
+    new context, a loop frame of null kind, an empty scope."""
+    doc = to_json(profile_of("hash_collision", {"chain": 3, "searches": 3}))
+    index = next(i for i, row in enumerate(doc["temporal_pairs"])
+                 if row["old_context"] and (
+                     row["counters"]["redundant_bytes_precise"]
+                     or row["counters"]["redundant_bytes_approx"]))
+    frame = next(i for i, f in enumerate(
+        doc["temporal_pairs"][index]["new_context"]) if f["kind"] == "loop")
+    where = f"temporal_pairs row {index}"
+
+    def edited(field, value, frame=None):
+        edit = json.loads(json.dumps(doc))
+        target = edit["temporal_pairs"][index]
+        if frame is not None:
+            target = target["new_context"][frame]
+        target[field] = value
+        return json.dumps(edit).encode()
+
+    non_empty = "not a list of frames, empty only in an object"
+    return {
+        "null_new_context.json": (
+            edited("new_context", None),
+            f"{where}: field 'new_context' is None, {non_empty}"),
+        "null_kind.json": (
+            edited("kind", None, frame),
+            f"{where} new_context frame {frame}: field 'kind' is None, "
+            "not 'function', 'loop' or 'load'"),
+        "empty_scope.json": (
+            edited("scope", []), f"{where}: field 'scope' is [], {non_empty}"),
+    }
+
+
 def test_cli_report_and_merge_of_malformed_profiles_exit_1(tmp_path, capsys):
     header = b'{"format": "redload-profile", "version": 1}'
     latin1 = header[:-1] + b', "x": "\xe9"}'
@@ -359,7 +407,16 @@ def test_cli_report_and_merge_of_malformed_profiles_exit_1(tmp_path, capsys):
                  + not_a_count),
              "str_threads.json": (
                  _mutated_profile(lambda d: d.update(thread_count="two")),
-                 "field 'thread_count' is 'two', " + not_a_count)}
+                 "field 'thread_count' is 'two', " + not_a_count),
+             "object_kind.json": (
+                 _mutated_profile(lambda d: d["objects"][0]["object"]
+                                  .update(kind="heap")),
+                 "objects row 0 object: field 'kind' is 'heap', "
+                 "not 'static' or 'dynamic'"),
+             "int_meta.json": (
+                 _mutated_profile(lambda d: d.update(meta=5)),
+                 "profile: field 'meta' is 5, not an object or null"),
+             **_reported_row_cases()}
     for name, (data, message) in cases.items():
         path = tmp_path / name
         path.write_bytes(data)
@@ -371,6 +428,66 @@ def test_cli_report_and_merge_of_malformed_profiles_exit_1(tmp_path, capsys):
             assert f"redload {argv[0]}: {path}: " in err, err
             assert message in err, err
             assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def small_profile():
+    """The text of a profile with temporal and spatial pairs, and static
+    and dynamic objects."""
+    merged = merge_all([profile_of("hash_collision",
+                                   {"chain": 3, "searches": 3}),
+                        profile_of("adjacent_equal")])
+    return json.dumps(to_json(merged))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2**64) | st.floats()
+    | st.sampled_from(["", "loop", "static", "dynamic", "kind", "x"]),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.sampled_from(["kind", "name", "file", "line",
+                                       "context", "x"]), children,
+                      max_size=4),
+    max_leaves=6)
+
+
+def _mutate(data, node):
+    """Replace or delete one value somewhere inside `node`."""
+    while node:
+        key = data.draw(st.sampled_from(
+            list(node) if isinstance(node, dict) else range(len(node))))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child \
+                and data.draw(st.booleans()):
+            node = child
+        elif data.draw(st.booleans()):
+            del node[key]
+            return
+        else:
+            node[key] = data.draw(_JSON_VALUES)
+            return
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_report_and_merge_of_mutated_profiles_exit_0_or_1(
+        data, small_profile, tmp_path, capsys):
+    # Any document a profile file may hold ends in a report or a merge, or
+    # in a RedloadError and exit code 1, never in a traceback.
+    doc = json.loads(small_profile)
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(data, doc)
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["report", str(path)],
+                 ["report", str(path), "--format", "json"],
+                 ["merge", str(path), str(path), "-o",
+                  str(tmp_path / "m.json")]):
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc in (0, 1), argv
+        assert (rc == 1) == err.startswith(
+            f"redload {argv[0]}: {path}: "), (argv, err)
 
 
 def _traced_analyze(tmp_path, analyze_args):

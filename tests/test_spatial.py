@@ -39,6 +39,11 @@ def test_overlapping_alloc_rejected():
     with pytest.raises(MalformedTraceError):
         reg.on_alloc(0x0FF0, 0x20, ())
     reg.on_alloc(0x1040, 16, ())    # adjacent is fine
+    # A zero-size object still owns its base.
+    reg.on_alloc(0x2000, 0, ())
+    for size in (0, 8):
+        with pytest.raises(MalformedTraceError):
+            reg.on_alloc(0x2000, size, ())
 
 
 def test_unmatched_free_rejected():
@@ -77,7 +82,8 @@ def test_listing_sequence_1_1_1_15():
     reg.on_static_image([("A", 0x2000, 16)])
     verdicts = [feed(tree, det, 0x2000 + 4 * i, u32(v))
                 for i, v in enumerate((1, 1, 1, 15))]
-    assert [v.redundant for v in verdicts] == [False, True, True, False]
+    assert [redundant for redundant, _ in verdicts] == \
+        [False, True, True, False]
     row = det.object_rows[("static", "A")]
     assert row.redundant_instances == 2 and row.total_instances == 4
     assert row.redundant_bytes_precise == 8 and row.total_bytes_precise == 16
@@ -87,8 +93,7 @@ def test_listing_sequence_1_1_1_15():
 
 def test_loads_outside_objects_are_ignored():
     tree, reg, det = make_spatial()
-    v = feed(tree, det, 0x9000, u32(1))
-    assert v.object_id is None and not v.redundant
+    assert feed(tree, det, 0x9000, u32(1)) == (False, None)
     assert det.object_rows == {}
 
 
@@ -96,28 +101,24 @@ def test_lookup_decided_by_start_address():
     tree, reg, det = make_spatial()
     reg.on_static_image([("A", 0x2000, 16)])
     # Span starts on the object's last byte and runs past its end.
-    v = feed(tree, det, 0x200F, bytes(4))
-    assert v.object_id is not None
-    v = feed(tree, det, 0x2010, bytes(4))
-    assert v.object_id is None
+    assert feed(tree, det, 0x200F, bytes(4))[1] is not None
+    assert feed(tree, det, 0x2010, bytes(4))[1] is None
 
 
 def test_size_mismatch_is_not_redundant_but_updates():
     tree, reg, det = make_spatial()
     reg.on_static_image([("A", 0x2000, 16)])
     feed(tree, det, 0x2000, u32(1))
-    v = feed(tree, det, 0x2004, b"\x01\x00")
-    assert not v.redundant
-    v = feed(tree, det, 0x2006, b"\x01\x00")
-    assert v.redundant       # compares against the updated 2-byte value
+    assert not feed(tree, det, 0x2004, b"\x01\x00")[0]
+    # Compares against the updated 2-byte value.
+    assert feed(tree, det, 0x2006, b"\x01\x00")[0]
 
 
 def test_approx_spatial_redundancy():
     tree, reg, det = make_spatial()
     reg.on_static_image([("V", 0x3000, 64)])
     feed(tree, det, 0x3000, f64(100.0), fp=F64)
-    v = feed(tree, det, 0x3010, f64(100.5), fp=F64)
-    assert v.redundant
+    assert feed(tree, det, 0x3010, f64(100.5), fp=F64)[0]
     row = det.object_rows[("static", "V")]
     assert row.redundant_bytes_approx == 8
     assert row.fp_exact_instances == 0
@@ -168,7 +169,7 @@ def test_disjointness_after_churn():
 def scan_lookup(reg, addr):
     """The answer without the memo or the bisect: a scan of live objects."""
     hits = [d for d in reg.by_base.values()
-            if d.base <= addr < d.base + d.size]
+            if d.base <= addr < d.end]
     assert len(hits) <= 1
     return hits[0] if hits else None
 
@@ -177,17 +178,16 @@ def test_lookup_memo_retires_on_free_and_reuse():
     tree, reg, det = make_spatial()
     ctx_path = (("function", 1),)
     a = reg.on_alloc(0x1000, 64, ctx_path)
-    assert feed(tree, det, 0x1010, u32(7)).object_id == a
+    assert feed(tree, det, 0x1010, u32(7))[1] == a
     reg.on_free(0x1000)
     # The memo still names A, but A is no longer live.
     assert reg.lookup(0x1010) is None
-    assert feed(tree, det, 0x1010, u32(7)).object_id is None
+    assert feed(tree, det, 0x1010, u32(7))[1] is None
     b = reg.on_alloc(0x1000, 64, ctx_path)
     assert b != a
-    v = feed(tree, det, 0x1010, u32(7))
     # B is a new object with its own prior: the same value is no repeat.
-    assert v.object_id == b and not v.redundant
-    assert feed(tree, det, 0x1014, u32(7)).redundant
+    assert feed(tree, det, 0x1010, u32(7)) == (False, b)
+    assert feed(tree, det, 0x1014, u32(7))[0]
     row = det.object_rows[("dynamic", ctx_path)]
     assert row.total_instances == 3 and row.redundant_instances == 1
 

@@ -34,8 +34,8 @@ def feed(tree, det, addr, value, fp=NONFP, site=5):
 
 def test_first_load_not_redundant_counts_bytes():
     tree, det = make_detector()
-    v = feed(tree, det, 0x1000, u32(9))
-    assert not v.redundant and v.prior is None
+    redundant, _, prior_ctx, prior_ts = feed(tree, det, 0x1000, u32(9))
+    assert not redundant and prior_ctx is None and prior_ts is None
     assert det.totals.total_nonfp_bytes == 4
     assert det.totals.redundant_nonfp_bytes == 0
 
@@ -43,8 +43,8 @@ def test_first_load_not_redundant_counts_bytes():
 def test_same_value_same_site_is_precise_redundant():
     tree, det = make_detector()
     feed(tree, det, 0x1000, u32(1))
-    v = feed(tree, det, 0x1000, u32(1))
-    assert v.redundant and not v.approx_class
+    redundant, approx_class, _, _ = feed(tree, det, 0x1000, u32(1))
+    assert redundant and not approx_class
     ((key, row),) = [kv for kv in det.rows.items() if kv[0][0] is not None]
     assert key[0] == key[1]
     assert row.redundant_bytes_precise == 4
@@ -54,8 +54,9 @@ def test_same_value_same_site_is_precise_redundant():
 def test_fp_within_one_percent_is_approx_redundant():
     tree, det = make_detector()
     feed(tree, det, 0x2000, f64(100.0), fp=F64)
-    v = feed(tree, det, 0x2000, f64(100.5), fp=F64)
-    assert v.redundant and v.approx_class
+    redundant, approx_class, _, _ = feed(tree, det, 0x2000, f64(100.5),
+                                         fp=F64)
+    assert redundant and approx_class
     assert det.totals.redundant_fp_bytes == 8
     # 100.5 is not bit-identical, so the exact-FP diagnostic stays put.
     assert all(r.fp_exact_instances == 0 for r in det.rows.values())
@@ -64,8 +65,7 @@ def test_fp_within_one_percent_is_approx_redundant():
 def test_fp_beyond_epsilon_not_redundant():
     tree, det = make_detector()
     feed(tree, det, 0x2000, f64(100.0), fp=F64)
-    v = feed(tree, det, 0x2000, f64(102.0), fp=F64)
-    assert not v.redundant
+    assert not feed(tree, det, 0x2000, f64(102.0), fp=F64)[0]
     assert det.totals.redundant_fp_bytes == 0
 
 
@@ -80,27 +80,25 @@ def test_simd_f64_all_elements_must_match():
     tree, det = make_detector()
     two = f64(100.0) + f64(50.0)
     feed(tree, det, 0x3000, two, fp=F64)
-    v = feed(tree, det, 0x3000, f64(100.4) + f64(50.2), fp=F64)
-    assert v.redundant
-    v = feed(tree, det, 0x3000, f64(100.4) + f64(80.0), fp=F64)
-    assert not v.redundant
+    assert feed(tree, det, 0x3000, f64(100.4) + f64(50.2), fp=F64)[0]
+    assert not feed(tree, det, 0x3000, f64(100.4) + f64(80.0), fp=F64)[0]
 
 
 def test_partial_shadow_span_not_redundant():
     tree, det = make_detector()
     feed(tree, det, 0x1000, b"\x01\x02")
-    v = feed(tree, det, 0x1000, b"\x01\x02\x00\x00")
-    assert not v.redundant
+    redundant, _, prior_ctx, prior_ts = feed(tree, det, 0x1000,
+                                             b"\x01\x02\x00\x00")
+    assert not redundant
     # The start byte still names a prior context for attribution.
-    assert v.prior is not None
+    assert prior_ctx is not None and prior_ts is not None
 
 
 def test_mixed_writers_can_still_be_redundant():
     tree, det = make_detector()
     feed(tree, det, 0x1000, b"\x01\x02")
     feed(tree, det, 0x1002, b"\x03\x04")
-    v = feed(tree, det, 0x1000, b"\x01\x02\x03\x04")
-    assert v.redundant
+    assert feed(tree, det, 0x1000, b"\x01\x02\x03\x04")[0]
 
 
 def test_chain_of_equal_loads_pairs_with_immediate_predecessor():
@@ -108,8 +106,8 @@ def test_chain_of_equal_loads_pairs_with_immediate_predecessor():
     v1 = feed(tree, det, 0x1000, u32(1))
     v2 = feed(tree, det, 0x1000, u32(1))
     v3 = feed(tree, det, 0x1000, u32(1))
-    assert v2.redundant and v3.redundant
-    assert v3.prior[1] > v2.prior[1]
+    assert v2[0] and v3[0]
+    assert v3[3] > v2[3]
     row = next(r for (o, n), r in det.rows.items() if o is not None)
     assert row.redundant_instances == 2
 
