@@ -89,7 +89,9 @@ class ContextTree:
         """Handle of the load-site child under the cursor plus a fresh
         timestamp; the cursor does not move (load sites are leaves)."""
         self.timestamp += 1
-        return self._child(self.cursor, LOADSITE, site_id).handle, self.timestamp
+        node = (self.cursor.children.get((LOADSITE, site_id))
+                or self._child(self.cursor, LOADSITE, site_id))
+        return node.handle, self.timestamp
 
     def root_path(self, handle):
         """Node list from the root down to the handle's node; the

@@ -120,22 +120,19 @@ def canonicalize(worker, source_map):
         key = (path_of(old_h), path_of(new_h), path_of(scope_h))
         _fold(key, counters, profile.temporal_pairs)
 
-    def object_key(rkey):
-        kind, ident = rkey
-        if kind == STATIC:
-            return rkey
-        return (DYNAMIC, _frames(frames, ident, "allocation context"))
-
     spatial = worker.spatial
-    for rkey, counters in spatial.object_rows.items():
-        key = object_key(rkey)
+    # Object keys by rid, each dynamic one's allocation path as frames.
+    objects = [rkey if rkey[0] == STATIC else
+               (DYNAMIC, _frames(frames, rkey[1], "allocation context"))
+               for rkey in spatial.object_rows]
+    for key, counters in zip(objects, spatial.object_rows.values()):
         _fold(key, counters, profile.objects)
 
     s_budget = worker.spatial_budget
-    for (rkey, old_h, new_h), counters in spatial.pair_rows.items():
-        scope_h = s_budget.scope_for((rkey, old_h, new_h))
-        key = (object_key(rkey), path_of(old_h), path_of(new_h),
-               path_of(scope_h))
+    for pkey, counters in spatial.pair_rows.items():
+        rid, old_h, new_h = pkey
+        key = (objects[rid], path_of(old_h), path_of(new_h),
+               path_of(s_budget.scope_for(pkey)))
         _fold(key, counters, profile.spatial_pairs)
 
     return profile
@@ -414,9 +411,14 @@ def _counts(values, names, where, index=None):
     return values
 
 
-def _counters_from(doc, table, index):
-    return PairCounters(*_counts(_counter_args(doc), _COUNTER_ARGS, table,
-                                 index))
+def _put(rows, key, row, table, index):
+    """Add row `index` of `table` under `key`; raises when an earlier row
+    holds the key or a counter is malformed."""
+    rows[key] = PairCounters(*_counts(_counter_args(row["counters"]),
+                                      _COUNTER_ARGS, table, index))
+    if len(rows) <= index:
+        raise RedloadError(f"{table} row {index}: repeats the key of an "
+                           "earlier row")
 
 
 def _object_key_from(doc, frames, where):
@@ -456,20 +458,17 @@ def _profile_from(doc):
         where = f"temporal_pairs row {index}"
         key = tuple([_path_from(row[field], frames, where, field)
                      for field in ("old_context", "new_context", "scope")])
-        profile.temporal_pairs[key] = _counters_from(
-            row["counters"], "temporal_pairs", index)
+        _put(profile.temporal_pairs, key, row, "temporal_pairs", index)
     for index, row in enumerate(doc["objects"]):
         key = _object_key_from(row["object"], frames,
                                f"objects row {index} object")
-        profile.objects[key] = _counters_from(row["counters"], "objects",
-                                              index)
+        _put(profile.objects, key, row, "objects", index)
     for index, row in enumerate(doc["spatial_pairs"]):
         where = f"spatial_pairs row {index}"
         key = (_object_key_from(row["object"], frames, f"{where} object"),
                *[_path_from(row[field], frames, where, field)
                  for field in ("old_context", "new_context", "scope")])
-        profile.spatial_pairs[key] = _counters_from(
-            row["counters"], "spatial_pairs", index)
+        _put(profile.spatial_pairs, key, row, "spatial_pairs", index)
     return profile
 
 

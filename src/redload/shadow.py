@@ -3,32 +3,40 @@ load of each application byte.
 
 The first level maps a page index to its page; a page is made on the
 first load that touches it, so memory grows with the bytes touched, not
-with the address range. A page is a tuple of PAGE_SIZE value bytes (a
-`bytearray`) and PAGE_SIZE context handles and timestamps (each an
-`array('Q')`). A timestamp of 0 marks a byte that no load has touched.
+with the address range. A page is a list [values, stamps, mask]: the
+PAGE_SIZE value bytes (a `bytearray`); each byte's context handle and
+timestamp, side by side in one `array('Q')` of 2 * PAGE_SIZE items, so a
+load writes its span's stamps as one repeated (ctx, ts) run; and an int
+whose bit i is set once a load has touched byte i (FULL when all have).
+A 64-byte page takes about 1.4 KiB: 1,024 bytes of stamps, 64 of values,
+and the headers of the list, its items and its entry in the table.
 """
 
 from array import array
+from struct import Struct
 
-# 64-byte pages: a scattered load costs about 1.5 KiB of shadow memory
+# 64-byte pages: a scattered load costs about 1.4 KiB of shadow memory
 # (4.8 KiB with 256-byte pages, 18 KiB with 1 KiB pages) and dense loads
 # probe as fast as with larger pages. A page holds at least
 # max(trace.LOAD_SIZES) bytes, so a load spans at most two pages.
 PAGE_BITS = 6
 PAGE_SIZE = 1 << PAGE_BITS
 PAGE_MASK = PAGE_SIZE - 1
+FULL = (1 << PAGE_SIZE) - 1
 
-_ZEROS = bytes(8 * PAGE_SIZE)
+# A new page's stamps: a slice of this is allocated to its exact size.
+_BLANK = array("Q", bytes(16 * PAGE_SIZE))
+# By span length: writes that many bytes into a page's values at an
+# offset, cheaper than a bytearray slice assignment.
+_PACK = [Struct(f"{n}s").pack_into for n in range(PAGE_SIZE + 1)]
 
 
 class ShadowTable:
     """Per-thread shadow memory; confined to the worker for its stream."""
 
     def __init__(self):
-        self.pages = {}     # page index -> (values, ctx handles, timestamps)
-        # One-element scratch array: repeated, it fills a span's context
-        # handles or timestamps, cheaper than building a new array per load.
-        self._run = array("Q", (0,))
+        self.pages = {}     # page index -> [values, stamps, mask]
+        self._run = array("Q", (0, 0))     # a load's (ctx, ts), reused
 
     def page_count(self):
         return len(self.pages)
@@ -39,8 +47,7 @@ class ShadowTable:
         Returns (old_bytes, prior_ctx, prior_ts): old_bytes is None unless
         every byte of the span was loaded before; prior_ctx/prior_ts come
         from the byte at the start address, or are None when no load has
-        touched it. `ts` must be at least 1, as the engine's timestamps
-        are: a zero timestamp means "never loaded".
+        touched it.
         """
         index = addr >> PAGE_BITS
         off = addr & PAGE_MASK
@@ -54,31 +61,34 @@ class ShadowTable:
                                               value[:cut], ctx, ts)
         tail = self._swap(index + 1, 0, end - PAGE_SIZE, value[cut:], ctx,
                           ts)[0]
-        if old is not None and tail is not None:
-            old += tail
-        else:
-            old = None
-        return old, prior_ctx, prior_ts
+        if old is None or tail is None:
+            return None, prior_ctx, prior_ts
+        return old + tail, prior_ctx, prior_ts
 
     def _swap(self, index, off, end, value, ctx, ts):
         """probe_update within one page: bytes [off, end) of page `index`."""
         page = self.pages.get(index)
         if page is None:
-            self.pages[index] = page = (bytearray(PAGE_SIZE),
-                                        array("Q", _ZEROS),
-                                        array("Q", _ZEROS))
-        vals, ctxs, tss = page
-        prior_ts = tss[off]
-        if prior_ts:
-            prior_ctx = ctxs[off]
-            old = None if 0 in tss[off:end] else bytes(vals[off:end])
-        else:
-            old = prior_ctx = prior_ts = None
+            self.pages[index] = page = [bytearray(PAGE_SIZE), _BLANK[:], 0]
+        vals, stamps, mask = page
         n = end - off
-        vals[off:end] = value
+        at = off + off
+        if mask == FULL:
+            old = vals[off:end]
+            prior_ctx = stamps[at]
+            prior_ts = stamps[at + 1]
+        else:
+            span = ((1 << n) - 1) << off
+            page[2] = mask | span
+            if mask >> off & 1:
+                old = vals[off:end] if mask & span == span else None
+                prior_ctx = stamps[at]
+                prior_ts = stamps[at + 1]
+            else:
+                old = prior_ctx = prior_ts = None
+        _PACK[n](vals, off, value)
         run = self._run
         run[0] = ctx
-        ctxs[off:end] = run * n
-        run[0] = ts
-        tss[off:end] = run * n
+        run[1] = ts
+        stamps[at:end + end] = run * n
         return old, prior_ctx, prior_ts

@@ -117,18 +117,24 @@ class SpatialDetector:
     returns every load's verdict from `process_load`, as a tuple
     (redundant, object_id): object_id is None for a load that hits no
     object.
+
+    A report key's rid is the position of its row in `object_rows`; a
+    pair row is keyed by (rid, old ctx, new ctx), so a redundant load
+    hashes three ints, not an allocation path.
     """
 
     def __init__(self, registry, scope_budget, epsilon):
         self.registry = registry
         self.scope_budget = scope_budget
         self.epsilon = epsilon
-        self.prior = {}          # object_id -> (value, ctx, ts)
         self.object_rows = {}    # report key -> PairCounters
-        self.pair_rows = {}      # (report key, old ctx, new ctx) -> PairCounters
-        # The object the latest hit found, and its object row.
+        self.pair_rows = {}      # (rid, old ctx, new ctx) -> PairCounters
+        self._rids = {}          # report key -> rid
+        # object_id -> [object row, rid, previous load's (value, ctx, ts)
+        # or None]; and the object the latest hit found, with its entry.
+        self._objects = {}
         self._last = None
-        self._last_row = None
+        self._entry = None
 
     def process_load(self, event, ctx, load_ts):
         desc = self.registry.lookup(event.addr)
@@ -140,24 +146,25 @@ class SpatialDetector:
         fp_class = event.fp_class
 
         if desc is self._last:
-            obj_row = self._last_row
+            entry = self._entry
         else:
-            rkey = desc.report_key
-            obj_row = self.object_rows.get(rkey)
-            if obj_row is None:
-                obj_row = self.object_rows[rkey] = PairCounters()
+            entry = self._objects.get(desc.object_id)
+            if entry is None:
+                # The two tables gain each new report key together.
+                rkey = desc.report_key
+                row = self.object_rows.setdefault(rkey, PairCounters())
+                rid = self._rids.setdefault(rkey, len(self._rids))
+                entry = self._objects[desc.object_id] = [row, rid, None]
             self._last = desc
-            self._last_row = obj_row
+            self._entry = entry
+        obj_row, rid, prev = entry
+        entry[2] = (value, ctx, load_ts)
         obj_row.total_instances += 1
         if fp_class == NONFP:
             obj_row.total_bytes_precise += size
         else:
             obj_row.total_bytes_approx += size
 
-        object_id = desc.object_id
-        prior = self.prior
-        prev = prior.get(object_id)
-        prior[object_id] = (value, ctx, load_ts)
         redundant = False
         if prev is not None:
             old_value, old_ctx, old_ts = prev
@@ -171,7 +178,7 @@ class SpatialDetector:
                                           self.epsilon)
             if redundant:
                 obj_row.redundant_instances += 1
-                pkey = (desc.report_key, old_ctx, ctx)
+                pkey = (rid, old_ctx, ctx)
                 pair_row = self.pair_rows.get(pkey)
                 if pair_row is None:
                     # A pair row is born on its first redundant instance.
@@ -191,7 +198,7 @@ class SpatialDetector:
                     if bit_equal:
                         obj_row.fp_exact_instances += 1
                         pair_row.fp_exact_instances += 1
-        return redundant, object_id
+        return redundant, desc.object_id
 
 
 def object_fraction(record, object_rows):

@@ -67,49 +67,28 @@ class ProgramTotals:
                              self.redundant_fp_bytes)
 
 
-def approx_equal(a, b, epsilon=DEFAULT_EPSILON):
-    """True when bit-identical, or both finite and within a relative
-    epsilon of the larger magnitude. NaN and infinities only ever match
-    their exact bit patterns."""
-    if math.isnan(a) or math.isnan(b):
-        return struct.pack("<d", a) == struct.pack("<d", b)
-    if a == b:
-        return True
-    if math.isinf(a) or math.isinf(b):
-        return False
-    return abs(a - b) <= epsilon * max(abs(a), abs(b))
-
-
-# Per FP class: the structs of one element and of two.
-_STRUCTS = {F32: (struct.Struct("<f"), struct.Struct("<ff")),
-            F64: (struct.Struct("<d"), struct.Struct("<dd"))}
+# Per FP class: the width of one element and the unpack of two.
+_PAIRS = {F32: (4, struct.Struct("<ff").unpack),
+          F64: (8, struct.Struct("<dd").unpack)}
 
 
 def fp_span_equal(old, new, fp_class, epsilon):
     """Element-wise approximate comparison of two equal-length byte spans
-    of F32 or F64 elements; agrees with `approx_equal` on each element."""
+    of F32 or F64 elements. Elements match when bit-identical, or when
+    both are finite and within a relative epsilon of the larger magnitude;
+    NaN and infinities only ever match their exact bit patterns."""
     if old == new:
         return True
-    one, two = _STRUCTS[fp_class]
-    width = one.size
-    if len(new) == width:
-        # One element, the common case: a single unpack, no loop.
-        a, b = two.unpack(old + new)
-        return (math.isfinite(a) and math.isfinite(b)
-                and abs(a - b) <= epsilon * max(abs(a), abs(b)))
-    for off in range(0, len(new), width):
-        ob = old[off:off + width]
-        nb = new[off:off + width]
-        if ob == nb:
-            continue
-        a = one.unpack(ob)[0]
-        b = one.unpack(nb)[0]
-        # Not bit-identical, so NaN/Inf on either side cannot match.
-        if not (math.isfinite(a) and math.isfinite(b)):
-            return False
-        if abs(a - b) > epsilon * max(abs(a), abs(b)):
-            return False
-    return True
+    width, unpack = _PAIRS[fp_class]
+    if len(new) > width:
+        return all(fp_span_equal(old[i:i + width], new[i:i + width],
+                                 fp_class, epsilon)
+                   for i in range(0, len(new), width))
+    # One element, not bit-identical: NaN or Inf on either side never
+    # matches.
+    a, b = unpack(old + new)
+    return (math.isfinite(a) and math.isfinite(b)
+            and abs(a - b) <= epsilon * max(abs(a), abs(b)))
 
 
 class TemporalDetector:

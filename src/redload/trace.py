@@ -87,11 +87,6 @@ class SourceMap:
         self.loops[loop_id] = (file, line)
 
 
-def load_event(thread_id, ins_index, addr, value, fp_class=NONFP, site_id=0):
-    return TraceEvent(LOAD, thread_id, ins_index, addr=addr, size=len(value),
-                      value=bytes(value), fp_class=fp_class, site_id=site_id)
-
-
 _HEADER = struct.Struct("<BIQ")   # every record: kind, thread_id, ins_index
 _U32 = struct.Struct("<I")
 _2U64 = struct.Struct("<QQ")

@@ -15,6 +15,11 @@ def f64(x):
     return struct.pack("<d", x)
 
 
+def load_event(thread_id, ins_index, addr, value, fp_class=NONFP, site_id=0):
+    return TraceEvent(LOAD, thread_id, ins_index, addr=addr, size=len(value),
+                      value=bytes(value), fp_class=fp_class, site_id=site_id)
+
+
 class Build:
     """Appends events for one thread with auto-incrementing ins_index."""
 

@@ -381,6 +381,22 @@ def _reported_row_cases():
     }
 
 
+def _repeated_row_cases():
+    """Cases of a hash_collision profile with a copy of one row of a
+    table appended to that table: the copy must not replace the row."""
+    doc = to_json(profile_of("hash_collision", {"chain": 3, "searches": 3}))
+    cases = {}
+    for table, index in (("temporal_pairs", 3), ("objects", 0),
+                         ("spatial_pairs", 0)):
+        edit = json.loads(json.dumps(doc))
+        rows = edit[table]
+        rows.append(rows[index])
+        cases[f"repeated_{table}.json"] = (
+            json.dumps(edit).encode(),
+            f"{table} row {len(rows) - 1}: repeats the key of an earlier row")
+    return cases
+
+
 def test_cli_report_and_merge_of_malformed_profiles_exit_1(tmp_path, capsys):
     header = b'{"format": "redload-profile", "version": 1}'
     latin1 = header[:-1] + b', "x": "\xe9"}'
@@ -416,7 +432,7 @@ def test_cli_report_and_merge_of_malformed_profiles_exit_1(tmp_path, capsys):
              "int_meta.json": (
                  _mutated_profile(lambda d: d.update(meta=5)),
                  "profile: field 'meta' is 5, not an object or null"),
-             **_reported_row_cases()}
+             **_reported_row_cases(), **_repeated_row_cases()}
     for name, (data, message) in cases.items():
         path = tmp_path / name
         path.write_bytes(data)
@@ -475,6 +491,11 @@ def test_cli_report_and_merge_of_mutated_profiles_exit_0_or_1(
     # Any document a profile file may hold ends in a report or a merge, or
     # in a RedloadError and exit code 1, never in a traceback.
     doc = json.loads(small_profile)
+    if data.draw(st.booleans()):
+        # Append a copy of a row to its table.
+        rows = doc[data.draw(st.sampled_from(
+            ["temporal_pairs", "objects", "spatial_pairs"]))]
+        rows.append(json.loads(json.dumps(data.draw(st.sampled_from(rows)))))
     for _ in range(data.draw(st.integers(1, 3))):
         _mutate(data, doc)
     path = tmp_path / "p.json"
@@ -534,4 +555,11 @@ def test_benchmark_tracer_sees_every_layer(tmp_path):
     assert metrics["scope.resolves"] == metrics["scope.traversals"] > 0
     for name in ("cct.nodes", "shadow.pages", "temporal.rows",
                  "spatial.pair_rows"):
+        assert metrics[name] > 0, name
+    # A wrapped call that is inlined, or an object lookup that is skipped,
+    # would zero a count or a time here rather than fail on its own.
+    assert metrics["shadow.probes"] == metrics["sampling.loads_monitored"]
+    assert 0 < metrics["spatial.hit_ratio"] <= 1
+    for name in ("cct.calls", "shadow.self_s", "temporal.self_s",
+                 "spatial.self_s"):
         assert metrics[name] > 0, name

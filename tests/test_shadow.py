@@ -6,8 +6,10 @@ import tracemalloc
 
 from redload.engine import AnalysisConfig, analyze_events
 from redload.sampling import SamplingConfig
-from redload.shadow import PAGE_SIZE, ShadowTable
-from redload.trace import LOAD_SIZES, SourceMap, load_event
+from redload.shadow import FULL, PAGE_SIZE, ShadowTable
+from redload.trace import LOAD_SIZES, SourceMap
+
+from helpers import load_event
 
 
 class ByteModel:
@@ -68,6 +70,31 @@ def test_probe_update_matches_byte_model():
             want = model.probe_update(addr, size, value, i, i + 1)
             got = s.probe_update(addr, size, value, i, i + 1)
             assert got == want, (seed, i, addr, size)
+
+
+def test_probe_update_matches_byte_model_on_full_pages_and_zero_stamps():
+    # Page 1 is loaded in full first, so later probes there take the
+    # full-page path; spans around its edges cross into pages 0 and 2,
+    # which are loaded only in part. Context handles and timestamps of 0
+    # and of 2**64 - 1 are state like any other.
+    stamps = (0, 0, 1, 2**64 - 1)
+    sizes = sorted(LOAD_SIZES)
+    for seed in range(30):
+        rng = random.Random(seed)
+        s = ShadowTable()
+        model = ByteModel()
+        probes = [(PAGE_SIZE + off, 8) for off in range(0, PAGE_SIZE, 8)]
+        for _ in range(400):
+            size = rng.choice(sizes)
+            edge = rng.choice((PAGE_SIZE, 2 * PAGE_SIZE))
+            probes.append((edge + rng.randrange(-size, size), size))
+        for i, (addr, size) in enumerate(probes):
+            value = bytes(rng.randrange(3) for _ in range(size))
+            ctx, ts = rng.choice(stamps), rng.choice(stamps)
+            want = model.probe_update(addr, size, value, ctx, ts)
+            got = s.probe_update(addr, size, value, ctx, ts)
+            assert got == want, (seed, i, addr, size)
+        assert s.pages[1][2] == FULL     # the loaded-byte mask
 
 
 def test_probe_update_across_page_boundary():

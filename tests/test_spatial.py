@@ -3,14 +3,17 @@
 import pytest
 
 from redload.cct import ContextTree
+from redload.engine import AnalysisConfig, analyze_events
 from redload.errors import MalformedTraceError
+from redload.sampling import SamplingConfig
 from redload.scope import ScopeBudget
 from redload.spatial import (ObjectRegistry, SpatialDetector,
                              object_fraction)
 from redload.temporal import PairCounters
-from redload.trace import F64, load_event
+from redload.trace import F64
 
-from helpers import f64, u32
+from helpers import Build, f64, load_event, u32
+from oracles import assert_profiles_equal, expected_analysis
 
 
 def test_alloc_lookup_free():
@@ -138,6 +141,66 @@ def test_same_alloc_context_objects_share_report_row():
     assert row.total_instances == 2 and row.redundant_instances == 0
     feed(tree, det, 0x1004, u32(3))
     assert row.redundant_instances == 1
+
+
+def test_new_object_at_a_freed_base_has_no_prior():
+    # No load falls between the free and the new allocation, so the
+    # object of the latest hit is still the freed one: the new object's
+    # first load must not be compared with the freed object's last value.
+    for second_path in ((("function", 1),), (("function", 2),)):
+        tree, reg, det = make_spatial()
+        a = reg.on_alloc(0x1000, 64, (("function", 1),))
+        feed(tree, det, 0x1010, u32(7))
+        assert feed(tree, det, 0x1010, u32(7)) == (True, a)
+        reg.on_free(0x1000)
+        b = reg.on_alloc(0x1000, 64, second_path)
+        assert feed(tree, det, 0x1010, u32(7)) == (False, b)
+        assert feed(tree, det, 0x1010, u32(7)) == (True, b)
+        rows = det.object_rows
+        assert sum(r.redundant_instances for r in rows.values()) == 2
+        assert len(rows) == (1 if second_path == (("function", 1),) else 2)
+
+
+def _alternating_trace():
+    """Two threads share objects A and B and load them in turn, each load
+    of A and B interleaved, with values that repeat per object but never
+    from one object to the next."""
+    main = Build(0)
+    main.sm.add_site(1, "main", "a.c", 1)
+    main.sm.add_site(2, "main", "a.c", 2)
+    main.sm.add_site(3, "main", "a.c", 3)
+    other = Build(1, main.sm)
+    main.static_image([("A", 0x2000, 32), ("B", 0x3000, 32)])
+    for b in (main, other):
+        b.thread_start()
+        b.call(1)
+    for i in range(24):
+        b = (main, other)[i // 3 % 2]
+        a_value = u32(i // 6)            # repeats in runs per thread
+        b_value = u32(100 + i % 2)
+        b.load(0x2000 + 4 * (i % 8), a_value, site=2)
+        b.load(0x3000 + 4 * (i % 8), b_value, site=3)
+    other.alloc(0x5000, 16)
+    for i in range(6):
+        other.load(0x5000 + 4 * (i % 4), u32(i % 2), site=3)
+        other.load(0x2000, u32(9), site=2)
+    events = sorted(main.events + other.events, key=lambda e: e.ins_index)
+    return events, main.sm
+
+
+def test_alternating_objects_match_the_oracle():
+    events, sm = _alternating_trace()
+    sink = []
+    config = AnalysisConfig(sampling=SamplingConfig.disabled())
+    profile = analyze_events(events, sm, config, verdict_sink=sink.append)
+    expected = expected_analysis(events, sm)
+    # The oracle numbers objects from 0 in allocation order, the registry
+    # from 1.
+    got = [(tid, None if oid is None else oid - 1, redundant)
+           for tid, _, (redundant, oid) in sink]
+    assert got == expected.spatial_verdicts
+    assert any(redundant for _, _, redundant in got)
+    assert_profiles_equal(expected.profile, profile)
 
 
 def test_pair_rows_record_redundancy_instances_only():

@@ -9,12 +9,26 @@ import pytest
 from redload.cct import ContextTree
 from redload.scope import ScopeBudget
 from redload.shadow import ShadowTable
-from redload.temporal import (PairCounters, ProgramTotals, TemporalDetector,
-                              approx_equal, fp_span_equal, pair_fraction,
+from redload.temporal import (DEFAULT_EPSILON, PairCounters, ProgramTotals,
+                              TemporalDetector, fp_span_equal, pair_fraction,
                               program_fraction)
-from redload.trace import F32, F64, NONFP, load_event
+from redload.trace import F32, F64, NONFP
 
-from helpers import f64, u32
+from helpers import f64, load_event, u32
+
+
+def approx_equal(a, b, epsilon=DEFAULT_EPSILON):
+    """The spec of one element's comparison, which `fp_span_equal` applies
+    element-wise: true when bit-identical, or both finite and within a
+    relative epsilon of the larger magnitude. NaN and infinities only ever
+    match their exact bit patterns."""
+    if math.isnan(a) or math.isnan(b):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    if a == b:
+        return True
+    if math.isinf(a) or math.isinf(b):
+        return False
+    return abs(a - b) <= epsilon * max(abs(a), abs(b))
 
 
 def make_detector(epsilon=0.01):

@@ -17,12 +17,12 @@ from redload.sampling import SamplingConfig
 from redload.trace import (ALLOC, CALL, F32, F64, FREE, LOAD, LOOPHEAD,
                            NONFP, RECORDS, RETURN, STATIC_IMAGE, THREAD_START,
                            SourceMap, TraceEvent, _BY_TAG, _LOAD_SHAPES,
-                           _MAX_FP_CLASS, _Reader, _load_error, load_event,
+                           _MAX_FP_CLASS, _Reader, _load_error,
                            read_text_trace, read_trace, write_text_trace,
                            write_trace)
 from redload.workloads import Scenario, generate
 
-from helpers import Build, f64, u32
+from helpers import Build, f64, load_event, u32
 
 
 def roundtrip(events, source_map):
