@@ -32,10 +32,7 @@ class SamplingConfig:
 
 
 def is_monitored(ins_index, config):
-    if not config.enabled:
-        return True
-    period = config.window_enable + config.window_disable
-    return ins_index % period < config.window_enable
+    return not config.enabled or monitoring_window(ins_index, config)[2]
 
 
 def monitoring_window(ins_index, config):

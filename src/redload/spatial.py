@@ -40,14 +40,15 @@ _NOWHERE = ObjectDescriptor(0, (STATIC, None), 0, 0)
 class ObjectRegistry:
     """Interval map of live objects, applied in global trace order.
 
-    Live ranges stay pairwise disjoint; freed objects move to the archive
-    with their identity intact so later reporting can still name them.
+    Live ranges stay pairwise disjoint. A freed object leaves nothing
+    behind: its rows are keyed by its report key, and `archive` only
+    counts the objects freed, as its length.
     """
 
     def __init__(self):
         self.bases = []         # sorted bases of live objects
         self.by_base = {}       # base -> ObjectDescriptor
-        self.archive = []
+        self.archive = range(0)
         self.next_id = 1
         self._last = _NOWHERE   # the object the latest hit found
 
@@ -84,7 +85,7 @@ class ObjectRegistry:
         desc.live = False
         del self.by_base[base]
         self.bases.remove(base)
-        self.archive.append(desc)
+        self.archive = range(len(self.archive) + 1)
 
     def on_static_image(self, objects):
         for name, base, size in objects:
@@ -130,8 +131,9 @@ class SpatialDetector:
         self.object_rows = {}    # report key -> PairCounters
         self.pair_rows = {}      # (rid, old ctx, new ctx) -> PairCounters
         self._rids = {}          # report key -> rid
-        # object_id -> [object row, rid, previous load's (value, ctx, ts)
-        # or None]; and the object the latest hit found, with its entry.
+        # ObjectDescriptor -> [object row, rid, previous load's (value,
+        # ctx, ts) or None], for the objects hit, live and not yet pruned;
+        # and the object the latest hit found, with its entry.
         self._objects = {}
         self._last = None
         self._entry = None
@@ -148,13 +150,19 @@ class SpatialDetector:
         if desc is self._last:
             entry = self._entry
         else:
-            entry = self._objects.get(desc.object_id)
+            objects = self._objects
+            entry = objects.get(desc)
             if entry is None:
+                # Drop the entries of freed objects once they may be half
+                # of all: memory follows the live objects, at O(1) per hit.
+                if len(objects) > 2 * len(self.registry.by_base) + 64:
+                    self._objects = objects = {
+                        d: e for d, e in objects.items() if d.live}
                 # The two tables gain each new report key together.
                 rkey = desc.report_key
                 row = self.object_rows.setdefault(rkey, PairCounters())
                 rid = self._rids.setdefault(rkey, len(self._rids))
-                entry = self._objects[desc.object_id] = [row, rid, None]
+                entry = objects[desc] = [row, rid, None]
             self._last = desc
             self._entry = entry
         obj_row, rid, prev = entry

@@ -180,6 +180,13 @@ _REC_LOOP = RECORDS[LOOPHEAD].struct
 _REC_IMAGE = RECORDS[STATIC_IMAGE].struct
 # The longest record other than static_image: a load of 32 value bytes.
 _MAX_FIXED = _REC_LOAD.size + max(LOAD_SIZES)
+# The gap loop of BinaryEvents reads a load as (thread_id, ins_index,
+# size | fp_class << 8, site_id) and a loop head as (thread_id, ins_index,
+# loop_id, site_id); a valid load shape, so packed, gives its length.
+_SKIP_LOAD = struct.Struct("<xIQ8xHI")
+_SKIP_LOOP = struct.Struct("<xIQII")
+_LOAD_LENGTHS = {size | fp << 8: _REC_LOAD.size + size
+                 for size, fp in _LOAD_SHAPES}
 
 
 def _load_error(size, fp_class, value_len):
@@ -404,6 +411,10 @@ class BinaryEvents:
     of one loop in one thread, with only dropped loads between them, into
     the run's first loop head, whose `passes` is the run's length; the
     event is held back until the next event is built or the stream ends.
+    While the window is a gap, a faster loop passes over the loads it
+    drops and the loop heads it folds, after the same checks; it hands
+    any record it cannot settle back to the general path, which raises
+    every error, so offsets and messages are those of an ungated decode.
 
     `skipped` is the number of records before the event last yielded that
     were not yielded (dropped loads and folded passes), and after the last
@@ -442,6 +453,8 @@ class BinaryEvents:
         held = None
         held_tid = held_loop = -1
         passes = held_skipped = 0   # its passes so far; `skipped` at it
+        skip_load, skip_loop = _SKIP_LOAD.unpack_from, _SKIP_LOOP.unpack_from
+        load_lengths, loop_length = _LOAD_LENGTHS, _REC_LOOP.size
         buf, pos = r.buf, r.pos
         end = len(buf)
         while True:
@@ -538,6 +551,51 @@ class BinaryEvents:
                 else:
                     self.skipped = skipped
                     yield ev
+            if not monitored and ins >= lo:
+                # The gap loop: it passes over the records that the code
+                # above would drop or fold, after the same checks, and stops
+                # before any other record, which goes back there to be
+                # decoded or to raise. `last` is thread `tid`'s last
+                # ins_index, swapped on a record of another thread. Only a
+                # thread whose last ins_index is at least lo takes part, so
+                # last < i < hi puts a load in the gap and in order.
+                last = ins
+                count = folds = 0
+                stop = end - _MAX_FIXED
+                while pos <= stop:
+                    k = buf[pos]
+                    if k == LOAD:
+                        t, i, shape, site = skip_load(buf, pos)
+                        if t != tid:
+                            if last_ins.get(t, -1) < lo:
+                                break
+                            last_ins[tid] = last
+                            tid, last = t, last_ins[t]
+                        length = load_lengths.get(shape)
+                        if (not last < i < hi or length is None
+                                or site not in sites):
+                            break
+                        pos += length
+                    elif k == LOOPHEAD:
+                        t, i, loop, site = skip_loop(buf, pos)
+                        if t != held_tid or loop != held_loop:
+                            break
+                        if t != tid:
+                            if last_ins[t] < lo:
+                                break
+                            last_ins[tid] = last
+                            tid, last = t, last_ins[t]
+                        if i <= last or site not in sites:
+                            break
+                        pos += loop_length
+                        folds += 1
+                    else:
+                        break
+                    last = i
+                    count += 1
+                last_ins[tid] = last
+                skipped += count
+                passes += folds
         if held is not None:
             held.passes = passes
             self.skipped = held_skipped

@@ -1,7 +1,10 @@
 """Object registry and spatial detector behavior."""
 
+import tracemalloc
+
 import pytest
 
+from redload import engine
 from redload.cct import ContextTree
 from redload.engine import AnalysisConfig, analyze_events
 from redload.errors import MalformedTraceError
@@ -10,7 +13,8 @@ from redload.scope import ScopeBudget
 from redload.spatial import (ObjectRegistry, SpatialDetector,
                              object_fraction)
 from redload.temporal import PairCounters
-from redload.trace import F64
+from redload.trace import (ALLOC, F64, FREE, THREAD_START, SourceMap,
+                           TraceEvent)
 
 from helpers import Build, f64, load_event, u32
 from oracles import assert_profiles_equal, expected_analysis
@@ -273,3 +277,47 @@ def test_lookup_memo_agrees_with_scan():
             reg.on_free(0x4000)
         if step == 30:
             reg.on_alloc(0x4010, 8, ())
+
+
+def _churn(cycles):
+    """One thread that allocates 64 bytes at one base, loads 8 of them
+    twice and frees them, `cycles` times; the events are made as they are
+    consumed, so only the analysis holds memory."""
+    yield TraceEvent(THREAD_START, 0, 0)
+    for k in range(cycles):
+        ins = 4 * k
+        yield TraceEvent(ALLOC, 0, ins + 1, base=0x1000, alloc_size=64)
+        yield load_event(0, ins + 2, 0x1000, bytes(8), site_id=1)
+        yield load_event(0, ins + 3, 0x1000, bytes(8), site_id=1)
+        yield TraceEvent(FREE, 0, ins + 4, base=0x1000)
+
+
+def test_retained_memory_follows_live_objects_not_allocations(monkeypatch):
+    # The analysis state at the end of the event loop, measured when
+    # canonicalize gets it, stays the same size under alloc/free churn:
+    # no freed object leaves a descriptor or a detector entry behind.
+    sm = SourceMap()
+    sm.add_site(1, "main", "churn.c", 1)
+    config = AnalysisConfig(sampling=SamplingConfig.disabled())
+    canonicalize = engine.canonicalize
+    retained, freed = [], []
+
+    def measured(worker, source_map):
+        retained.append(tracemalloc.get_traced_memory()[0])
+        freed.append(len(worker.spatial.registry.archive))
+        return canonicalize(worker, source_map)
+
+    monkeypatch.setattr(engine, "canonicalize", measured)
+    profiles = []
+    for cycles in (10_000, 40_000):
+        tracemalloc.start()
+        try:
+            profiles.append(analyze_events(_churn(cycles), sm, config))
+        finally:
+            tracemalloc.stop()
+        assert freed[-1] == cycles
+        assert_profiles_equal(expected_analysis(_churn(cycles), sm).profile,
+                              profiles[-1])
+    small, large = retained
+    assert large - small < 1 << 20, (small, large)
+    assert len(profiles[1].temporal_pairs) == 2

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from redload.cli import main
 from redload.engine import AnalysisConfig, analyze_events, analyze_path
 from redload.errors import RedloadError, TraceDecodeError, TraceEncodeError
-from redload.sampling import SamplingConfig
+from redload.sampling import SamplingConfig, is_monitored
 from redload.trace import (ALLOC, CALL, F32, F64, FREE, LOAD, LOOPHEAD,
                            NONFP, RECORDS, RETURN, STATIC_IMAGE, THREAD_START,
                            SourceMap, TraceEvent, _BY_TAG, _LOAD_SHAPES,
@@ -372,6 +372,211 @@ def test_malformed_loads_in_a_gap_are_rejected_like_monitored_ones(
         assert errors[0] == errors[1]
         assert errors[0][0].startswith(message)
         assert errors[0][1] == last
+
+
+def _gap_trace(seed, threads, records):
+    """The events and bytes of a valid trace of `threads` threads whose
+    runs interleave: each run is one thread's passes of one loop, with a
+    load of a random shape in each, and now and then a call, a return or
+    a jump of the thread's ins_index across a window. The last thread
+    has no thread_start, so its first event is a loop head or a load."""
+    rng = random.Random(seed)
+    sm = SourceMap()
+    for site in (1, 2, 3):
+        sm.add_site(site, "f", "g.c", site)
+    for loop in (11, 12):
+        sm.add_loop(loop, "g.c", loop)
+    shapes = sorted(_LOAD_SHAPES)
+    ins, depth = [0] * threads, [0] * threads
+    events = [TraceEvent(THREAD_START, tid, 0) for tid in range(threads - 1)]
+
+    def emit(tid, kind, **fields):
+        ins[tid] += rng.choice((1, 1, 2, 3))
+        events.append(TraceEvent(kind, tid, ins[tid], **fields))
+
+    while len(events) < records:
+        tid = rng.randrange(threads)
+        roll = rng.random()
+        if roll < 0.02:
+            ins[tid] += rng.randrange(200_000)
+        if roll < 0.06:
+            emit(tid, CALL, site_id=1)
+            depth[tid] += 1
+        elif roll < 0.1 and depth[tid]:
+            emit(tid, RETURN, site_id=1)
+            depth[tid] -= 1
+        loop = rng.choice((11, 11, 12))
+        load_first = rng.random() < 0.3
+        for _ in range(rng.randrange(1, 80)):
+            if not load_first:
+                emit(tid, LOOPHEAD, loop_id=loop, site_id=1)
+            load_first = False
+            size, fp = rng.choice(shapes)
+            emit(tid, LOAD, addr=0x1000 + 8 * rng.randrange(64), size=size,
+                 value=bytes(rng.randrange(2) for _ in range(size)),
+                 fp_class=fp, site_id=rng.choice((2, 3)))
+    buf = io.BytesIO()
+    write_trace(events, sm, buf)
+    return events, buf.getvalue()
+
+
+def _gated_model(events, sampling):
+    """The spec of a gated decode: (kind, thread_id, ins_index, passes,
+    records skipped before the event) of each event yielded, and the
+    records skipped in all. A load outside a window is dropped unless it
+    is its thread's first event; a loop head folds into the held one of
+    the same thread and loop, which only a dropped load or a fold leaves
+    held."""
+    out, seen = [], set()
+    held = None
+    skipped = 0
+    for ev in events:
+        tid = ev.thread_id
+        if (ev.kind == LOAD and tid in seen
+                and not is_monitored(ev.ins_index, sampling)):
+            skipped += 1
+        elif (ev.kind == LOOPHEAD and held is not None
+              and (held[1], held[4]) == (tid, ev.loop_id)):
+            held[3] += 1
+            skipped += 1
+        else:
+            held = [ev.kind, tid, ev.ins_index, 1, ev.loop_id, skipped]
+            out.append(held)
+            if ev.kind != LOOPHEAD:
+                held = None
+        seen.add(tid)
+    return [(kind, tid, ins, passes, before)
+            for kind, tid, ins, passes, _, before in out], skipped
+
+
+def _gated_decode(stream, sampling):
+    events, _ = read_trace(stream)
+    events.sampling = sampling
+    got = [(ev.kind, ev.thread_id, ev.ins_index, ev.passes, events.skipped)
+           for ev in events]
+    return got, events.skipped
+
+
+GAP_SAMPLINGS = (SamplingConfig(1, 0), SamplingConfig(2, 3),
+                 SamplingConfig(7, 50), SamplingConfig(1000, 99000))
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_gated_decode_across_refills_matches_the_spec(threads):
+    # A trace longer than a refill chunk, read whole chunks at a time and
+    # in short reads, so that runs of dropped loads and folded loop heads
+    # cross refill points: the gated decode yields what the spec model
+    # makes of the ungated one, with the same skip counts.
+    events, raw = _gap_trace(threads, threads, 45_000)
+    assert len(raw) > _Reader.CHUNK
+    assert list(read_trace(io.BytesIO(raw))[0]) == events
+    for sampling in GAP_SAMPLINGS:
+        expected = _gated_model(events, sampling)
+        if sampling.window_enable == 1000:
+            assert expected[1] > len(events) // 2
+        for stream in (io.BytesIO(raw), ShortReads(raw, 61),
+                       ShortReads(raw, 1000)):
+            assert _gated_decode(stream, sampling) == expected, sampling
+
+
+def _decode_error(stream, sampling=None):
+    events, _ = read_trace(stream)
+    events.sampling = sampling
+    with pytest.raises(TraceDecodeError) as err:
+        for _ in events:
+            pass
+    return str(err.value), err.value.offset
+
+
+def test_gated_decode_raises_inside_a_long_gap_where_ungated_does():
+    # A bad record in the middle of a run of dropped loads and folded loop
+    # heads stops a gated decode with the ungated decode's message and
+    # byte offset, whether chunks arrive whole or in short reads.
+    b = Build()
+    b.sm.add_site(1, "main", "a.c", 1)
+    b.sm.add_loop(11, "a.c", 2)
+    b.thread_start()
+    b.ins = 10          # the gap of a 2-in-1002 window
+    for k in range(300):
+        b.loop(11, 1)
+        b.load(0x1000 + 8 * (k % 4), u32(k), 1)
+    buf = io.BytesIO()
+    write_trace(b.events, b.sm, buf)
+    good = buf.getvalue()
+    # The 150th last pair of records: a loop head (21 bytes), then a load
+    # of 4 value bytes (31 bytes); the load before it ends at `head`.
+    head = len(good) - 150 * (21 + 31)
+    load = head + 21
+    ins = b.events[-300].ins_index          # the loop head's
+
+    def patched(at, value, width=1):
+        raw = bytearray(good)
+        raw[at:at + width] = value.to_bytes(width, "little")
+        return bytes(raw)
+
+    cases = [
+        (load, "bad load size 3", patched(load + 21, 3)),
+        (load, "bad fp_class 3", patched(load + 22, 3)),
+        (load, "f64 load size 4 not a multiple of 8",
+         patched(load + 22, F64)),
+        (load, "unresolved site_id 9", patched(load + 23, 9, 4)),
+        (head, "unresolved site_id 8", patched(head + 17, 8, 4)),
+        (head, "unresolved loop_id 12", patched(head + 13, 12, 4)),
+        (load, f"ins_index {ins} after {ins} in thread 0: not strictly "
+         "increasing", patched(load + 5, ins, 8)),
+        (head, f"ins_index {ins - 1} after {ins - 1} in thread 0: not "
+         "strictly increasing", patched(head + 5, ins - 1, 8)),
+        (load, "unknown event kind 9", patched(load, 9)),
+        (head, "unknown event kind 0", patched(head, 0)),
+    ]
+    # Cut short anywhere inside the pair; a cut between records is a clean
+    # end.
+    cases += [(head if cut < load else load, "truncated record", good[:cut])
+              for cut in range(head + 1, load + 31) if cut != load]
+    gap = SamplingConfig(2, 1000)
+    for offset, message, raw in cases:
+        ungated = _decode_error(io.BytesIO(raw))
+        assert ungated == (f"offset {offset}: {message}", offset)
+        for stream in (io.BytesIO(raw), ShortReads(raw, 61),
+                       ShortReads(raw, 4096)):
+            assert _decode_error(stream, gap) == ungated, message
+
+
+def test_gated_decode_of_threads_that_take_turns_inside_a_gap():
+    # Threads 1 and 2 take turns record by record, under a 10-in-100
+    # window. Thread 1's loop head at 70 folds into the held one while
+    # thread 2 sits in the gap [110, 200); its load at 105 is monitored
+    # in its own window and is built. Then a repeated ins_index of thread
+    # 1, after a turn of thread 2, fails as it fails ungated.
+    sm = SourceMap()
+    sm.add_site(1, "main", "a.c", 1)
+    sm.add_loop(11, "a.c", 2)
+
+    def load(tid, ins):
+        return load_event(tid, ins, 0x1000, u32(ins), site_id=1)
+
+    def head(tid, ins):
+        return TraceEvent(LOOPHEAD, tid, ins, loop_id=11, site_id=1)
+
+    events = [TraceEvent(THREAD_START, 1, 0), TraceEvent(THREAD_START, 2, 0),
+              load(2, 150), head(1, 50), load(1, 60), load(2, 151),
+              head(1, 70), load(1, 105), load(2, 152), load(1, 120),
+              load(2, 153), load(1, 121), load(2, 154), head(1, 122)]
+    sampling = SamplingConfig(10, 90)
+    buf = io.BytesIO()
+    write_trace(events, sm, buf)
+    raw = buf.getvalue()
+    expected = _gated_model(events, sampling)
+    assert (LOAD, 1, 105, 1, 4) in expected[0]
+    assert _gated_decode(io.BytesIO(raw), sampling) == expected
+    # The last loop head (21 bytes) replaced by the load of thread 1 two
+    # records back (31 bytes): the same ins_index twice in thread 1, with
+    # a load of thread 2 between.
+    bad = raw[:-21] + raw[-83:-52]
+    ungated = _decode_error(io.BytesIO(bad))
+    assert ungated[0].endswith("ins_index 121 after 121 in thread 1: not "
+                               "strictly increasing")
+    assert _decode_error(io.BytesIO(bad), sampling) == ungated
 
 
 def _outcome(analyze):
