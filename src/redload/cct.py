@@ -36,6 +36,7 @@ class ContextTree:
         self.nodes = [self.root]    # handle -> node
         self.cursor = self.root
         self.timestamp = 0
+        self._paths = {}            # handle -> structural path, once asked
 
     def _child(self, node, kind, ident):
         key = (kind, ident)
@@ -111,6 +112,11 @@ class ContextTree:
         """(kind, ident) tuples root-first, excluding the root.
 
         Thread-independent identity of a context; equal paths in different
-        threads' trees compare equal.
+        threads' trees compare equal. Each handle's path is built once, so
+        every allocation at one context shares one tuple.
         """
-        return tuple((n.kind, n.ident) for n in self.root_path(handle)[1:])
+        path = self._paths.get(handle)
+        if path is None:
+            path = self._paths[handle] = tuple(
+                (n.kind, n.ident) for n in self.root_path(handle)[1:])
+        return path

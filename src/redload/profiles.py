@@ -45,9 +45,13 @@ def _frames(table, keys, where):
     try:
         return tuple([table[key] for key in keys])
     except KeyError as exc:
-        kind, ident = exc.args[0]
-        name = "loop_id" if kind == LOOP else "site_id"
-        raise RedloadError(f"{where}: unresolved {name} {ident}") from None
+        raise _unresolved(exc.args[0], where) from None
+
+
+def _unresolved(key, where):
+    kind, ident = key
+    name = "loop_id" if kind == LOOP else "site_id"
+    return RedloadError(f"{where}: unresolved {name} {ident}")
 
 
 @dataclass(eq=True)
@@ -75,6 +79,35 @@ def _fold(key, counters, rows):
         rows[key] = total
 
 
+class _Paths(dict):
+    """Handle -> canonical path in one context tree, where no handle (no
+    prior load, no scope) is no path. A hit is one dict lookup; a miss
+    resolves the handle's path and each unresolved ancestor's."""
+
+    def __init__(self, tree, frames):
+        super().__init__({None: None, tree.root.handle: ()})
+        self.nodes = tree.nodes
+        self.frames = frames
+
+    def __missing__(self, handle):
+        # Each path is its parent's plus one frame. Walk up to the nearest
+        # resolved ancestor without recursion: loop-extended paths can be
+        # deeper than the interpreter's recursion limit.
+        pending = []
+        node = self.nodes[handle]
+        while (path := self.get(node.handle)) is None:
+            pending.append(node)
+            node = node.parent
+        for node in reversed(pending):
+            key = node.kind, node.ident
+            frame = self.frames.get(key)
+            if frame is None:
+                raise _unresolved(key, f"context handle {handle}")
+            path += (frame,)
+            self[node.handle] = path
+        return path
+
+
 def canonicalize(worker, source_map):
     """Rewrite one thread worker's accumulators into a canonical Profile.
 
@@ -84,40 +117,16 @@ def canonicalize(worker, source_map):
     `_fold`, so the worker is never changed.
     """
     frames = _frame_table(source_map)
-    tree = worker.tree
-    nodes = tree.nodes
-    paths = {tree.root.handle: ()}      # handle -> canonical path
-
-    def path_of(handle):
-        if handle is None:
-            return None
-        path = paths.get(handle)
-        if path is not None:
-            return path
-        # Each path is its parent's plus one frame. Walk up to the nearest
-        # resolved ancestor without recursion: loop-extended paths can be
-        # deeper than the interpreter's recursion limit.
-        pending = []
-        node = nodes[handle]
-        while (path := paths.get(node.handle)) is None:
-            pending.append(node)
-            node = node.parent
-        pending.reverse()
-        keys = [(n.kind, n.ident) for n in pending]
-        where = f"context handle {handle}"
-        for node, frame in zip(pending, _frames(frames, keys, where)):
-            path += (frame,)
-            paths[node.handle] = path
-        return path
+    paths = _Paths(worker.tree, frames)
 
     temporal = worker.temporal
     profile = Profile(totals=temporal.totals, thread_count=1,
                       meta=worker.meta)
 
-    t_budget = worker.temporal_budget
-    for (old_h, new_h), counters in temporal.rows.items():
-        scope_h = t_budget.scope_for((old_h, new_h))
-        key = (path_of(old_h), path_of(new_h), path_of(scope_h))
+    scopes = worker.temporal_budget.scopes
+    for pkey, counters in temporal.rows.items():
+        old_h, new_h = pkey
+        key = (paths[old_h], paths[new_h], paths[scopes.get(pkey)])
         _fold(key, counters, profile.temporal_pairs)
 
     spatial = worker.spatial
@@ -128,11 +137,11 @@ def canonicalize(worker, source_map):
     for key, counters in zip(objects, spatial.object_rows.values()):
         _fold(key, counters, profile.objects)
 
-    s_budget = worker.spatial_budget
+    scopes = worker.spatial_budget.scopes
     for pkey, counters in spatial.pair_rows.items():
         rid, old_h, new_h = pkey
-        key = (objects[rid], path_of(old_h), path_of(new_h),
-               path_of(s_budget.scope_for(pkey)))
+        key = (objects[rid], paths[old_h], paths[new_h],
+               paths[scopes.get(pkey)])
         _fold(key, counters, profile.spatial_pairs)
 
     return profile
@@ -375,19 +384,26 @@ def _require(ok, where, field, value, want):
 
 def _path_from(docs, frames, where, field):
     """The path in `field` of the document at `where`. A pair row's
-    old_context and scope may be null, an object's context may be empty;
-    `frames` maps each frame checked so far to its one tuple."""
+    old_context and scope may be null, an object's context may be empty.
+    `frames` maps each frame checked so far to its one tuple, and, by
+    id(), each frame document and each list of them checked so far to
+    its tuple: a document met again, such as one that `load` shares
+    between rows, is not read again. The ids stay valid while the caller
+    holds the document."""
     if docs is None and field in ("old_context", "scope"):
         return None
     _require(type(docs) is list and (docs or field == "context"), where,
              field, docs, "a list of frames, empty only in an object")
+    ids = tuple(map(id, docs))
+    path = frames.get(ids)
+    if path is not None:
+        return path
     path = []
     for doc in docs:
-        frame = kind, name, file, line = (doc["kind"], doc["name"],
-                                          doc["file"], doc["line"])
-        try:
-            path.append(frames[frame])
-        except (KeyError, TypeError):   # new, or holds an unhashable value
+        frame = frames.get(id(doc))
+        if frame is None:
+            frame = kind, name, file, line = (doc["kind"], doc["name"],
+                                              doc["file"], doc["line"])
             at = f"{where} {field} frame {len(path)}"
             _require(kind in ("function", "loop", "load"), at, "kind", kind,
                      "'function', 'loop' or 'load'")
@@ -395,8 +411,10 @@ def _path_from(docs, frames, where, field):
             _require(type(file) is str, at, "file", file, "a string")
             _require(type(line) is int and line >= 0, at, "line", line,
                      "a non-negative integer")
-            path.append(frames.setdefault(frame, frame))
-    return tuple(path)
+            frame = frames[id(doc)] = frames.setdefault(frame, frame)
+        path.append(frame)
+    path = frames[ids] = tuple(path)
+    return path
 
 
 def _counts(values, names, where, index=None):
@@ -477,14 +495,39 @@ def save(profile, path):
         _write(profile, f.write)
 
 
+def _shared_frames():
+    """An object_pairs_hook for json.loads that parses every equal object
+    of four string or integer members, the shape of a frame, to one
+    shared dict; any other object is the plain dict json.loads builds.
+    Only strings and ints are shared, as 1, 1.0 and true compare equal."""
+    shared = {}
+
+    def parse(pairs):
+        if len(pairs) != 4:
+            return dict(pairs)
+        for _, value in pairs:
+            if type(value) is not str and type(value) is not int:
+                return dict(pairs)
+        key = tuple(pairs)
+        doc = shared.get(key)
+        if doc is None:
+            doc = shared[key] = dict(pairs)
+        return doc
+
+    return parse
+
+
 def load(path):
-    """Read a saved profile. A file that is not UTF-8, not JSON or not a
-    profile document raises RedloadError naming the file."""
+    """Read a saved profile. Equal frames parse to one object, so memory
+    and checks follow the distinct frames, not every row's copy. A file
+    that is not UTF-8, not JSON or not a profile document raises
+    RedloadError naming the file."""
     with open(path, "rb") as f:
         try:
             # No name holds the bytes or the text: each is freed as soon
             # as the next step is done with it.
-            doc = json.loads(f.read().decode("utf-8"))
+            doc = json.loads(f.read().decode("utf-8"),
+                             object_pairs_hook=_shared_frames())
         except UnicodeDecodeError as exc:
             raise RedloadError(f"{path}: invalid UTF-8 at byte "
                                f"{exc.start}") from None

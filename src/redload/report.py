@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import RedloadError
 from .profiles import fractions_doc, object_doc, path_doc, totals_doc
-from .spatial import STATIC, object_fraction
+from .spatial import STATIC, object_fractions
 from .temporal import pair_fraction, program_fraction
 
 DEFAULT_TOP = 20
@@ -50,7 +50,7 @@ def _key_doc(key):
     return json.dumps(key, sort_keys=True)
 
 
-def _class_rows(kind, key_rows, totals, object_fractions=None):
+def _class_rows(kind, key_rows, totals, fractions=None):
     rows = []
     for key, counters in key_rows:
         if kind == "temporal":
@@ -74,8 +74,8 @@ def _class_rows(kind, key_rows, totals, object_fractions=None):
                 total_instances=counters.total_instances,
                 new_context=new_ctx, old_context=old_ctx, scope=scope,
                 object_key=obj)
-            if obj is not None and object_fractions is not None:
-                of = object_fractions.get(obj)
+            if obj is not None and fractions is not None:
+                of = fractions.get(obj)
                 if of is not None:
                     value, defined = of[0] if klass == "precise" else of[1]
                     row.object_fraction = value
@@ -93,14 +93,10 @@ def build_report(profile, top=DEFAULT_TOP):
     """(temporal rows, spatial rows), each ranked and cut to the top N."""
     if top < 0:
         raise RedloadError(f"top must be >= 0, got {top}")
-    object_fractions = {
-        key: object_fraction(counters, profile.objects.values())
-        for key, counters in profile.objects.items()
-    }
     temporal = _class_rows("temporal", profile.temporal_pairs.items(),
                            profile.totals)
     spatial = _class_rows("spatial", profile.spatial_pairs.items(),
-                          profile.totals, object_fractions)
+                          profile.totals, object_fractions(profile.objects))
     return temporal[:top], spatial[:top]
 
 

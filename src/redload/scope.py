@@ -49,7 +49,3 @@ class ScopeBudget:
         scope = resolve_scope(self.tree, old_handle, t_old, new_handle, t_new)
         self.scopes[key] = scope
         return scope
-
-    def scope_for(self, key):
-        """Resolved scope for a pair key; None when never redundant."""
-        return self.scopes.get(key)

@@ -209,10 +209,13 @@ class SpatialDetector:
         return redundant, desc.object_id
 
 
-def object_fraction(record, object_rows):
-    """Per-object redundancy fractions: this object's redundant bytes over
-    the loaded bytes summed across all objects, per class."""
-    total_precise = sum(r.total_bytes_precise for r in object_rows)
-    total_approx = sum(r.total_bytes_approx for r in object_rows)
-    return (_fraction(record.redundant_bytes_precise, total_precise),
-            _fraction(record.redundant_bytes_approx, total_approx))
+def object_fractions(object_rows):
+    """Per-object redundancy fractions, by the keys of `object_rows`:
+    each object's redundant bytes over the loaded bytes summed across all
+    objects, per class."""
+    rows = object_rows.values()
+    total_precise = sum(r.total_bytes_precise for r in rows)
+    total_approx = sum(r.total_bytes_approx for r in rows)
+    return {key: (_fraction(r.redundant_bytes_precise, total_precise),
+                  _fraction(r.redundant_bytes_approx, total_approx))
+            for key, r in object_rows.items()}

@@ -183,8 +183,9 @@ def test_criterion_4_adjacent_equal_exact():
     row = profile.objects[("static", "A")]
     assert row.redundant_instances == 2
     assert row.total_instances == 4
-    from redload.spatial import object_fraction
-    (precise, defined), _ = object_fraction(row, profile.objects.values())
+    from redload.spatial import object_fractions
+    (precise, defined), _ = \
+        object_fractions(profile.objects)[("static", "A")]
     assert defined and precise == 0.5
     # No temporal redundancy: all four addresses are touched once.
     assert profile.totals.redundant_nonfp_bytes == 0

@@ -6,6 +6,7 @@ import pytest
 
 from redload.cct import FUNCTION, LOADSITE, LOOP, ROOT, ContextTree
 from redload.errors import MalformedTraceError
+from redload.spatial import ObjectRegistry
 
 
 def test_call_from_root():
@@ -194,6 +195,22 @@ def test_structural_path_excludes_root():
     h, _ = t.current_load_context(2)
     assert t.structural_path(h) == ((FUNCTION, 1), (LOOP, 10), (LOADSITE, 2))
     assert t.structural_path(0) == ()
+
+
+def test_allocations_at_one_context_share_one_path():
+    # The engine keys an allocation by the structural path of the cursor.
+    t = ContextTree()
+    reg = ObjectRegistry()
+    t.on_call(1)
+    t.on_loop_head(10)
+    reg.on_alloc(0x1000, 8, t.structural_path(t.cursor.handle))
+    t.on_loop_head(10)
+    t.current_load_context(2)
+    reg.on_alloc(0x2000, 8, t.structural_path(t.cursor.handle))
+    first, second = (reg.by_base[base].report_key[1]
+                     for base in (0x1000, 0x2000))
+    assert first == ((FUNCTION, 1), (LOOP, 10))
+    assert second is first
 
 
 def test_nesting_property_inner_pass_after_outer():

@@ -4,10 +4,11 @@ import copy
 import json
 import random
 import sys
+import tracemalloc
 
 import pytest
 
-from redload import engine
+from redload import cli, engine
 from redload.engine import AnalysisConfig, analyze_events
 from redload.errors import RedloadError
 from redload.profiles import (META_MIXED, Profile, from_json, load,
@@ -284,19 +285,84 @@ def test_same_scenario_two_threads_identical_keys_doubled_counters():
             2 * row.total_instances
 
 
-def test_profile_json_roundtrip(tmp_path):
+def _saved_random_mixed(tmp_path):
+    """A random_mixed profile of 1,456 rows and its file."""
     profile = analyze_events(*generate(Scenario("random_mixed",
                                                 {"loads": 1500, "seed": 3})),
                              config=FULL)
-    doc = to_json(profile)
-    assert from_json(doc) == profile
     path = tmp_path / "p.json"
     save(profile, path)
+    return profile, path
+
+
+def _frames_of(profile):
+    """Every frame of every row key, one entry per occurrence."""
+    paths = [*[p for key in profile.temporal_pairs for p in key],
+             *[p for key in profile.spatial_pairs for p in key[1:]],
+             *[ident for kind, ident in profile.objects if kind == "dynamic"]]
+    return [frame for path in paths if path is not None for frame in path]
+
+
+def test_profile_json_roundtrip(tmp_path):
+    profile, path = _saved_random_mixed(tmp_path)
+    doc = to_json(profile)
+    assert from_json(doc) == profile
     assert load(path) == profile
+    assert load(path) == from_json(json.loads(path.read_text()))
     # Serialization is byte-stable.
     save(profile, tmp_path / "q.json")
     assert (tmp_path / "p.json").read_bytes() == \
         (tmp_path / "q.json").read_bytes()
+
+
+def test_load_gives_equal_frames_one_tuple(tmp_path):
+    _, path = _saved_random_mixed(tmp_path)
+    frames = _frames_of(load(path))
+    assert len({id(frame) for frame in frames}) == len(set(frames))
+    assert len(set(frames)) * 20 < len(frames)
+
+
+def test_load_peak_memory_follows_distinct_frames(tmp_path):
+    # The parsed document holds one dict per distinct frame, so the peak
+    # is about the file's bytes and text together (2x). One dict and four
+    # strings per frame occurrence put it at about 4.2x.
+    profile, path = _saved_random_mixed(tmp_path)
+    rows = (len(profile.temporal_pairs) + len(profile.objects)
+            + len(profile.spatial_pairs))
+    assert rows >= 1000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loaded = load(path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert loaded == profile
+    size = path.stat().st_size
+    assert peak < 2.5 * size, f"peak {peak / size:.2f}x the file size"
+
+
+def test_merge_keeps_meta_that_looks_like_frames(tmp_path):
+    # Objects of four members are parsed to one shared dict when equal;
+    # meta must come out of a merge as it went in, value types included.
+    frame = {"kind": "function", "name": "f", "file": "a.c", "line": 1}
+    meta = {"frames": [frame, dict(frame), {**frame, "line": 1.0}],
+            "typed": [{"a": 1, "b": 0, "c": "x", "d": 2},
+                      {"a": True, "b": -0.0, "c": "x", "d": 2},
+                      {"a": 1, "b": 0.0, "c": "x", "d": 2.0},
+                      {"a": 1, "b": 0, "c": "x", "d": 2}],
+            "listed": [{"kind": "loop", "name": ["x"], "file": "b.c",
+                        "line": 2}] * 2,
+            "kind": "function", "name": "f", "file": "a.c"}
+    profile, path = _saved_random_mixed(tmp_path)
+    profile.meta = meta
+    save(profile, path)
+    out = tmp_path / "m.json"
+    assert cli.main(["merge", str(path), str(path), "-o", str(out)]) == 0
+    merged = json.loads(out.read_text())["meta"]
+    assert json.dumps(merged, sort_keys=True) == \
+        json.dumps(meta, sort_keys=True)
+    assert load(out).meta == meta
 
 
 def test_profile_json_matches_schema():
@@ -333,6 +399,21 @@ def test_from_json_names_what_is_missing_or_malformed():
     doc["objects"] = 7
     with pytest.raises(RedloadError, match="malformed profile"):
         from_json(doc)
+
+
+def test_from_json_checks_every_frame_document():
+    # true and 1.0 equal 1: a frame that only equals a valid one is still
+    # checked, wherever it comes.
+    profile = analyze_events(*generate(Scenario("sparse_zeros",
+                                                {"len": 64})), config=FULL)
+    for bad in (True, 1.0):
+        doc = to_json(profile)
+        frame = doc["temporal_pairs"][-1]["new_context"][0]
+        frame["line"] = bad if frame["line"] == 1 else float(frame["line"])
+        row = len(doc["temporal_pairs"]) - 1
+        with pytest.raises(RedloadError, match=f"temporal_pairs row {row} "
+                           "new_context frame 0: field 'line' is"):
+            from_json(doc)
 
 
 def test_post_merge_conservation():

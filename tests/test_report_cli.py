@@ -17,9 +17,11 @@ from redload.cli import main
 from redload.engine import AnalysisConfig, analyze_events
 from redload.errors import ConfigError
 from redload.profiles import load as load_profile
-from redload.profiles import merge_all, save, to_json
+from redload.profiles import Profile, merge_all, save, to_json
 from redload.report import build_report, report_json, report_text
 from redload.sampling import SamplingConfig
+from redload.spatial import STATIC
+from redload.temporal import PairCounters
 from redload.trace import F64, write_trace
 from redload.workloads import Scenario, generate
 
@@ -44,6 +46,33 @@ def test_adjacent_equal_top_spatial_row_names_object_a():
     assert row.object_fraction == 0.5
     assert row.scope is not None
     assert row.chain == row.new_context + row.old_context
+
+
+def test_object_fractions_of_20000_objects_are_direct_sums():
+    # Every object shares the two per-class denominators, so a report sums
+    # them once, not once per object: 20,000 rows take well under a second.
+    objects = {(STATIC, f"o{i}"): PairCounters(
+        redundant_bytes_precise=i % 5, redundant_bytes_approx=i % 3,
+        total_bytes_precise=8 + i % 7, total_bytes_approx=i % 2 * 16)
+        for i in range(20_000)}
+    frame = ("function", "f", "a.c", 1)
+    spatial = {(key, (frame,), (frame,), None): objects[key]
+               for key in ((STATIC, f"o{i}") for i in (4, 7, 12_346, 19_999))}
+    profile = Profile(objects=objects, spatial_pairs=spatial)
+    start = time.perf_counter()
+    _, rows = build_report(profile, top=10)
+    took = time.perf_counter() - start
+    precise = sum(r.total_bytes_precise for r in objects.values())
+    approx = sum(r.total_bytes_approx for r in objects.values())
+    assert len(rows) == 8       # a precise and an approx row each
+    for row in rows:
+        counters = objects[row.object_key]
+        expected = (counters.redundant_bytes_precise / precise
+                    if row.klass == "precise"
+                    else counters.redundant_bytes_approx / approx)
+        assert row.object_fraction_defined
+        assert row.object_fraction == expected
+    assert took < 5.0, f"build_report took {took:.1f}s"
 
 
 def test_report_top_zero_is_header_only():

@@ -103,7 +103,7 @@ def test_budget_one_resolves_once_and_reuses():
     scope = budget.resolve(("k",), h_old, ts_old, h_new, ts_new)
     assert scope == resolve_scope(t, h_old, ts_old, h_new, ts_new)
     assert t.nodes[scope].ident == 12
-    assert budget.scope_for(("k",)) == scope
+    assert budget.scopes.get(("k",)) == scope
     assert budget.traversals == 1
 
 
@@ -118,11 +118,11 @@ def test_distinct_pair_keys_have_distinct_budgets():
     t.on_loop_head(12)
     h_b, ts_b = t.current_load_context(2)
     budget.resolve(("b",), h_old, ts_old, h_b, ts_b)
-    assert t.nodes[budget.scope_for(("a",))].ident == 12
-    assert t.nodes[budget.scope_for(("b",))].ident == 11
+    assert t.nodes[budget.scopes.get(("a",))].ident == 12
+    assert t.nodes[budget.scopes.get(("b",))].ident == 11
     assert resolve_scope(t, h_old, ts_old, h_a, ts_a) is None
     assert budget.traversals == 2
-    assert budget.scope_for(("missing",)) is None
+    assert budget.scopes.get(("missing",)) is None
 
 
 def test_worked_examples_through_the_engine():

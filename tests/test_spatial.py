@@ -11,7 +11,7 @@ from redload.errors import MalformedTraceError
 from redload.sampling import SamplingConfig
 from redload.scope import ScopeBudget
 from redload.spatial import (ObjectRegistry, SpatialDetector,
-                             object_fraction)
+                             object_fractions)
 from redload.temporal import PairCounters
 from redload.trace import (ALLOC, F64, FREE, THREAD_START, SourceMap,
                            TraceEvent)
@@ -94,7 +94,7 @@ def test_listing_sequence_1_1_1_15():
     row = det.object_rows[("static", "A")]
     assert row.redundant_instances == 2 and row.total_instances == 4
     assert row.redundant_bytes_precise == 8 and row.total_bytes_precise == 16
-    (precise, ok), _ = object_fraction(row, det.object_rows.values())
+    (precise, ok), _ = object_fractions(det.object_rows)[("static", "A")]
     assert ok and precise == 0.5
 
 
@@ -217,7 +217,7 @@ def test_pair_rows_record_redundancy_instances_only():
 
 
 def test_object_fraction_zero_denominator():
-    (p, p_ok), (a, a_ok) = object_fraction(PairCounters(), [])
+    (p, p_ok), (a, a_ok) = object_fractions({"A": PairCounters()})["A"]
     assert not p_ok and not a_ok and p == 0.0 and a == 0.0
 
 
