@@ -97,10 +97,9 @@ class ContextTree:
     def root_path(self, handle):
         """Node list from the root down to the handle's node; the
         orientation scope search wants."""
-        try:
-            node = self.nodes[handle]
-        except IndexError:
-            raise KeyError(f"unknown context handle {handle}") from None
+        if not 0 <= handle < len(self.nodes):
+            raise KeyError(f"unknown context handle {handle}")
+        node = self.nodes[handle]
         path = []
         while node is not None:
             path.append(node)

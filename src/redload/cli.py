@@ -2,13 +2,13 @@
 
 import argparse
 import json
-import os
 import signal
 import sys
 
 from . import profiles, workloads
 from .engine import AnalysisConfig, analyze_path
 from .errors import RedloadError
+from .output import replacing
 from .report import DEFAULT_TOP, report_json, report_text
 from .sampling import (DEFAULT_WINDOW_DISABLE, DEFAULT_WINDOW_ENABLE,
                        SamplingConfig)
@@ -70,24 +70,10 @@ def _parse_params(pairs):
 def _cmd_gen(args):
     scenario = workloads.Scenario(args.scenario, _parse_params(args.param))
     events, source_map = workloads.generate(scenario)
-    # Encoding can fail part way: write beside the output and rename over
-    # it only once the whole trace is written.
     write, mode, encoding = ((write_text_trace, "x", "utf-8") if args.text
                              else (write_trace, "xb", None))
-    # Until then a SIGTERM becomes SystemExit, so that the cleanup runs.
-    tmp = f"{args.output}.{os.getpid()}.tmp"
-    on_term = signal.signal(signal.SIGTERM, _exit_on_signal)
-    try:
-        f = open(tmp, mode, encoding=encoding)
-        try:
-            with f:
-                write(events, source_map, f)
-            os.replace(tmp, args.output)
-        except BaseException:
-            os.remove(tmp)
-            raise
-    finally:
-        signal.signal(signal.SIGTERM, on_term)
+    with replacing(args.output, mode, encoding) as f:
+        write(events, source_map, f)
     return 0
 
 
@@ -146,11 +132,17 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code
+    # gen, analyze and merge write their output beside it and rename it
+    # over it once whole; a SIGTERM becomes SystemExit, so that a killed
+    # run removes what it had written.
+    on_term = signal.signal(signal.SIGTERM, _exit_on_signal)
     try:
         return _COMMANDS[args.command](args)
     except (RedloadError, OSError) as exc:
         print(f"redload {args.command}: {exc}", file=sys.stderr)
         return 1
+    finally:
+        signal.signal(signal.SIGTERM, on_term)
 
 
 if __name__ == "__main__":

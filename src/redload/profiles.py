@@ -15,6 +15,7 @@ from operator import attrgetter, itemgetter
 
 from .cct import FUNCTION, LOADSITE, LOOP
 from .errors import RedloadError
+from .output import replacing
 from .spatial import DYNAMIC, STATIC
 from .temporal import PairCounters, ProgramTotals, program_fraction
 
@@ -491,7 +492,8 @@ def _profile_from(doc):
 
 
 def save(profile, path):
-    with open(path, "w", encoding="utf-8") as f:
+    """Write the profile's document to `path`, whole or not at all."""
+    with replacing(path, "x", "utf-8") as f:
         _write(profile, f.write)
 
 

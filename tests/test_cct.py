@@ -151,6 +151,15 @@ def test_unknown_handle_raises():
         t.root_path(99)
     with pytest.raises(KeyError):
         t.structural_path(99)
+    # A negative handle names no node either, and nothing is cached for it.
+    t.on_call(1)
+    t.on_loop_head(10)
+    for handle in (-1, -2, -3):
+        with pytest.raises(KeyError):
+            t.root_path(handle)
+        with pytest.raises(KeyError):
+            t.structural_path(handle)
+    assert t._paths == {}
 
 
 def test_counter_strictly_monotonic_random_walk():

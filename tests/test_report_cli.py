@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from redload import profiles
 from redload.cli import main
 from redload.engine import AnalysisConfig, analyze_events
 from redload.errors import ConfigError
@@ -286,6 +287,36 @@ def test_cli_gen_killed_by_sigterm_leaves_no_file(tmp_path):
         gen.kill()
         gen.wait()
     assert os.listdir(tmp_path) == []
+
+
+def test_cli_failed_profile_write_leaves_no_file(tmp_path, monkeypatch,
+                                                capsys):
+    # analyze and merge that fail part way through writing the profile
+    # leave no partial file at -o, and an earlier file there unchanged.
+    trace = tmp_path / "t.lrt"
+    prof = tmp_path / "p.json"
+    assert main(["gen", "--scenario", "forward_copy", "-o", str(trace)]) == 0
+    assert main(["analyze", str(trace), "-o", str(prof),
+                 "--no-sampling"]) == 0
+
+    def disk_full(profile, write):
+        write('{\n "format": ')
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(profiles, "_write", disk_full)
+    out = tmp_path / "out.json"
+    for argv in (["analyze", str(trace), "-o", str(out), "--no-sampling"],
+                 ["merge", str(prof), str(prof), "-o", str(out)]):
+        assert main(argv) == 1
+        assert "No space left on device" in capsys.readouterr().err
+        assert not out.exists()
+        out.write_bytes(b"earlier profile")
+        assert main(argv) == 1
+        assert out.read_bytes() == b"earlier profile"
+        assert sorted(os.listdir(tmp_path)) == ["out.json", "p.json",
+                                                "t.lrt"]
+        out.unlink()
+    capsys.readouterr()
 
 
 def test_cli_bad_param_exits_1(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Shadow memory: probe results against a per-byte model, per-byte
-metadata, page sparsity, page straddles and memory per byte touched."""
+metadata, pair pages and their expansion, page sparsity, page straddles
+and memory per byte touched."""
 
 import random
 import tracemalloc
@@ -97,6 +98,42 @@ def test_probe_update_matches_byte_model_on_full_pages_and_zero_stamps():
         assert s.pages[1][2] == FULL     # the loaded-byte mask
 
 
+def test_pair_page_transitions_match_byte_model():
+    # Pages 4 and 5 through each layout change, every probe checked
+    # against the byte model and each page's stamps counted: a page keeps
+    # one (ctx, ts) pair for every loaded byte until a load leaves one of
+    # them outside its span, and then holds 2 * PAGE_SIZE stamps.
+    top = 2**64 - 1
+    pair, full = 2, 2 * PAGE_SIZE
+    base = 4 * PAGE_SIZE
+    steps = [
+        # addr, size, ctx, ts, stamps of page 4 and of page 5 afterwards
+        (base + 8, 8, 0, 0, pair, None),        # one load: a pair
+        (base + 8, 8, top, top, pair, None),    # the same span: a pair
+        (base + 4, 16, 3, 1, pair, None),       # covers [8, 16): a pair
+        (base + 4, 32, 4, top, pair, None),     # covers [4, 20): a pair
+        (base + 12, 4, 5, 3, full, None),       # leaves [4, 12): expands
+        (base + 12, 1, 6, 0, full, None),
+        (base - 4, 8, top, 7, full, None),      # tail on the expanded page
+        (base + PAGE_SIZE - 4, 8, 8, 0, full, pair),   # tail makes page 5
+        (base + PAGE_SIZE - 2, 8, 0, 9, full, pair),   # tail covers [0, 4)
+        (base + PAGE_SIZE - 6, 8, 10, 10, full, full),  # tail leaves [2, 6)
+    ]
+    s = ShadowTable()
+    model = ByteModel()
+    for i, (addr, size, ctx, ts, four, five) in enumerate(steps):
+        value = bytes((i + k) % 3 for k in range(size))
+        want = model.probe_update(addr, size, value, ctx, ts)
+        assert s.probe_update(addr, size, value, ctx, ts) == want, i
+        assert len(s.pages[4][1]) == four, i
+        assert five is None or len(s.pages[5][1]) == five, i
+    assert len(s.pages[3][1]) == pair     # one crossing load's head
+    # Every byte around the three pages reads as the model has it.
+    for addr in range(base - PAGE_SIZE, base + 2 * PAGE_SIZE):
+        want = model.probe_update(addr, 1, b"\x01", top, addr)
+        assert s.probe_update(addr, 1, b"\x01", top, addr) == want, addr
+
+
 def test_probe_update_across_page_boundary():
     s = ShadowTable()
     addr = PAGE_SIZE - 3
@@ -155,11 +192,9 @@ def test_page_sparsity():
     assert s.page_count() == 2
 
 
-def test_scattered_loads_cost_memory_per_byte_touched():
-    # 2,000 8-byte loads 64 KiB apart, every one monitored. The shadow
-    # memory they need must grow with the bytes they touch, not with the
-    # address range they span: at most 16 KiB of traced memory per load.
-    loads = 2000
+def _traced_memory_per_scattered_load(loads=2000):
+    """Peak traced memory of analyzing `loads` 8-byte loads 64 KiB apart,
+    every one monitored, per load."""
     sm = SourceMap()
     sm.add_site(1, "main", "a.c", 1)
     events = [load_event(0, i, i << 16, bytes(8), site_id=1)
@@ -171,4 +206,20 @@ def test_scattered_loads_cost_memory_per_byte_touched():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak / loads < 16 * 1024, f"{peak / loads:.0f} bytes per load"
+    return peak / loads
+
+
+def test_scattered_loads_cost_memory_per_byte_touched():
+    # The shadow memory scattered loads need must grow with the bytes
+    # they touch, not with the address range they span: at most 16 KiB of
+    # traced memory per load.
+    per_load = _traced_memory_per_scattered_load()
+    assert per_load < 16 * 1024, f"{per_load:.0f} bytes per load"
+
+
+def test_scattered_loads_keep_one_stamp_pair_per_page():
+    # A page written by one 8-byte load keeps one (ctx, ts) pair, not
+    # PAGE_SIZE stamps: at most 512 bytes of traced memory per load, about
+    # a third of what per-byte stamps take.
+    per_load = _traced_memory_per_scattered_load()
+    assert per_load < 512, f"{per_load:.0f} bytes per load"
