@@ -1,6 +1,7 @@
 """Command line interface: gen, analyze, merge, report."""
 
 import argparse
+import functools
 import json
 import signal
 import sys
@@ -102,7 +103,10 @@ def _cmd_analyze(args):
 
 
 def _cmd_merge(args):
-    merged = profiles.merge_all([profiles.load(p) for p in args.profiles])
+    # Each input is folded into the running sum as it is read, so only
+    # the sum, one input and their new sum are held at once.
+    merged = functools.reduce(profiles.merge,
+                              map(profiles.load, args.profiles))
     profiles.save(merged, args.output)
     return 0
 

@@ -8,8 +8,10 @@ counter addition, rows matching iff old context, new context and scope all
 match.
 """
 
+import codecs
 import io
 import json
+import re
 from dataclasses import dataclass, field, fields
 from operator import attrgetter, itemgetter
 
@@ -386,25 +388,20 @@ def _require(ok, where, field, value, want):
 def _path_from(docs, frames, where, field):
     """The path in `field` of the document at `where`. A pair row's
     old_context and scope may be null, an object's context may be empty.
-    `frames` maps each frame checked so far to its one tuple, and, by
-    id(), each frame document and each list of them checked so far to
-    its tuple: a document met again, such as one that `load` shares
-    between rows, is not read again. The ids stay valid while the caller
-    holds the document."""
+    Each frame document is checked, then `frames` gives equal frames, and
+    equal paths, one tuple."""
     if docs is None and field in ("old_context", "scope"):
         return None
     _require(type(docs) is list and (docs or field == "context"), where,
              field, docs, "a list of frames, empty only in an object")
-    ids = tuple(map(id, docs))
-    path = frames.get(ids)
-    if path is not None:
-        return path
     path = []
     for doc in docs:
-        frame = frames.get(id(doc))
-        if frame is None:
-            frame = kind, name, file, line = (doc["kind"], doc["name"],
-                                              doc["file"], doc["line"])
+        frame = kind, name, file, line = (doc["kind"], doc["name"],
+                                          doc["file"], doc["line"])
+        # Checked before `frames` is asked: true and 1.0 equal 1, so a
+        # frame that only equals a valid one must not get its tuple.
+        if not (kind in ("function", "loop", "load") and type(name) is str
+                and type(file) is str and type(line) is int and line >= 0):
             at = f"{where} {field} frame {len(path)}"
             _require(kind in ("function", "loop", "load"), at, "kind", kind,
                      "'function', 'loop' or 'load'")
@@ -412,10 +409,9 @@ def _path_from(docs, frames, where, field):
             _require(type(file) is str, at, "file", file, "a string")
             _require(type(line) is int and line >= 0, at, "line", line,
                      "a non-negative integer")
-            frame = frames[id(doc)] = frames.setdefault(frame, frame)
-        path.append(frame)
-    path = frames[ids] = tuple(path)
-    return path
+        path.append(frames.setdefault(frame, frame))
+    path = tuple(path)
+    return frames.setdefault(path, path)
 
 
 def _counts(values, names, where, index=None):
@@ -430,16 +426,6 @@ def _counts(values, names, where, index=None):
     return values
 
 
-def _put(rows, key, row, table, index):
-    """Add row `index` of `table` under `key`; raises when an earlier row
-    holds the key or a counter is malformed."""
-    rows[key] = PairCounters(*_counts(_counter_args(row["counters"]),
-                                      _COUNTER_ARGS, table, index))
-    if len(rows) <= index:
-        raise RedloadError(f"{table} row {index}: repeats the key of an "
-                           "earlier row")
-
-
 def _object_key_from(doc, frames, where):
     kind = doc["kind"]
     if kind == STATIC:
@@ -448,47 +434,65 @@ def _object_key_from(doc, frames, where):
     return (DYNAMIC, _path_from(doc["context"], frames, where, "context"))
 
 
-def from_json(doc):
-    """The Profile of a profile document; a document of another shape
-    raises RedloadError naming what is missing or malformed."""
+def _pair_key(row, frames, where):
+    return tuple([_path_from(row[field], frames, where, field)
+                  for field in ("old_context", "new_context", "scope")])
+
+
+# Each table's row key from a row document at `where`.
+_ROW_KEYS = {
+    "temporal_pairs": _pair_key,
+    "objects": lambda row, frames, where: _object_key_from(
+        row["object"], frames, f"{where} object"),
+    "spatial_pairs": lambda row, frames, where: (
+        _object_key_from(row["object"], frames, f"{where} object"),
+        *_pair_key(row, frames, where)),
+}
+
+
+def _put(rows, row, frames, table, index):
+    """Add row `index` of `table` to `rows`; raises when a field is
+    malformed or an earlier row holds the key."""
+    key = _ROW_KEYS[table](row, frames, f"{table} row {index}")
+    rows[key] = PairCounters(*_counts(_counter_args(row["counters"]),
+                                      _COUNTER_ARGS, table, index))
+    if len(rows) <= index:
+        raise RedloadError(f"{table} row {index}: repeats the key of an "
+                           "earlier row")
+
+
+def _header_from(doc):
+    """A Profile of the document's members other than its tables, which
+    are left empty."""
     if not isinstance(doc, dict) or doc.get("format") != PROFILE_FORMAT:
         raise RedloadError(f"not a {PROFILE_FORMAT} document")
     if doc.get("version") != PROFILE_VERSION:
         raise RedloadError(f"unsupported profile version {doc.get('version')}")
-    try:
-        return _profile_from(doc)
-    except KeyError as exc:
-        raise RedloadError(f"missing field {exc.args[0]!r}") from None
-    except (LookupError, TypeError, AttributeError, ValueError) as exc:
-        raise RedloadError(f"malformed profile: {exc}") from None
-
-
-def _profile_from(doc):
     totals = _counts(_total_args(doc["totals"]), _TOTAL_ARGS, "totals")
     (thread_count,) = _counts((doc["thread_count"],), ("thread_count",),
                               "profile")
     meta = doc.get("meta")
     _require(meta is None or type(meta) is dict, "profile", "meta", meta,
              "an object or null")
-    profile = Profile(totals=ProgramTotals(*totals),
-                      thread_count=thread_count, meta=meta)
-    frames = {}
-    for index, row in enumerate(doc["temporal_pairs"]):
-        where = f"temporal_pairs row {index}"
-        key = tuple([_path_from(row[field], frames, where, field)
-                     for field in ("old_context", "new_context", "scope")])
-        _put(profile.temporal_pairs, key, row, "temporal_pairs", index)
-    for index, row in enumerate(doc["objects"]):
-        key = _object_key_from(row["object"], frames,
-                               f"objects row {index} object")
-        _put(profile.objects, key, row, "objects", index)
-    for index, row in enumerate(doc["spatial_pairs"]):
-        where = f"spatial_pairs row {index}"
-        key = (_object_key_from(row["object"], frames, f"{where} object"),
-               *[_path_from(row[field], frames, where, field)
-                 for field in ("old_context", "new_context", "scope")])
-        _put(profile.spatial_pairs, key, row, "spatial_pairs", index)
-    return profile
+    return Profile(totals=ProgramTotals(*totals), thread_count=thread_count,
+                   meta=meta)
+
+
+def from_json(doc):
+    """The Profile of a profile document; a document of another shape
+    raises RedloadError naming what is missing or malformed."""
+    try:
+        profile = _header_from(doc)
+        frames = {}
+        for table in _ROW_KEYS:
+            rows = getattr(profile, table)
+            for index, row in enumerate(doc[table]):
+                _put(rows, row, frames, table, index)
+        return profile
+    except KeyError as exc:
+        raise RedloadError(f"missing field {exc.args[0]!r}") from None
+    except (LookupError, TypeError, AttributeError, ValueError) as exc:
+        raise RedloadError(f"malformed profile: {exc}") from None
 
 
 def save(profile, path):
@@ -497,39 +501,128 @@ def save(profile, path):
         _write(profile, f.write)
 
 
-def _shared_frames():
-    """An object_pairs_hook for json.loads that parses every equal object
-    of four string or integer members, the shape of a frame, to one
-    shared dict; any other object is the plain dict json.loads builds.
-    Only strings and ints are shared, as 1, 1.0 and true compare equal."""
-    shared = {}
+CHUNK = 1 << 16     # bytes that `load` reads at a time
+_WHITESPACE = re.compile(r"[ \t\n\r]*")
+_decode = json.JSONDecoder().raw_decode
 
-    def parse(pairs):
-        if len(pairs) != 4:
-            return dict(pairs)
-        for _, value in pairs:
-            if type(value) is not str and type(value) is not int:
-                return dict(pairs)
-        key = tuple(pairs)
-        doc = shared.get(key)
-        if doc is None:
-            doc = shared[key] = dict(pairs)
-        return doc
 
-    return parse
+class _Window:
+    """The text of a binary file as far as it has been read, through an
+    incremental UTF-8 decoder; `text[pos:]` is what is not yet parsed,
+    and the text before `pos` is dropped at the next read."""
+
+    def __init__(self, f):
+        self.read = f.read
+        self.decode = codecs.getincrementaldecoder("utf-8")().decode
+        self.text = ""
+        self.pos = 0
+        self.eof = False
+
+    def more(self):
+        """Read on, CHUNK bytes at a time, until more bytes have been
+        read than there were unparsed characters, so that a value parsed
+        again after each read costs time linear in its length; False at
+        the end of the file."""
+        if self.eof:
+            return False
+        held = self.text[self.pos:]
+        parts = [held]
+        size = 0
+        while not self.eof and size <= len(held):
+            data = self.read(CHUNK)
+            self.eof = not data
+            parts.append(self.decode(data, self.eof))
+            size += len(data)
+        self.text = "".join(parts)
+        self.pos = 0
+        return True
+
+    def peek(self):
+        """The next character that is not JSON whitespace, left unparsed;
+        "" at the end of the file."""
+        while True:
+            self.pos = _WHITESPACE.match(self.text, self.pos).end()
+            if self.pos < len(self.text) or not self.more():
+                return self.text[self.pos:self.pos + 1]
+
+    def expect(self, char):
+        if self.peek() != char:
+            raise ValueError(f"expected {char!r}")
+        self.pos += 1
+
+    def value(self):
+        """The JSON value that comes next. A value that ends where the
+        text read so far ends, such as a number cut by a chunk boundary,
+        is parsed again once more text is read."""
+        self.peek()
+        while True:
+            try:
+                value, end = _decode(self.text, self.pos)
+            except ValueError:
+                if not self.more():
+                    raise
+                continue
+            if end < len(self.text) or not self.more():
+                self.pos = end
+                return value
+
+    def items(self, open_, close):
+        """Enter the array or object that comes next and yield once for
+        each of its items, which the caller parses in turn."""
+        self.expect(open_)
+        if self.peek() != close:
+            while True:
+                yield
+                if self.peek() != ",":
+                    break
+                self.pos += 1
+        self.expect(close)
+
+
+def _stream(f):
+    """The Profile of the profile document in binary file `f`, each table
+    row parsed and made a row as it is read. Raises on any document that
+    it does not take, not always with from_json's words."""
+    window = _Window(f)
+    members, tables, frames = {}, {}, {}
+    for _ in window.items("{", "}"):
+        name = window.value()
+        if type(name) is not str:
+            raise TypeError("member name is not a string")
+        window.expect(":")
+        if name in _ROW_KEYS:
+            # A repeated member replaces the earlier one, as in json.loads.
+            rows = tables[name] = {}
+            for index, _ in enumerate(window.items("[", "]")):
+                _put(rows, window.value(), frames, name, index)
+        else:
+            members[name] = window.value()
+    if window.peek():
+        raise ValueError("extra data")
+    profile = _header_from(members)
+    for table in _ROW_KEYS:
+        setattr(profile, table, tables[table])
+    return profile
 
 
 def load(path):
-    """Read a saved profile. Equal frames parse to one object, so memory
-    and checks follow the distinct frames, not every row's copy. A file
-    that is not UTF-8, not JSON or not a profile document raises
-    RedloadError naming the file."""
+    """Read a saved profile. Rows stream through a text window of CHUNK
+    bytes, each made a row before the next is read, so neither the whole
+    text nor the whole document is ever held; equal frames share one
+    tuple. A file that the stream does not take is read whole once more,
+    as from_json(json.loads(text)), to word the error: a file that is
+    not UTF-8, not JSON or not a profile document raises RedloadError
+    naming the file."""
     with open(path, "rb") as f:
+        try:
+            return _stream(f)
+        except (RedloadError, LookupError, TypeError, AttributeError,
+                ValueError, RecursionError):
+            f.seek(0)
         try:
             # No name holds the bytes or the text: each is freed as soon
             # as the next step is done with it.
-            doc = json.loads(f.read().decode("utf-8"),
-                             object_pairs_hook=_shared_frames())
+            doc = json.loads(f.read().decode("utf-8"))
         except UnicodeDecodeError as exc:
             raise RedloadError(f"{path}: invalid UTF-8 at byte "
                                f"{exc.start}") from None

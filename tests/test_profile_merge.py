@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from redload import cli, engine
+from redload import cli, engine, profiles
 from redload.engine import AnalysisConfig, analyze_events
 from redload.errors import RedloadError
 from redload.profiles import (META_MIXED, Profile, from_json, load,
@@ -323,9 +323,11 @@ def test_load_gives_equal_frames_one_tuple(tmp_path):
 
 
 def test_load_peak_memory_follows_distinct_frames(tmp_path):
-    # The parsed document holds one dict per distinct frame, so the peak
-    # is about the file's bytes and text together (2x). One dict and four
-    # strings per frame occurrence put it at about 4.2x.
+    # Rows stream through a text window of profiles.CHUNK bytes, and
+    # equal frames share one tuple, so the peak is about the window and
+    # the loaded profile (0.17x). Holding the file's bytes and text
+    # together put it at 2x; one dict and four strings per frame
+    # occurrence at about 4.2x.
     profile, path = _saved_random_mixed(tmp_path)
     rows = (len(profile.temporal_pairs) + len(profile.objects)
             + len(profile.spatial_pairs))
@@ -339,7 +341,76 @@ def test_load_peak_memory_follows_distinct_frames(tmp_path):
         tracemalloc.stop()
     assert loaded == profile
     size = path.stat().st_size
-    assert peak < 2.5 * size, f"peak {peak / size:.2f}x the file size"
+    assert peak < 0.5 * size, f"peak {peak / size:.2f}x the file size"
+
+
+def _boundary_cases():
+    """Documents, each with a piece of its text that a chunk boundary
+    should cut. They are not what `save` writes: meta keeps its non-ASCII
+    characters, and members are spaced freely."""
+    profile = analyze_events(*generate(Scenario("sparse_zeros",
+                                                {"len": 64})), config=FULL)
+    profile.thread_count = 10**30 + 1234567
+    key = next(iter(profile.objects))
+    profile.objects[key] = PairCounters(*[9876543210 + i for i in range(7)])
+    profile.meta = {"note": "na\u00efve \u20ac\U0001f600", "n": 12345}
+    doc = to_json(profile)
+    text = json.dumps(doc, ensure_ascii=False)
+    # First, so that no earlier value was read on past it.
+    first = json.dumps({"thread_count": doc.pop("thread_count"), **doc})
+    spaced = json.dumps(to_json(profile), indent=2).replace(
+        '],\n  "', '],\r\n\t \n  \r "')
+    deep = tuple(("loop", "", "deep.c", i) for i in range(4000))
+    profile.temporal_pairs[None, deep, deep[:1]] = PairCounters()
+    cases = [("thread_count", first, "1234567"),
+             ("counter", text, "9876543213"),
+             ("utf8_meta", text, "\U0001f600"),
+             ("deep_row", json.dumps(to_json(profile)), '"line": 2000,'),
+             ("whitespace", spaced, '],\r\n\t \n  \r "')]
+    return [pytest.param(text, piece, id=name) for name, text, piece in cases]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, profiles.CHUNK])
+@pytest.mark.parametrize("text,piece", _boundary_cases())
+def test_load_streams_across_chunk_boundaries(text, piece, chunk, tmp_path,
+                                              monkeypatch):
+    # Leading whitespace shifts the text so that a chunk ends inside
+    # `piece`; the streaming pass itself must take the file (no second,
+    # whole read) and give what the whole-document parse gives.
+    data = text.encode()
+    cut = data.index(piece.encode()) + len(piece.encode()) // 2
+    data = b" " * (-cut % chunk) + data
+    path = tmp_path / "p.json"
+    path.write_bytes(data)
+    monkeypatch.setattr(profiles, "CHUNK", chunk)
+    want = from_json(json.loads(data))
+    with open(path, "rb") as f:
+        assert profiles._stream(f) == want
+    assert load(path) == want
+
+
+def _merge_inputs(tmp_path, metas):
+    """Paths of saved random_mixed profiles with these metas."""
+    paths = []
+    for seed, meta in enumerate(metas):
+        profile = analyze_events(*generate(Scenario(
+            "random_mixed", {"loads": 150, "seed": seed % 2})), config=FULL)
+        profile.meta = meta
+        paths.append(tmp_path / f"in{len(paths)}.json")
+        save(profile, paths[-1])
+    return paths
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4])
+@pytest.mark.parametrize("metas", ["null", "equal", "different"])
+def test_cli_merge_folds_inputs_as_merge_all_does(count, metas, tmp_path):
+    meta = {"null": lambda i: None, "equal": lambda i: {"w": 1},
+            "different": lambda i: None if i == 1 else {"w": i % 3}}[metas]
+    paths = _merge_inputs(tmp_path, [meta(i) for i in range(count)])
+    out = tmp_path / "out.json"
+    assert cli.main(["merge", *map(str, paths), "-o", str(out)]) == 0
+    save(merge_all([load(p) for p in paths]), tmp_path / "want.json")
+    assert out.read_bytes() == (tmp_path / "want.json").read_bytes()
 
 
 def test_merge_keeps_meta_that_looks_like_frames(tmp_path):

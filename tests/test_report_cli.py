@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from redload import profiles
 from redload.cli import main
 from redload.engine import AnalysisConfig, analyze_events
-from redload.errors import ConfigError
+from redload.errors import ConfigError, RedloadError
 from redload.profiles import load as load_profile
 from redload.profiles import Profile, merge_all, save, to_json
 from redload.report import build_report, report_json, report_text
@@ -569,6 +569,103 @@ def test_cli_report_and_merge_of_mutated_profiles_exit_0_or_1(
         assert rc in (0, 1), argv
         assert (rc == 1) == err.startswith(
             f"redload {argv[0]}: {path}: "), (argv, err)
+
+
+def _load_whole(path):
+    """What loading `path` gives when the whole text is parsed first:
+    from_json(json.loads(text)), or the text of the RedloadError."""
+    try:
+        doc = json.loads(path.read_bytes().decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        return f"{path}: invalid UTF-8 at byte {exc.start}"
+    except ValueError as exc:
+        return f"{path}: not JSON: {exc}"
+    except RecursionError:
+        return f"{path}: JSON nested too deeply"
+    try:
+        return profiles.from_json(doc)
+    except RedloadError as exc:
+        return f"{path}: {exc}"
+
+
+def _load_outcome(path):
+    try:
+        return load_profile(path)
+    except RedloadError as exc:
+        return str(exc)
+
+
+def _assert_loads_as_whole(path):
+    # repr, not ==: a meta may hold NaN, which equals nothing.
+    assert repr(_load_outcome(path)) == repr(_load_whole(path))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_load_gives_what_the_whole_document_parse_gives(
+        data, small_profile, tmp_path, monkeypatch):
+    # Streaming rows must not change what a file loads to, nor which
+    # error it raises: mutated documents, and bytes cut short or with one
+    # byte replaced, read in small chunks and the default one.
+    monkeypatch.setattr(profiles, "CHUNK",
+                        data.draw(st.sampled_from([7, 64, profiles.CHUNK])))
+    doc = json.loads(small_profile)
+    damage = data.draw(st.sampled_from(["mutate", "truncate", "replace"]))
+    if damage == "mutate":
+        for _ in range(data.draw(st.integers(1, 3))):
+            _mutate(data, doc)
+    raw = json.dumps(doc, indent=data.draw(st.sampled_from([None, 1]))
+                     ).encode()
+    if damage == "truncate":
+        raw = raw[:data.draw(st.integers(0, len(raw)))]
+    elif damage == "replace":
+        at = data.draw(st.integers(0, len(raw) - 1))
+        raw = raw[:at] + bytes([data.draw(st.integers(0, 255))]) + \
+            raw[at + 1:]
+    path = tmp_path / "p.json"
+    path.write_bytes(raw)
+    _assert_loads_as_whole(path)
+
+
+def _parity_cases(text):
+    """Named damaged or unusual variants of a profile document's text."""
+    doc = json.loads(text)
+    rows = json.dumps(doc["temporal_pairs"])
+    cut = text.index('"counters"', text.index('"temporal_pairs"'))
+    late = {k: v for k, v in doc.items() if k != "version"}
+    late["temporal_pairs"][0]["counters"]["total_instances"] = "5"
+    late["version"] = 2
+    head, brace = text.rstrip().rsplit("}", 1)
+    return {
+        "cut_in_a_row": text[:cut + 5],
+        "trailing_data": text + "{}",
+        "bom": "\ufeff" + text,
+        "late_version": json.dumps(late),
+        "repeated_table": '{"temporal_pairs": [],' + text[1:],
+        "repeated_table_bad_first": '{"temporal_pairs": [7],' + text[1:],
+        "repeated_table_empty_last": (
+            '{"temporal_pairs": ' + rows + ", "
+            + text[1:].replace(rows, "[]")),
+    }
+
+
+@pytest.mark.parametrize("case", ["cut_in_a_row", "trailing_data", "bom",
+                                  "late_version", "repeated_table",
+                                  "repeated_table_bad_first",
+                                  "repeated_table_empty_last"])
+def test_load_parity_cases(case, small_profile, tmp_path):
+    path = tmp_path / f"{case}.json"
+    path.write_text(_parity_cases(small_profile)[case], encoding="utf-8")
+    _assert_loads_as_whole(path)
+    outcome = _load_outcome(path)
+    if case == "late_version":
+        assert outcome == f"{path}: unsupported profile version 2"
+    elif case.startswith("repeated_table"):
+        # json.loads keeps the last copy of a member, and so does load.
+        assert isinstance(outcome, Profile), outcome
+    else:
+        assert isinstance(outcome, str), outcome
 
 
 def _traced_analyze(tmp_path, analyze_args):
