@@ -6,7 +6,7 @@ from .engine import AnalysisConfig, analyze_events, analyze_path
 from .errors import (ConfigError, MalformedTraceError, RedloadError,
                      TraceDecodeError, TraceEncodeError)
 from .profiles import Profile, merge, merge_all
-from .sampling import SamplingConfig, is_monitored
+from .sampling import SamplingConfig
 from .trace import SourceMap, TraceEvent, read_trace, write_trace
 from .workloads import Scenario, generate
 
@@ -15,7 +15,7 @@ __all__ = [
     "ConfigError", "MalformedTraceError", "RedloadError",
     "TraceDecodeError", "TraceEncodeError",
     "Profile", "merge", "merge_all",
-    "SamplingConfig", "is_monitored",
+    "SamplingConfig",
     "SourceMap", "TraceEvent", "read_trace", "write_trace",
     "Scenario", "generate",
 ]

@@ -73,18 +73,14 @@ class ContextTree:
         # After the first of `passes` consecutive passes the cursor is on
         # the loop's node, so the rest only tick the counter.
         node = self.cursor
-        while node.kind == LOOP:
-            if node.ident == loop_id:
-                self.cursor = node
-                self.timestamp += passes
-                node.last_pass_ts = self.timestamp
-                return node.handle
+        while node.kind == LOOP and node.ident != loop_id:
             node = node.parent
-        child = self._child(self.cursor, LOOP, loop_id)
+        if node.kind != LOOP:
+            node = self._child(self.cursor, LOOP, loop_id)
         self.timestamp += passes
-        child.last_pass_ts = self.timestamp
-        self.cursor = child
-        return child.handle
+        node.last_pass_ts = self.timestamp
+        self.cursor = node
+        return node.handle
 
     def current_load_context(self, site_id):
         """Handle of the load-site child under the cursor plus a fresh

@@ -1,7 +1,6 @@
 """Command line interface: gen, analyze, merge, report."""
 
 import argparse
-import functools
 import json
 import signal
 import sys
@@ -103,10 +102,8 @@ def _cmd_analyze(args):
 
 
 def _cmd_merge(args):
-    # Each input is folded into the running sum as it is read, so only
-    # the sum, one input and their new sum are held at once.
-    merged = functools.reduce(profiles.merge,
-                              map(profiles.load, args.profiles))
+    # Each input is folded into the sum as it is read.
+    merged = profiles.merge_all(map(profiles.load, args.profiles))
     profiles.save(merged, args.output)
     return 0
 

@@ -142,21 +142,17 @@ def analyze_events(events, source_map, config=None, verdict_sink=None):
     return merge_all(profiles)
 
 
-def sniff_format(path):
-    """'binary' or 'text', by the byte after the shared LRT1 magic."""
-    with open(path, "rb") as f:
-        head = f.read(6)
-    if head[:4] == tr.MAGIC and head[4:6] == b"\x01\x00":
-        return "binary"
-    if head[:5] == b"LRT1 ":
-        return "text"
-    raise TraceDecodeError(f"{path}: not a trace file", 0)
-
-
 def analyze_path(path, config=None, verdict_sink=None):
-    """Analyze a trace file (binary or text form)."""
-    read = (tr.read_trace if sniff_format(path) == "binary"
-            else tr.read_text_trace)
+    """Analyze a trace file: text form if it starts with "LRT1 ", else
+    binary, whose reader checks the version after the LRT1 magic."""
     with open(path, "rb") as f:
+        head = f.read(5)
+        f.seek(0)
+        if head == b"LRT1 ":
+            read = tr.read_text_trace
+        elif head[:4] == tr.MAGIC:
+            read = tr.read_trace    # looked up here: a tracer may wrap it
+        else:
+            raise TraceDecodeError(f"{path}: not a trace file", 0)
         events, source_map = read(f)
         return analyze_events(events, source_map, config, verdict_sink)

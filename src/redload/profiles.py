@@ -161,32 +161,27 @@ def _merge_meta(a, b):
 
 
 def merge(a, b):
-    """Row-wise sum of two profiles; keys match iff fully equal. Rows fold
-    as in `canonicalize`, so neither input is changed."""
-    out = Profile(totals=a.totals.copy(),
-                  thread_count=a.thread_count + b.thread_count,
-                  meta=_merge_meta(a.meta, b.meta))
-    out.totals.add(b.totals)
-    for table in ("temporal_pairs", "objects", "spatial_pairs"):
-        rows = getattr(out, table)
-        for source in (a, b):
-            for key, counters in getattr(source, table).items():
-                _fold(key, counters, rows)
-    return out
+    """Row-wise sum of two profiles: `merge_all((a, b))`."""
+    return merge_all((a, b))
 
 
 def merge_all(profiles):
-    """Pairwise tree reduction; the result is independent of tree shape."""
-    level = list(profiles)
-    if not level:
-        return Profile()
-    while len(level) > 1:
-        nxt = [merge(level[i], level[i + 1])
-               for i in range(0, len(level) - 1, 2)]
-        if len(level) % 2:
-            nxt.append(level[-1])
-        level = nxt
-    return level[0]
+    """Row-wise sum of an iterable of profiles, each folded into one new
+    Profile as it is taken and its rows as `canonicalize` folds them: no
+    input is changed, and the order of the inputs does not matter."""
+    out = Profile()
+    for p in profiles:
+        out.totals.add(p.totals)
+        out.thread_count += p.thread_count
+        out.meta = _merge_meta(out.meta, p.meta)
+        for table in ("temporal_pairs", "objects", "spatial_pairs"):
+            rows, source = getattr(out, table), getattr(p, table)
+            if rows:
+                for key, counters in source.items():
+                    _fold(key, counters, rows)
+            else:
+                rows.update(source)     # what `_fold` gives key by key
+    return out
 
 
 # ---------------------------------------------------------------- JSON --
@@ -366,8 +361,7 @@ def _write(profile, write):
         if name in tables:
             _write_rows(write, *tables[name])
         else:
-            write(json.dumps(header[name], indent=1, sort_keys=True)
-                  .replace("\n", "\n "))
+            write(_texts(header[name], 1)[1])
     write("\n}\n")
 
 

@@ -31,16 +31,12 @@ class SamplingConfig:
         return cls(enabled=False)
 
 
-def is_monitored(ins_index, config):
-    return not config.enabled or monitoring_window(ins_index, config)[2]
-
-
 def monitoring_window(ins_index, config):
     """The sampling window that holds `ins_index`, as (lo, hi, monitored):
-    `is_monitored(i, config) == monitored` for every lo <= i < hi. Lets a
-    caller gate a run of loads with one range check per load and this
-    call only when an index falls outside the last window. `config` must
-    have sampling enabled."""
+    every index in [lo, hi) lies in the first window_enable of its period
+    (is monitored), or none does. Lets a caller gate a run of loads with
+    one range check per load and this call only when an index falls
+    outside the last window. `config` must have sampling enabled."""
     enable = config.window_enable
     period = enable + config.window_disable
     start = ins_index - ins_index % period

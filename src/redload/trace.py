@@ -36,12 +36,6 @@ FP_BY_NAME = {v: k for k, v in FP_NAMES.items()}
 LOAD_SIZES = frozenset((1, 2, 4, 8, 16, 32))
 # Element width of each fp_class: a load's size is a multiple of it.
 _FP_WIDTHS = {NONFP: 1, F32: 4, F64: 8}
-# The largest fp_class whose width divides each load size. The widths grow
-# with the class and each divides the next, so a load's shape is valid
-# exactly when its fp_class is at most this: one lookup per decoded load.
-_MAX_FP_CLASS = {size: max(fp for fp, width in _FP_WIDTHS.items()
-                           if size % width == 0)
-                 for size in LOAD_SIZES}
 # Every valid (size, fp_class) of a load: one membership test per encoded
 # load, while `_load_error` words the error when the test fails.
 _LOAD_SHAPES = frozenset((size, fp) for size in LOAD_SIZES
@@ -182,7 +176,7 @@ _REC_IMAGE = RECORDS[STATIC_IMAGE].struct
 _MAX_FIXED = _REC_LOAD.size + max(LOAD_SIZES)
 # The gap loop of BinaryEvents reads a load as (thread_id, ins_index,
 # size | fp_class << 8, site_id) and a loop head as (thread_id, ins_index,
-# loop_id, site_id); a valid load shape, so packed, gives its length.
+# loop_id, site_id); a valid shape of two u8s, so packed, gives its length.
 _SKIP_LOAD = struct.Struct("<xIQ8xHI")
 _SKIP_LOOP = struct.Struct("<xIQII")
 _LOAD_LENGTHS = {size | fp << 8: _REC_LOAD.size + size
@@ -471,7 +465,7 @@ class BinaryEvents:
                 if kind == LOAD:
                     _, tid, ins, addr, size, fp_class, site_id = \
                         _REC_LOAD.unpack_from(buf, pos)
-                    if fp_class > _MAX_FP_CLASS.get(size, -1):
+                    if size | fp_class << 8 not in load_lengths:
                         raise ValueError(_load_error(size, fp_class, size))
                     if site_id not in sites:
                         raise ValueError(f"unresolved site_id {site_id}")

@@ -20,6 +20,15 @@ def load_event(thread_id, ins_index, addr, value, fp_class=NONFP, site_id=0):
                       value=bytes(value), fp_class=fp_class, site_id=site_id)
 
 
+def is_monitored(ins_index, cfg):
+    """The sampling rule, stated apart from the code under test: with
+    sampling on, an index is monitored in the first window_enable indices
+    of each window_enable + window_disable, counted from 0."""
+    return (not cfg.enabled
+            or ins_index % (cfg.window_enable + cfg.window_disable)
+            < cfg.window_enable)
+
+
 class Build:
     """Appends events for one thread with auto-incrementing ins_index."""
 

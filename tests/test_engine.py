@@ -7,14 +7,14 @@ from redload.cli import main as cli_main
 from redload.engine import AnalysisConfig, analyze_events, analyze_path
 from redload.errors import MalformedTraceError, TraceDecodeError
 from redload.profiles import Profile, merge_all, save
-from redload.sampling import SamplingConfig, is_monitored
+from redload.sampling import SamplingConfig
 from redload.scope import ScopeBudget
 from redload.trace import (ALLOC, CALL, FREE, LOAD, LOOPHEAD, RETURN,
                            STATIC_IMAGE, THREAD_START, SourceMap, TraceEvent,
                            read_trace, write_text_trace, write_trace)
 from redload.workloads import Scenario, generate
 
-from helpers import SMALL_SCENARIOS, Build, u32
+from helpers import SMALL_SCENARIOS, Build, is_monitored, u32
 
 FULL = AnalysisConfig(sampling=SamplingConfig.disabled())
 

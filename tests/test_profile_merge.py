@@ -1,6 +1,8 @@
 """Canonicalization, merge algebra, profile JSON round-trips."""
 
 import copy
+import dataclasses
+import itertools
 import json
 import random
 import sys
@@ -134,16 +136,78 @@ def test_merge_commutative_associative_100_triples():
         assert merge(merge(p1, p2), p3) == merge(p1, merge(p2, p3))
 
 
+def _summed(cls, items):
+    return cls(*[sum(getattr(item, f.name) for item in items)
+                 for f in dataclasses.fields(cls)])
+
+
+def _reference_sum(inputs):
+    """The sum of `inputs`, worked out here apart from the fold: each
+    key's counters summed over the inputs that hold it, totals and thread
+    counts summed, and the one non-null meta, or META_MIXED when there
+    are more, or None when there are none."""
+    metas = {json.dumps(p.meta, sort_keys=True): p.meta
+             for p in inputs if p.meta is not None}
+    out = Profile(totals=_summed(ProgramTotals, [p.totals for p in inputs]),
+                  thread_count=sum(p.thread_count for p in inputs),
+                  meta=(META_MIXED if len(metas) > 1
+                        else next(iter(metas.values()), None)))
+    for table in ("temporal_pairs", "objects", "spatial_pairs"):
+        rows = getattr(out, table)
+        for key in {key for p in inputs for key in getattr(p, table)}:
+            rows[key] = _summed(PairCounters, [
+                getattr(p, table)[key] for p in inputs
+                if key in getattr(p, table)])
+    return out
+
+
 def test_merge_all_shape_invariant():
     rng = random.Random(7)
-    profiles = [_random_profile(rng) for _ in range(4)]
-    balanced = merge_all(profiles)
-    left = profiles[0]
-    for p in profiles[1:]:
-        left = merge(left, p)
-    assert balanced == left
-    assert merge_all([profiles[0]]) == profiles[0]
+    metas = [None, {"approx_epsilon": 0.01}, {"approx_epsilon": 0.5}]
+    for count in [0, 1, 2, 3, 4, 7] * 4:
+        inputs = [_random_profile(rng) for _ in range(count)]
+        for p in inputs:
+            p.meta = copy.deepcopy(rng.choice(metas))
+            for key in inputs[0].temporal_pairs:    # rows that must be summed
+                if rng.random() < 0.5:
+                    p.temporal_pairs[key] = _random_counters(rng)
+        before = copy.deepcopy(inputs)
+        want = _reference_sum(inputs)
+        assert merge_all(inputs) == want
+        assert merge_all(inputs[::-1]) == want
+        assert inputs == before
     assert merge_all([]) == Profile()
+
+
+def test_merge_all_meta_does_not_depend_on_order():
+    m1, m2 = {"approx_epsilon": 0.01}, {"approx_epsilon": 0.5}
+    for metas, want in (([None, m1, m1], m1), ([None, m1, m2], META_MIXED),
+                        ([m1, META_MIXED], META_MIXED)):
+        for order in itertools.permutations(metas):
+            got = merge_all([Profile(meta=copy.deepcopy(m)) for m in order])
+            assert got.meta == want, order
+
+
+def test_merge_all_takes_a_one_shot_iterable():
+    rng = random.Random(3)
+    inputs = [_random_profile(rng) for _ in range(5)]
+    assert merge_all(p for p in inputs) == merge_all(inputs)
+
+
+def test_merge_all_shares_rows_without_changing_them():
+    # A sum takes the rows of its first input as they are; folding that
+    # input into it once more must change neither.
+    rng = random.Random(11)
+    for _ in range(10):
+        p = _random_profile(rng)
+        before = copy.deepcopy(p)
+        out = merge_all([p])
+        assert out == p
+        twice = merge_all([out, p])
+        assert (p, out) == (before, before)
+        assert twice == _reference_sum([before, before])
+        assert merge_all([p, p]) == twice
+        assert p == before
 
 
 def test_merge_meta_rules():

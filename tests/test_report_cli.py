@@ -214,6 +214,24 @@ def test_cli_analyze_malformed_traces_exit_1(tmp_path, capsys):
         assert "redload analyze: " in err and message in err, err
 
 
+def test_cli_analyze_malformed_trace_headers_exit_1(tmp_path, capsys):
+    # The form is told by the first bytes; a header of neither form, or
+    # of an unsupported version, is one error line and no profile.
+    out = tmp_path / "p.json"
+    for data, message in ((b"", "not a trace file"),
+                          (b"LR", "not a trace file"),
+                          (b"LRT1 2\n", "offset 0: bad text trace header"),
+                          (b"LRT1", "offset 0: truncated record"),
+                          (b"LRT1\x02\x00", "offset 4: unsupported version 2")):
+        trace = tmp_path / "t.lrt"
+        trace.write_bytes(data)
+        assert main(["analyze", str(trace), "-o", str(out)]) == 1, data
+        err = capsys.readouterr().err
+        assert err.startswith("redload analyze: ") and message in err, err
+        assert err.count("\n") == 1, err
+        assert not out.exists()
+
+
 def test_cli_merge_with_self_doubles(tmp_path):
     trace = tmp_path / "t.lrt"
     prof = tmp_path / "p.json"

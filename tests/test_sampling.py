@@ -6,29 +6,51 @@ import pytest
 
 from redload.engine import AnalysisConfig, analyze_events
 from redload.errors import ConfigError
-from redload.sampling import SamplingConfig, is_monitored, monitoring_window
+from redload.sampling import SamplingConfig, monitoring_window
 from redload.trace import LOAD, SourceMap, TraceEvent
 from redload.workloads import Scenario, generate
 
+from helpers import is_monitored
+
+
+def _gated(indices, cfg):
+    """The indices of the loads that analyze_events monitors, given one
+    load at each index, in order."""
+    sm = SourceMap()
+    sm.add_site(1, "main", "m.c", 1)
+    current = []
+
+    def feed():
+        for i in indices:
+            current.append(i)
+            yield TraceEvent(LOAD, 0, i, addr=0x40, size=4, value=b"\0" * 4,
+                             site_id=1)
+
+    gated = []
+    profile = analyze_events(feed(), sm, AnalysisConfig(sampling=cfg),
+                             verdict_sink=lambda v: gated.append(current[-1]))
+    assert profile.totals.total_nonfp_bytes == 4 * len(gated)
+    return gated
+
 
 def test_disabled_sampling_monitors_everything():
-    cfg = SamplingConfig.disabled()
-    assert all(is_monitored(i, cfg) for i in range(0, 10_000, 97))
+    indices = list(range(0, 10_000, 97))
+    assert _gated(indices, SamplingConfig.disabled()) == indices
 
 
 def test_small_window_pattern():
     cfg = SamplingConfig(window_enable=2, window_disable=3)
-    got = [is_monitored(i, cfg) for i in range(10)]
+    got = [monitoring_window(i, cfg)[2] for i in range(10)]
     assert got == [True, True, False, False, False,
                    True, True, False, False, False]
 
 
 def test_default_window_boundary():
     cfg = SamplingConfig()
-    assert is_monitored(999_999, cfg)
-    assert not is_monitored(1_000_000, cfg)
-    assert not is_monitored(99_999_999, cfg)
-    assert is_monitored(100_000_000, cfg)
+    assert monitoring_window(999_999, cfg)[2]
+    assert not monitoring_window(1_000_000, cfg)[2]
+    assert not monitoring_window(99_999_999, cfg)[2]
+    assert monitoring_window(100_000_000, cfg)[2]
 
 
 def test_window_enable_must_be_positive():
@@ -73,30 +95,14 @@ def test_monitoring_window_matches_is_monitored(cfg):
 def test_engine_gate_agrees_with_is_monitored_in_any_order(cfg):
     # The engine caches the latest window; loads are fed straight to
     # analyze_events (no reader), so their ins_index order is arbitrary.
-    sm = SourceMap()
-    sm.add_site(1, "main", "m.c", 1)
     indices = _gate_indices(cfg, 11)
-    current = []
-
-    def feed():
-        for i in indices:
-            ev = TraceEvent(LOAD, 0, i, addr=0x40, size=4, value=b"\0" * 4,
-                            site_id=1)
-            current.append(i)
-            yield ev
-
-    gated = []
-    profile = analyze_events(feed(), sm, AnalysisConfig(sampling=cfg),
-                             verdict_sink=lambda v: gated.append(current[-1]))
-    expected = [i for i in indices if is_monitored(i, cfg)]
-    assert gated == expected
-    assert profile.totals.total_nonfp_bytes == 4 * len(expected)
+    assert _gated(indices, cfg) == [i for i in indices if is_monitored(i, cfg)]
 
 
 def test_long_run_monitored_fraction_converges():
     cfg = SamplingConfig(window_enable=3, window_disable=17)
     n = 200_000
-    monitored = sum(1 for i in range(n) if is_monitored(i, cfg))
+    monitored = sum(monitoring_window(i, cfg)[2] for i in range(n))
     assert monitored / n == pytest.approx(3 / 20, abs=1e-4)
 
 

@@ -13,16 +13,16 @@ from hypothesis import strategies as st
 from redload.cli import main
 from redload.engine import AnalysisConfig, analyze_events, analyze_path
 from redload.errors import RedloadError, TraceDecodeError, TraceEncodeError
-from redload.sampling import SamplingConfig, is_monitored
+from redload.sampling import SamplingConfig
 from redload.trace import (ALLOC, CALL, F32, F64, FREE, LOAD, LOOPHEAD,
                            NONFP, RECORDS, RETURN, STATIC_IMAGE, THREAD_START,
-                           SourceMap, TraceEvent, _BY_TAG, _LOAD_SHAPES,
-                           _MAX_FP_CLASS, _Reader, _load_error,
+                           SourceMap, TraceEvent, _BY_TAG, _LOAD_LENGTHS,
+                           _LOAD_SHAPES, _Reader, _load_error,
                            read_text_trace, read_trace, write_text_trace,
                            write_trace)
 from redload.workloads import Scenario, generate
 
-from helpers import Build, f64, load_event, u32
+from helpers import Build, f64, is_monitored, load_event, u32
 
 
 def roundtrip(events, source_map):
@@ -333,7 +333,9 @@ def test_decoder_load_shape_check_agrees_with_the_rule():
             ok = _load_error(size, fp, size) is None
             assert ((size, fp) in _LOAD_SHAPES) == ok, (size, fp)
             if fp >= 0:
-                assert (fp <= _MAX_FP_CLASS.get(size, -1)) == ok, (size, fp)
+                length = _LOAD_LENGTHS.get(size | fp << 8)
+                assert length == (RECORDS[LOAD].struct.size + size
+                                  if ok else None), (size, fp)
 
 
 def test_malformed_loads_in_a_gap_are_rejected_like_monitored_ones(
