@@ -23,14 +23,18 @@ class TraceDecodeError(RedloadError):
     """A byte stream is not a valid trace.
 
     `offset` is the byte offset where decoding failed; for truncated or
-    malformed records this is the start offset of the record.
+    malformed records this is the start offset of the record. A text
+    trace gives the 1-based `line` instead.
     """
 
-    def __init__(self, message, offset=None):
-        if offset is not None:
+    def __init__(self, message, offset=None, line=None):
+        if line is not None:
+            message = f"line {line}: {message}"
+        elif offset is not None:
             message = f"offset {offset}: {message}"
         super().__init__(message)
         self.offset = offset
+        self.line = line
 
 
 class MalformedTraceError(RedloadError):

@@ -2,13 +2,13 @@
 
 An object registry maps address ranges to static (image symbol) or dynamic
 (allocation) objects; stack addresses belong to no object and are ignored.
-Each thread keeps, per object, the value of its previous load on that
-object and compares every new load against it. Per-object counters take
-all loads that hit the object; per-object context-pair rows record the
-redundancy instances.
+Each thread keeps, on each object's descriptor, the value of its previous
+load on that object and compares every new load against it. Per-object
+counters take all loads that hit the object; per-object context-pair rows
+record the redundancy instances.
 """
 
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right
 
 from .errors import MalformedTraceError
 from .temporal import PairCounters, _fraction, fp_span_equal
@@ -21,16 +21,17 @@ DYNAMIC = "dynamic"
 class ObjectDescriptor:
     """One object's identity and range. `report_key` is (STATIC, name) or
     (DYNAMIC, structural path of its allocation context): objects with
-    equal keys share their rows."""
+    equal keys share their rows. `entries` holds each detector's state
+    for the object: [object row, rid, last (value, ctx, ts) or None]."""
 
-    __slots__ = ("object_id", "report_key", "base", "end", "live")
+    __slots__ = ("object_id", "report_key", "base", "end", "entries")
 
     def __init__(self, object_id, report_key, base, size):
         self.object_id = object_id
         self.report_key = report_key
         self.base = base
         self.end = base + size
-        self.live = True
+        self.entries = {}
 
 
 # An empty range: the lookup memo of a registry that has hit nothing.
@@ -70,7 +71,7 @@ class ObjectRegistry:
                 raise MalformedTraceError(
                     f"allocation [{desc.base:#x}, {desc.end:#x}) overlaps "
                     f"live object at {nxt.base:#x}")
-        insort(self.bases, desc.base)
+        self.bases.insert(idx, desc.base)
         self.by_base[desc.base] = desc
         return desc
 
@@ -82,9 +83,10 @@ class ObjectRegistry:
         if desc is None or desc.report_key[0] != DYNAMIC:
             raise MalformedTraceError(f"free of {base:#x} matches no live "
                                       "dynamic object")
-        desc.live = False
+        if self._last is desc:
+            self._last = _NOWHERE
         del self.by_base[base]
-        self.bases.remove(base)
+        del self.bases[bisect_left(self.bases, base)]
         self.archive = range(len(self.archive) + 1)
 
     def on_static_image(self, objects):
@@ -95,11 +97,11 @@ class ObjectRegistry:
         """The unique live object containing addr, or None.
 
         The object of the latest hit is tried first: live ranges are
-        disjoint, so while it is live and contains addr it is the answer.
-        A free clears `live`, which retires the memo.
+        disjoint, so when it contains addr it is the answer. A free of
+        that object retires the memo, so it never names a freed object.
         """
         last = self._last
-        if last.base <= addr < last.end and last.live:
+        if last.base <= addr < last.end:
             return last
         idx = bisect_right(self.bases, addr)
         if idx == 0:
@@ -121,7 +123,8 @@ class SpatialDetector:
 
     A report key's rid is the position of its row in `object_rows`; a
     pair row is keyed by (rid, old ctx, new ctx), so a redundant load
-    hashes three ints, not an allocation path.
+    hashes three ints, not an allocation path. Its state for an object
+    is `desc.entries[self]`, so it lives exactly as long as the object.
     """
 
     def __init__(self, registry, scope_budget, epsilon):
@@ -131,12 +134,6 @@ class SpatialDetector:
         self.object_rows = {}    # report key -> PairCounters
         self.pair_rows = {}      # (rid, old ctx, new ctx) -> PairCounters
         self._rids = {}          # report key -> rid
-        # ObjectDescriptor -> [object row, rid, previous load's (value,
-        # ctx, ts) or None], for the objects hit, live and not yet pruned;
-        # and the object the latest hit found, with its entry.
-        self._objects = {}
-        self._last = None
-        self._entry = None
 
     def process_load(self, event, ctx, load_ts):
         desc = self.registry.lookup(event.addr)
@@ -147,24 +144,13 @@ class SpatialDetector:
         value = event.value
         fp_class = event.fp_class
 
-        if desc is self._last:
-            entry = self._entry
-        else:
-            objects = self._objects
-            entry = objects.get(desc)
-            if entry is None:
-                # Drop the entries of freed objects once they may be half
-                # of all: memory follows the live objects, at O(1) per hit.
-                if len(objects) > 2 * len(self.registry.by_base) + 64:
-                    self._objects = objects = {
-                        d: e for d, e in objects.items() if d.live}
-                # The two tables gain each new report key together.
-                rkey = desc.report_key
-                row = self.object_rows.setdefault(rkey, PairCounters())
-                rid = self._rids.setdefault(rkey, len(self._rids))
-                entry = objects[desc] = [row, rid, None]
-            self._last = desc
-            self._entry = entry
+        entry = desc.entries.get(self)
+        if entry is None:
+            # The two tables gain each new report key together.
+            rkey = desc.report_key
+            row = self.object_rows.setdefault(rkey, PairCounters())
+            rid = self._rids.setdefault(rkey, len(self._rids))
+            entry = desc.entries[self] = [row, rid, None]
         obj_row, rid, prev = entry
         entry[2] = (value, ctx, load_ts)
         obj_row.total_instances += 1

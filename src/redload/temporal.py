@@ -61,11 +61,6 @@ class ProgramTotals:
         self.redundant_nonfp_bytes += other.redundant_nonfp_bytes
         self.redundant_fp_bytes += other.redundant_fp_bytes
 
-    def copy(self):
-        return ProgramTotals(self.total_nonfp_bytes, self.total_fp_bytes,
-                             self.redundant_nonfp_bytes,
-                             self.redundant_fp_bytes)
-
 
 # Per FP class: the width of one element and the unpack of two.
 _PAIRS = {F32: (4, struct.Struct("<ff").unpack),

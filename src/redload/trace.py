@@ -631,7 +631,7 @@ def _text_events(lines, source_map):
             continue
         row = _BY_TAG.get(tag)
         if row is None:
-            raise TraceDecodeError(f"unknown line tag {tag!r}", lineno)
+            raise TraceDecodeError(f"unknown line tag {tag!r}", line=lineno)
         try:
             values = row.parse(tokens)
             if row.kind is None:
@@ -640,13 +640,13 @@ def _text_events(lines, source_map):
                 continue
             ev = TraceEvent(row.kind, **dict(zip(row.names, values)))
             if (error := _check_event(ev, state, source_map)) is not None:
-                raise TraceDecodeError(error, lineno)
+                raise TraceDecodeError(error, line=lineno)
             _pack(ev)
         except struct.error as exc:
             raise TraceDecodeError(f"{row.name} record: {exc}",
-                                   lineno) from None
+                                   line=lineno) from None
         except (ValueError, KeyError) as exc:
-            raise TraceDecodeError(f"bad line: {exc}", lineno) from None
+            raise TraceDecodeError(f"bad line: {exc}", line=lineno) from None
         yield ev
 
 
@@ -661,8 +661,8 @@ def _numbered_lines(source):
         except UnicodeDecodeError as exc:
             before = raw[:exc.start].decode("utf-8")
             raise TraceDecodeError(
-                "invalid UTF-8", lineno + len((before + "x").splitlines())
-            ) from None
+                "invalid UTF-8",
+                line=lineno + len((before + "x").splitlines())) from None
         for line in text.splitlines():
             lineno += 1
             yield lineno, line
@@ -678,7 +678,7 @@ def read_text_trace(source):
     """
     lines = _numbered_lines(source)
     if next(lines, (1, None))[1] != TEXT_HEADER:
-        raise TraceDecodeError("bad text trace header", 0)
+        raise TraceDecodeError("bad text trace header", line=1)
     source_map = SourceMap()
     events = _text_events(lines, source_map)
     first = next(events, None)

@@ -203,8 +203,8 @@ def test_cli_analyze_malformed_traces_exit_1(tmp_path, capsys):
     overlap = "event 1 (thread 0, ins_index 1): allocation [0x100, {}) " \
         "overlaps live object at 0x100"
     for name, message in (("t.lrt", "f64 load size 4 not a multiple of 8"),
-                          ("short.txt", "offset 2: value has 2 bytes"),
-                          ("utf8.txt", "offset 2: invalid UTF-8"),
+                          ("short.txt", "line 2: value has 2 bytes"),
+                          ("utf8.txt", "line 2: invalid UTF-8"),
                           ("zero.txt", overlap.format("0x100")),
                           ("zero8.txt", overlap.format("0x108"))):
         rc = main(["analyze", str(tmp_path / name), "-o",
@@ -220,7 +220,7 @@ def test_cli_analyze_malformed_trace_headers_exit_1(tmp_path, capsys):
     out = tmp_path / "p.json"
     for data, message in ((b"", "not a trace file"),
                           (b"LR", "not a trace file"),
-                          (b"LRT1 2\n", "offset 0: bad text trace header"),
+                          (b"LRT1 2\n", "line 1: bad text trace header"),
                           (b"LRT1", "offset 0: truncated record"),
                           (b"LRT1\x02\x00", "offset 4: unsupported version 2")):
         trace = tmp_path / "t.lrt"

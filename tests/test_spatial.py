@@ -1,5 +1,7 @@
 """Object registry and spatial detector behavior."""
 
+import random
+import time
 import tracemalloc
 
 import pytest
@@ -149,8 +151,8 @@ def test_same_alloc_context_objects_share_report_row():
 
 def test_new_object_at_a_freed_base_has_no_prior():
     # No load falls between the free and the new allocation, so the
-    # object of the latest hit is still the freed one: the new object's
-    # first load must not be compared with the freed object's last value.
+    # object of the latest hit was the freed one: the new object's first
+    # load must not be compared with the freed object's last value.
     for second_path in ((("function", 1),), (("function", 2),)):
         tree, reg, det = make_spatial()
         a = reg.on_alloc(0x1000, 64, (("function", 1),))
@@ -247,7 +249,7 @@ def test_lookup_memo_retires_on_free_and_reuse():
     a = reg.on_alloc(0x1000, 64, ctx_path)
     assert feed(tree, det, 0x1010, u32(7))[1] == a
     reg.on_free(0x1000)
-    # The memo still names A, but A is no longer live.
+    # The memo named A when A was freed; the free retires it.
     assert reg.lookup(0x1010) is None
     assert feed(tree, det, 0x1010, u32(7))[1] is None
     b = reg.on_alloc(0x1000, 64, ctx_path)
@@ -321,3 +323,117 @@ def test_retained_memory_follows_live_objects_not_allocations(monkeypatch):
     small, large = retained
     assert large - small < 1 << 20, (small, large)
     assert len(profiles[1].temporal_pairs) == 2
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_thread_state_of_a_freed_object_goes_with_it(threads):
+    # A new object at a freed base, from the same allocation context, has
+    # the old object's report row but none of its per-thread state: in
+    # every thread that loaded the old one, its first load is no repeat.
+    sm = SourceMap()
+    sm.add_site(1, "main", "a.c", 1)
+    builds = [Build(tid, sm) for tid in range(threads)]
+    events = []
+    for b in builds:
+        events += [b.thread_start(), b.call(1)]
+    main = builds[0]
+    events.append(main.alloc(0x1000, 64))
+    for b in builds:
+        events += [b.load(0x1010, u32(7), 1), b.load(0x1010, u32(7), 1)]
+    events += [main.free(0x1000), main.alloc(0x1000, 64)]
+    for b in builds:
+        events += [b.load(0x1010, u32(7), 1), b.load(0x1010, u32(7), 1)]
+    sink = []
+    config = AnalysisConfig(sampling=SamplingConfig.disabled())
+    profile = analyze_events(events, sm, config, verdict_sink=sink.append)
+    assert [(tid, sv) for tid, _, sv in sink] == [
+        (tid, (redundant, oid)) for oid in (1, 2) for tid in range(threads)
+        for redundant in (False, True)]
+    expected = expected_analysis(events, sm)
+    assert [(tid, oid - 1, redundant) for tid, _, (redundant, oid)
+            in sink] == expected.spatial_verdicts
+    assert_profiles_equal(expected.profile, profile)
+    (row,) = profile.objects.values()
+    assert row.total_instances == 4 * threads
+    assert row.redundant_instances == 2 * threads
+
+
+def _scattered_frees(n, seed=5):
+    """One thread allocates n 64-byte objects at rising bases, loads each
+    once and frees them all in a random order; the events are made as
+    they are consumed."""
+    order = list(range(n))
+    random.Random(seed).shuffle(order)
+    yield TraceEvent(THREAD_START, 0, 0)
+    for i in range(n):
+        yield TraceEvent(ALLOC, 0, 1 + i, base=0x10000 + 64 * i,
+                         alloc_size=64)
+    for i in range(n):
+        yield load_event(0, 1 + n + i, 0x10000 + 64 * i, bytes(8),
+                         site_id=1)
+    for k, i in enumerate(order):
+        yield TraceEvent(FREE, 0, 1 + 2 * n + k, base=0x10000 + 64 * i)
+
+
+def test_registry_frees_scale_with_live_objects():
+    # A free finds its base by bisection: per-event time stays near flat
+    # from 10k to 80k live objects (a linear search per free is ~6x).
+    sm = SourceMap()
+    sm.add_site(1, "main", "scatter.c", 1)
+    config = AnalysisConfig(sampling=SamplingConfig.disabled())
+    per_event = {}
+    for n in (10_000, 80_000):
+        runs = []
+        for _ in range(3):
+            start = time.process_time()
+            profile = analyze_events(_scattered_frees(n), sm, config)
+            runs.append(time.process_time() - start)
+        assert profile.totals.total_nonfp_bytes == 8 * n
+        per_event[n] = min(runs) / (1 + 3 * n)
+    assert per_event[80_000] <= 3 * per_event[10_000], per_event
+
+
+def _random_frees_trace(n, seed):
+    """Three threads share n 64-byte objects: each thread loads them with
+    values that often repeat, they are freed in a random order, and a
+    freed base is often allocated again from the same context and loaded,
+    or loaded while it holds no object."""
+    rng = random.Random(seed)
+    sm = SourceMap()
+    sm.add_site(1, "main", "f.c", 1)
+    builds = [Build(tid, sm) for tid in range(3)]
+    events = []
+    for b in builds:
+        events += [b.thread_start(), b.call(1)]
+    bases = [0x10000 + 64 * i for i in range(n)]
+
+    def loads(base):
+        for _ in range(rng.randint(1, 4)):
+            addr = base + 4 * rng.randrange(16)
+            events.append(rng.choice(builds).load(addr, u32(rng.randrange(2)),
+                                                  1))
+
+    for base in bases:
+        events.append(rng.choice(builds).alloc(base, 64))
+        loads(base)
+    for base in rng.sample(bases, n):
+        events.append(rng.choice(builds).free(base))
+        if rng.random() < 0.5:
+            events.append(rng.choice(builds).alloc(base, 64))
+        loads(base)
+    return events, sm
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_random_free_order_matches_the_oracle(seed):
+    events, sm = _random_frees_trace(150, seed)
+    sink = []
+    config = AnalysisConfig(sampling=SamplingConfig.disabled())
+    profile = analyze_events(events, sm, config, verdict_sink=sink.append)
+    expected = expected_analysis(events, sm)
+    got = [(tid, None if oid is None else oid - 1, redundant)
+           for tid, _, (redundant, oid) in sink]
+    assert got == expected.spatial_verdicts
+    assert any(redundant for _, _, redundant in got)
+    assert any(oid is None for _, oid, _ in got)
+    assert_profiles_equal(expected.profile, profile)

@@ -295,7 +295,7 @@ def test_reader_rejects_ins_index_not_increasing_per_thread():
     decoded, _ = read_text_trace(text_stream("\n".join(lines) + "\n"))
     with pytest.raises(TraceDecodeError) as err:
         list(decoded)
-    assert err.value.offset == len(lines)
+    assert err.value.line == len(lines)
     assert "thread 3" in str(err.value)
     assert "ins_index 40 after 41" in str(err.value)
 
@@ -803,7 +803,7 @@ def test_text_reader_rejects_an_unknown_id_at_its_line():
         with pytest.raises(TraceDecodeError) as err:
             events, _ = read_text_trace(text_stream(f"LRT1 1\n{body}\n"))
             list(events)
-        assert str(err.value) == f"offset {line}: {message}", body
+        assert str(err.value) == f"line {line}: {message}", body
 
 
 def test_empty_strings_roundtrip_in_both_forms():
@@ -936,12 +936,14 @@ def test_text_reader_streams_to_an_error_on_the_last_line():
         for ev in events:
             decoded.append(ev)
     assert decoded == b.events[:-1]
-    assert err.value.offset == len(lines)
-    assert str(err.value) == f"offset {len(lines)}: bad line: 'f16'"
+    assert err.value.line == len(lines)
+    assert str(err.value) == f"line {len(lines)}: bad line: 'f16'"
 
 def test_text_reader_rejects_garbage():
-    with pytest.raises(TraceDecodeError):
+    with pytest.raises(TraceDecodeError) as err:
         read_text_trace(text_stream("not a trace\n"))
+    assert err.value.line == 1 and err.value.offset is None
+    assert str(err.value) == "line 1: bad text trace header"
     # (lines after the header, line number of the error, message)
     cases = [
         (b"Z 0 0", 2, "unknown line tag 'Z'"),
@@ -961,8 +963,8 @@ def test_text_reader_rejects_garbage():
             events, _ = read_text_trace(io.BytesIO(b"LRT1 1\n" + body
                                                    + b"\n"))
             list(events)
-        assert err.value.offset == line, body
-        assert str(err.value).startswith(f"offset {line}: {message}"), body
+        assert err.value.line == line, body
+        assert str(err.value).startswith(f"line {line}: {message}"), body
 
 
 # One event of each kind with every field in range; each follows a call,
@@ -1035,7 +1037,7 @@ def test_every_record_kind_roundtrips_and_rejects_each_field_out_of_range(
             "\n".join([*head, " ".join(tokens)]) + "\n"))
         with pytest.raises(TraceDecodeError) as err:
             list(decoded)
-        assert err.value.offset == len(head) + 1, attr
+        assert err.value.line == len(head) + 1, attr
 
 
 def test_text_form_holds_only_what_the_binary_form_holds(tmp_path, capsys):
@@ -1053,13 +1055,13 @@ def test_text_form_holds_only_what_the_binary_form_holds(tmp_path, capsys):
                  "L 0 1 -0x10 4 00000000 nonfp 1"):
         trace.write_text(f"LRT1 1\nsite 1 main a.c 1\nT 0 0\n{line}\n")
         assert main(["analyze", str(trace), "-o", str(profile)]) == 1
-        assert "offset 4: " in capsys.readouterr().err
+        assert "line 4: " in capsys.readouterr().err
         assert not profile.exists()
 
     with pytest.raises(TraceDecodeError) as err:
         read_text_trace(text_stream("LRT1 1\nsite 4294967296 main a.c -1\n"))
-    assert err.value.offset == 2
-    assert str(err.value).startswith("offset 2: site record: ")
+    assert err.value.line == 2
+    assert str(err.value).startswith("line 2: site record: ")
 
     # A source-map entry out of range names itself in either writer.
     for site_id, line in ((1 << 32, 1), (1, -1)):
@@ -1086,7 +1088,7 @@ def test_text_line_with_a_field_missing_or_extra_is_a_bad_line():
             events, _ = read_text_trace(text_stream(
                 f"LRT1 1\nsite 1 main a.c 1\n{line}\n"))
             list(events)
-        assert str(err.value) == f"offset 3: bad line: {message}", line
+        assert str(err.value) == f"line 3: bad line: {message}", line
 
 
 def test_doc_record_table_matches_the_code():
