@@ -2,9 +2,11 @@
 
 Contexts are paths Root -> Function -> ... -> Loop -> ... -> LoadSite,
 interned so equal paths share one node and one dense integer handle.
-A per-thread counter ticks on every loop-header pass and every monitored
-load; loop nodes remember the counter value of their latest pass, which
-is what scope resolution consumes.
+A per-thread counter ticks on every monitored load and on every
+loop-header pass but one whose loop node's last pass is the latest tick
+(it orders against every load as that pass does); loop nodes remember the
+counter value of their latest pass, which is what scope resolution
+consumes.
 """
 
 from .errors import MalformedTraceError
@@ -25,7 +27,7 @@ class ContextNode:
         self.parent = parent        # ContextNode or None for the root
         self.handle = handle
         self.children = {}          # (kind, ident) -> ContextNode
-        self.last_pass_ts = 0       # loop nodes only
+        self.last_pass_ts = -1      # loop nodes only
 
 
 class ContextTree:
@@ -66,19 +68,18 @@ class ContextTree:
         self.cursor = node.parent
         return self.cursor.handle
 
-    def on_loop_head(self, loop_id, passes=1):
+    def on_loop_head(self, loop_id):
         # A pass of a loop already on the current frame's loop stack pops
         # back to it; anything else is a descent into a (possibly new)
         # nested loop node. Loops in outer frames are never popped to.
-        # After the first of `passes` consecutive passes the cursor is on
-        # the loop's node, so the rest only tick the counter.
         node = self.cursor
         while node.kind == LOOP and node.ident != loop_id:
             node = node.parent
         if node.kind != LOOP:
             node = self._child(self.cursor, LOOP, loop_id)
-        self.timestamp += passes
-        node.last_pass_ts = self.timestamp
+        if node.last_pass_ts != self.timestamp:
+            self.timestamp += 1
+            node.last_pass_ts = self.timestamp
         self.cursor = node
         return node.handle
 

@@ -5,10 +5,9 @@ detectors; object lifecycle events apply globally in file order. Only load
 detection is gated by the sampler: calls, returns and loop headers always
 maintain the context trees so contexts stay correct when a monitoring
 window reopens. A binary trace's decoder drops unmonitored loads before
-building them, and hands over consecutive passes of one loop, with only
-dropped loads between them, as one event carrying `passes`; the dropped
-loads and the folded passes still count in the event positions errors
-name.
+building them, and a loop head that repeats the last yielded one, which
+the context tree would not tick; the dropped records still count in the
+event positions errors name.
 """
 
 from dataclasses import dataclass, field
@@ -121,7 +120,7 @@ def analyze_events(events, source_map, config=None, verdict_sink=None):
             elif kind == RETURN:
                 tree.on_return(ev.site_id)
             elif kind == LOOPHEAD:
-                tree.on_loop_head(ev.loop_id, ev.passes)
+                tree.on_loop_head(ev.loop_id)
             elif kind == ALLOC:
                 ctx_path = tree.structural_path(tree.cursor.handle)
                 registry.on_alloc(ev.base, ev.alloc_size, ctx_path)
@@ -132,7 +131,7 @@ def analyze_events(events, source_map, config=None, verdict_sink=None):
             # THREAD_START only announces the thread
     except MalformedTraceError as exc:
         if decoder is not None:
-            position += decoder.skipped     # the loads dropped before `ev`
+            position += decoder.skipped     # the records dropped before `ev`
         raise MalformedTraceError(
             f"event {position} (thread {ev.thread_id}, "
             f"ins_index {ev.ins_index}): {exc}") from None

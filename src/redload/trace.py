@@ -59,9 +59,6 @@ class TraceEvent:
     base: int = 0
     alloc_size: int = 0
     objects: tuple = ()  # StaticImage: tuple of (name, base, size)
-    # LoopHead: consecutive passes of the loop this event stands for (a
-    # gated BinaryEvents folds a run of them); never encoded.
-    passes: int = 1
 
 
 @dataclass
@@ -216,8 +213,6 @@ def _check_event(ev, state, source_map):
     last_ins, depth = state.get(tid, (-1, 0))
     if ev.ins_index <= last_ins:
         return _not_increasing(tid, ev.ins_index, last_ins)
-    if ev.passes != 1:
-        return f"event stands for {ev.passes} passes; a record holds one"
     kind = ev.kind
     if kind == LOAD:
         size = ev.size
@@ -401,19 +396,19 @@ class BinaryEvents:
     the decoder drops each load outside a monitoring window after
     validating it like any other record: it slices no value and builds no
     TraceEvent. A thread's first event is never dropped, so the consumer
-    still sees every thread. It also folds each run of consecutive passes
-    of one loop in one thread, with only dropped loads between them, into
-    the run's first loop head, whose `passes` is the run's length; the
-    event is held back until the next event is built or the stream ends.
-    While the window is a gap, a faster loop passes over the loads it
-    drops and the loop heads it folds, after the same checks; it hands
-    any record it cannot settle back to the general path, which raises
-    every error, so offsets and messages are those of an ungated decode.
+    still sees every thread. It also drops a loop head that repeats the
+    last yielded one (the same thread and loop), which the context tree
+    would take as a pass with nothing ticked since the last one. While the
+    window is a gap, a faster loop passes over the records it drops, after
+    the same checks; it hands any record it cannot settle back to the
+    general path, which raises every error, so offsets and messages are
+    those of an ungated decode.
 
     `skipped` is the number of records before the event last yielded that
-    were not yielded (dropped loads and folded passes), and after the last
-    event the number of all such records, so the event index an error
-    names can count them. Ungated, every record is yielded as it is read.
+    were not yielded (dropped loads and dropped repeated passes), and after
+    the last event the number of all such records, so the event index an
+    error names can count them. Ungated, every record is yielded as it is
+    read.
     """
 
     def __init__(self, reader, source_map):
@@ -442,11 +437,9 @@ class BinaryEvents:
         monitored = True
         last_ins = {}       # thread_id -> ins_index of its latest event
         skipped = 0         # records read and not yielded
-        # The loop head held back while later passes fold into it; no
-        # thread has id -1, so nothing folds while none is held.
-        held = None
-        held_tid = held_loop = -1
-        passes = held_skipped = 0   # its passes so far; `skipped` at it
+        # Thread and loop of the last yielded event while it is a loop
+        # head; no thread has id -1, so no loop head repeats any other.
+        head_tid = head_loop = -1
         skip_load, skip_loop = _SKIP_LOAD.unpack_from, _SKIP_LOOP.unpack_from
         load_lengths, loop_length = _LOAD_LENGTHS, _REC_LOOP.size
         buf, pos = r.buf, r.pos
@@ -483,13 +476,12 @@ class BinaryEvents:
                     _, tid, ins, loop_id, site_id = \
                         _REC_LOOP.unpack_from(buf, pos)
                     pos += _REC_LOOP.size
-                    # The held loop head's loop_id has passed this test.
-                    if loop_id != held_loop and loop_id not in loops:
+                    # The last yielded loop head's loop_id has passed this.
+                    if loop_id != head_loop and loop_id not in loops:
                         raise ValueError(f"unresolved loop_id {loop_id}")
                     if site_id not in sites:
                         raise ValueError(f"unresolved site_id {site_id}")
-                    if tid == held_tid and loop_id == held_loop:
-                        passes += 1
+                    if tid == head_tid and loop_id == head_loop:
                         ev = None
                     else:
                         # Positional: loop heads are as frequent as loads.
@@ -533,28 +525,22 @@ class BinaryEvents:
             elif not gated:
                 yield ev
             else:
-                if held is not None:
-                    held.passes = passes
-                    self.skipped = held_skipped
-                    yield held
-                    held = None
-                    held_tid = -1
                 if kind == LOOPHEAD:
-                    held, held_tid, held_loop = ev, tid, loop_id
-                    held_skipped, passes = skipped, 1
+                    head_tid, head_loop = tid, loop_id
                 else:
-                    self.skipped = skipped
-                    yield ev
+                    head_tid = -1
+                self.skipped = skipped
+                yield ev
             if not monitored and ins >= lo:
                 # The gap loop: it passes over the records that the code
-                # above would drop or fold, after the same checks, and stops
+                # above would drop, after the same checks, and stops
                 # before any other record, which goes back there to be
                 # decoded or to raise. `last` is thread `tid`'s last
                 # ins_index, swapped on a record of another thread. Only a
                 # thread whose last ins_index is at least lo takes part, so
                 # last < i < hi puts a load in the gap and in order.
                 last = ins
-                count = folds = 0
+                count = 0
                 stop = end - _MAX_FIXED
                 while pos <= stop:
                     k = buf[pos]
@@ -572,7 +558,7 @@ class BinaryEvents:
                         pos += length
                     elif k == LOOPHEAD:
                         t, i, loop, site = skip_loop(buf, pos)
-                        if t != held_tid or loop != held_loop:
+                        if t != head_tid or loop != head_loop:
                             break
                         if t != tid:
                             if last_ins[t] < lo:
@@ -582,18 +568,12 @@ class BinaryEvents:
                         if i <= last or site not in sites:
                             break
                         pos += loop_length
-                        folds += 1
                     else:
                         break
                     last = i
                     count += 1
                 last_ins[tid] = last
                 skipped += count
-                passes += folds
-        if held is not None:
-            held.passes = passes
-            self.skipped = held_skipped
-            yield held
         self.skipped = skipped
 
 

@@ -24,9 +24,53 @@ def test_repeated_loop_head_is_one_node_with_updated_pass():
     h2 = t.on_loop_head(4)
     assert h1 == h2
     node = t.nodes[h1]
-    # Second pass stores the second counter value.
-    assert node.last_pass_ts == 2
-    assert t.timestamp == 2
+    # Nothing ticked since the first pass, so the second one keeps its
+    # counter value; after a load, the next pass stores a fresh one.
+    assert (node.last_pass_ts, t.timestamp) == (1, 1)
+    t.current_load_context(2)
+    assert t.on_loop_head(4) == h1
+    assert (node.last_pass_ts, t.timestamp) == (3, 3)
+
+
+# The tick rule: every load ticks the counter, and a loop pass ticks it
+# unless that loop node's last pass is the latest tick.
+
+def test_repeated_pass_with_nothing_between_does_not_tick():
+    t = ContextTree()
+    t.on_loop_head(4)
+    h = t.on_loop_head(4)
+    assert (t.timestamp, t.nodes[h].last_pass_ts) == (1, 1)
+
+
+def test_pass_after_a_load_ticks():
+    t = ContextTree()
+    t.on_loop_head(4)
+    t.current_load_context(2)
+    h = t.on_loop_head(4)
+    assert (t.timestamp, t.nodes[h].last_pass_ts) == (3, 3)
+
+
+def test_pass_after_another_loops_pass_ticks():
+    t = ContextTree()
+    outer = t.on_loop_head(4)
+    t.on_loop_head(5)
+    t.on_loop_head(4)
+    assert (t.timestamp, t.nodes[outer].last_pass_ts) == (3, 3)
+
+
+def test_pass_after_call_and_return_without_a_load_does_not_tick():
+    t = ContextTree()
+    h = t.on_loop_head(4)
+    t.on_call(1)
+    t.on_return(1)
+    t.on_loop_head(4)
+    assert (t.timestamp, t.nodes[h].last_pass_ts) == (1, 1)
+
+
+def test_first_pass_of_a_new_loop_node_ticks_at_timestamp_0():
+    t = ContextTree()
+    h = t.on_loop_head(4)
+    assert (t.timestamp, t.nodes[h].last_pass_ts) == (1, 1)
 
 
 def test_nested_loops_across_calls_get_ordered_timestamps():
@@ -168,6 +212,7 @@ def test_counter_strictly_monotonic_random_walk():
     t.on_call(1)
     frames = [1]
     seen = 0
+    latest = None   # handle of the loop node whose pass ticked last
     for _ in range(5000):
         r = rng.random()
         if r < 0.15 and len(frames) < 8:
@@ -176,13 +221,15 @@ def test_counter_strictly_monotonic_random_walk():
         elif r < 0.25 and len(frames) > 1:
             t.on_return(frames.pop())
         elif r < 0.55:
-            t.on_loop_head(rng.randrange(10, 14))
-            assert t.timestamp > seen
-            seen = t.timestamp
+            h = t.on_loop_head(rng.randrange(10, 14))
+            if h != latest:
+                seen, latest = seen + 1, h
+            assert (t.timestamp, t.nodes[h].last_pass_ts) == (seen, seen)
         else:
             _, ts = t.current_load_context(rng.randrange(30, 33))
-            assert ts > seen
-            seen = ts
+            seen, latest = seen + 1, None
+            assert ts == seen
+        assert t.timestamp == seen
 
 
 def test_interning_same_paths_share_handles():

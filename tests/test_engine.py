@@ -1,5 +1,7 @@
 """Engine wiring: demultiplexing, gating, error positions, file formats."""
 
+import random
+
 import pytest
 
 from redload import engine
@@ -372,6 +374,32 @@ def _verdicts(sink):
     return [(tid, *tv, *sv) for tid, tv, sv in sink]
 
 
+def _analyze_three_ways(events, sm, config, tmp_path):
+    """(profile, saved bytes, verdicts) of `events` under `config`, by
+    source: a binary file (gated in the decoder), a text file and the
+    decoded events in memory (gated in the engine only). Each source gives
+    the same profile with a verdict sink as without one."""
+    binary = _write_binary(events, sm, tmp_path / "t.lrt")
+    text = tmp_path / "t.txt"
+    with open(text, "w") as f:
+        write_text_trace(events, sm, f)
+    with open(binary, "rb") as f:
+        decoded = list(read_trace(f)[0])
+    results = {}
+    for label, run in (
+            ("binary", lambda sink: analyze_path(binary, config, sink)),
+            ("text", lambda sink: analyze_path(str(text), config, sink)),
+            ("memory", lambda sink: analyze_events(decoded, sm, config,
+                                                   sink))):
+        sink = []
+        profile = run(sink.append)
+        assert run(None) == profile, label
+        save(profile, tmp_path / f"{label}.json")
+        results[label] = (profile, (tmp_path / f"{label}.json").read_bytes(),
+                          _verdicts(sink))
+    return results
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("name", sorted(SMALL_SCENARIOS))
 def test_gated_decoder_analyzes_like_every_other_source(name, threads,
@@ -382,35 +410,14 @@ def test_gated_decoder_analyzes_like_every_other_source(name, threads,
     params = dict(SMALL_SCENARIOS[name], threads=threads)
     events, sm = generate(Scenario(name, params))
     events = list(events)
-    binary = _write_binary(events, sm, tmp_path / "t.lrt")
-    text = tmp_path / "t.txt"
-    with open(text, "w") as f:
-        write_text_trace(events, sm, f)
     for sampling in SAMPLINGS:
-        config = AnalysisConfig(sampling=sampling)
-        with open(binary, "rb") as f:
-            decoded = list(read_trace(f)[0])
-        results = []
-        for label, run in (
-                ("binary", lambda sink: analyze_path(binary, config, sink)),
-                ("text", lambda sink: analyze_path(str(text), config, sink)),
-                ("memory", lambda sink: analyze_events(decoded, sm, config,
-                                                       sink))):
-            sink = []
-            profile = run(sink.append)
-            assert run(None) == profile, label
-            save(profile, tmp_path / f"{label}.json")
-            results.append((label, profile,
-                            (tmp_path / f"{label}.json").read_bytes(),
-                            _verdicts(sink)))
+        results = _analyze_three_ways(
+            events, sm, AnalysisConfig(sampling=sampling), tmp_path)
         monitored = sum(e.kind == LOAD and is_monitored(e.ins_index, sampling)
                         for e in events)
-        _, profile, saved, verdicts = results[0]
-        assert len(verdicts) == monitored, sampling
-        for label, other, other_saved, other_verdicts in results[1:]:
-            assert other == profile, (label, sampling)
-            assert other_saved == saved, (label, sampling)
-            assert other_verdicts == verdicts, (label, sampling)
+        assert len(results["binary"][2]) == monitored, sampling
+        for label in ("text", "memory"):
+            assert results[label] == results["binary"], (label, sampling)
 
 
 # 4 instructions monitored in every 24: ins_index 4 to 23 and 28 to 47
@@ -457,26 +464,27 @@ def _fold_trace():
 
 def test_gated_decoder_folds_loop_head_runs(tmp_path):
     # A run of one loop's passes in one thread, with only dropped loads
-    # between them, reaches the engine as its first loop head carrying the
-    # run's length; any built event, another thread or another loop ends
-    # the run.
+    # between them, reaches the engine as its first loop head: each later
+    # pass repeats the loop head yielded last and is dropped. Any built
+    # event, another thread or another loop ends the run.
     events, sm = _fold_trace()
     path = _write_binary(events, sm, tmp_path / "t.lrt")
     with open(path, "rb") as f:
         decoded, _ = read_trace(f)
         decoded.sampling = FOLD.sampling
-        got = [(ev.kind, ev.thread_id, ev.passes) for ev in decoded]
+        got = [(ev.kind, ev.thread_id, ev.ins_index) for ev in decoded]
     H, L = LOOPHEAD, LOAD
-    assert got == [(STATIC_IMAGE, 0, 1), (CALL, 0, 1), (H, 0, 1), (L, 0, 1),
-                   (H, 0, 1), (H, 1, 2), (H, 0, 1), (H, 1, 1), (H, 0, 3),
-                   (H, 0, 1), (H, 0, 3), (L, 0, 1), (L, 1, 1), (H, 1, 1),
-                   (L, 1, 1), (H, 1, 3)]
+    assert got == [(STATIC_IMAGE, 0, 0), (CALL, 0, 1), (H, 0, 2), (L, 0, 3),
+                   (H, 0, 4), (H, 1, 5), (H, 0, 6), (H, 1, 8), (H, 0, 7),
+                   (H, 0, 11), (H, 0, 12), (L, 0, 25), (L, 1, 24), (H, 1, 25),
+                   (L, 1, 26), (H, 1, 30)]
     dropped = sum(ev.kind == LOAD and not is_monitored(ev.ins_index,
                                                        FOLD.sampling)
                   for ev in events)
-    folded = sum(passes - 1 for _, _, passes in got)
-    assert (dropped, folded) == (7, 7)
-    assert decoded.skipped == dropped + folded
+    repeats = (sum(ev.kind == H for ev in events)
+               - sum(kind == H for kind, _, _ in got))
+    assert (dropped, repeats) == (7, 7)
+    assert decoded.skipped == dropped + repeats
     assert len(got) + decoded.skipped == len(events)
     # Ungated, every record is its own event.
     with open(path, "rb") as f:
@@ -484,27 +492,103 @@ def test_gated_decoder_folds_loop_head_runs(tmp_path):
 
 
 def test_folded_loop_heads_analyze_like_every_pass(tmp_path):
-    # Binary (folded in the decoder), text and in-memory events give one
-    # profile, the same saved bytes and the same verdicts, prior
-    # timestamps included.
+    # Binary (repeated passes dropped in the decoder), text and in-memory
+    # events give one profile, the same saved bytes and the same verdicts,
+    # prior timestamps included.
     events, sm = _fold_trace()
-    binary = _write_binary(events, sm, tmp_path / "t.lrt")
-    text = tmp_path / "t.txt"
-    with open(text, "w") as f:
-        write_text_trace(events, sm, f)
-    results = []
-    for label, run in (
-            ("binary", lambda sink: analyze_path(binary, FOLD, sink)),
-            ("text", lambda sink: analyze_path(str(text), FOLD, sink)),
-            ("memory", lambda sink: analyze_events(events, sm, FOLD, sink))):
-        sink = []
-        profile = run(sink.append)
-        save(profile, tmp_path / f"{label}.json")
-        results.append((profile, (tmp_path / f"{label}.json").read_bytes(),
-                        _verdicts(sink)))
-    profile, saved, verdicts = results[0]
+    results = _analyze_three_ways(events, sm, FOLD, tmp_path)
+    profile, _, verdicts = results["binary"]
     assert [v[1] for v in verdicts] == [False, True, False, True]
-    assert (profile, saved, verdicts) == results[1] == results[2]
+    assert results["binary"] == results["text"] == results["memory"]
     # The pair across the gap has the outer loop (f.c:2) as its scope.
     assert any(scope and scope[-1] == ("loop", "", "f.c", 2)
                for _, _, scope in profile.temporal_pairs)
+
+
+def _empty_pass_trace(seed, threads=3, actions=400):
+    """Events of `threads` interleaved threads whose loops often pass with
+    nothing ticked since their last pass: back-to-back passes of one loop,
+    passes with only a call and its return or an alloc and its free
+    between them, and nested loops left and re-entered. Loads read few
+    addresses and values, so they pair across such runs."""
+    rng = random.Random(seed)
+    sm = SourceMap()
+    for site in (1, 2, 3, 4):
+        sm.add_site(site, f"f{site}", "e.c", site)
+    for loop in (11, 12, 13):
+        sm.add_loop(loop, "e.c", loop)
+    events = [TraceEvent(STATIC_IMAGE, 0, 0, objects=(("A", 0x100, 32),))]
+    events += [TraceEvent(THREAD_START, tid, 0) for tid in range(1, threads)]
+    ins = [0] * threads
+    frames = [[] for _ in range(threads)]   # call sites of open frames
+
+    def emit(tid, kind, **fields):
+        ins[tid] += rng.choice((1, 1, 2, 7))
+        events.append(TraceEvent(kind, tid, ins[tid], **fields))
+
+    for _ in range(actions):
+        tid = rng.randrange(threads)
+        loop = rng.choice((11, 12, 13))
+        roll = rng.random()
+        if roll < 0.5:
+            # A run of passes of one loop, back to back or each followed
+            # by a call and its return or by an alloc and its free.
+            between = ()
+            if roll >= 0.4:
+                base = 0x1000 + 0x100 * tid
+                between = ((ALLOC, {"base": base, "alloc_size": 16}),
+                           (FREE, {"base": base}))
+            elif roll >= 0.3:
+                site = rng.choice((2, 3))
+                between = ((CALL, {"site_id": site}),
+                           (RETURN, {"site_id": site}))
+            for _ in range(rng.randrange(1, 5)):
+                emit(tid, LOOPHEAD, loop_id=loop, site_id=1)
+                for kind, fields in between:
+                    emit(tid, kind, **fields)
+        elif roll < 0.58 and len(frames[tid]) < 3:
+            frames[tid].append(rng.choice((2, 3, 4)))
+            emit(tid, CALL, site_id=frames[tid][-1])
+        elif roll < 0.64 and frames[tid]:
+            emit(tid, RETURN, site_id=frames[tid].pop())
+        else:
+            for _ in range(rng.randrange(1, 4)):
+                emit(tid, LOAD, addr=0x100 + 4 * rng.randrange(8), size=4,
+                     value=u32(rng.randrange(2)), site_id=rng.choice((1, 4)))
+    return events, sm
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_empty_passes_analyze_as_the_oracle_counts_every_pass(seed,
+                                                              tmp_path):
+    # The context tree gives no tick to a pass with nothing ticked since
+    # its loop's last pass, while the oracle ticks on every pass. Ungated,
+    # the verdicts and the profile, scopes included, are the oracle's.
+    # Gated, the binary decoder drops the passes that repeat the loop head
+    # it yielded last, and all three sources agree on the profile, the
+    # saved bytes and every verdict, prior timestamps included.
+    from oracles import assert_profiles_equal, expected_analysis
+    events, sm = _empty_pass_trace(seed)
+    sink = []
+    profile = analyze_events(events, sm, FULL, verdict_sink=sink.append)
+    expected = expected_analysis(events, sm)
+    assert ([(tid, tv[0], tv[1]) for tid, tv, _ in sink]
+            == expected.temporal_verdicts)
+    # The oracle numbers objects from 0, the registry from 1.
+    assert ([(tid, None if oid is None else oid - 1, redundant)
+             for tid, _, (redundant, oid) in sink]
+            == expected.spatial_verdicts)
+    assert_profiles_equal(expected.profile, profile)
+    # Some pairs have a loop scope, which a wrong tick would move.
+    assert any(scope for _, _, scope in profile.temporal_pairs)
+    # Gated with every load monitored, the decoder still drops passes.
+    path = _write_binary(events, sm, tmp_path / "gated.lrt")
+    with open(path, "rb") as f:
+        decoded, _ = read_trace(f)
+        decoded.sampling = SamplingConfig(1, 0)
+        assert len(list(decoded)) < len(events)
+    for sampling in SAMPLINGS:
+        results = _analyze_three_ways(
+            events, sm, AnalysisConfig(sampling=sampling), tmp_path)
+        for label in ("text", "memory"):
+            assert results[label] == results["binary"], (label, sampling)

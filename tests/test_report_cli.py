@@ -1,5 +1,6 @@
 """Report rendering and the end-to-end command line."""
 
+import builtins
 import io
 import json
 import os
@@ -13,8 +14,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from redload import profiles
-from redload.cli import main
+from redload import output, profiles
+from redload.cli import _exit_on_signal, main
 from redload.engine import AnalysisConfig, analyze_events
 from redload.errors import ConfigError, RedloadError
 from redload.profiles import load as load_profile
@@ -304,6 +305,26 @@ def test_cli_gen_killed_by_sigterm_leaves_no_file(tmp_path):
     finally:
         gen.kill()
         gen.wait()
+    assert os.listdir(tmp_path) == []
+
+
+def test_sigterm_as_the_temporary_file_opens_leaves_no_file(tmp_path,
+                                                            monkeypatch):
+    # The handler of a SIGTERM that arrives while `open` creates the
+    # temporary file runs before `open` returns; the file is still removed.
+    def open_then_term(*args, **kwargs):
+        f = builtins.open(*args, **kwargs)
+        os.kill(os.getpid(), signal.SIGTERM)
+        return f
+
+    monkeypatch.setattr(output, "open", open_then_term, raising=False)
+    previous = signal.signal(signal.SIGTERM, _exit_on_signal)
+    try:
+        with pytest.raises(SystemExit):
+            with output.replacing(tmp_path / "t.lrt", "xb") as f:
+                f.write(b"x")
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     assert os.listdir(tmp_path) == []
 
 

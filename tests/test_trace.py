@@ -423,38 +423,32 @@ def _gap_trace(seed, threads, records):
 
 
 def _gated_model(events, sampling):
-    """The spec of a gated decode: (kind, thread_id, ins_index, passes,
-    records skipped before the event) of each event yielded, and the
-    records skipped in all. A load outside a window is dropped unless it
-    is its thread's first event; a loop head folds into the held one of
-    the same thread and loop, which only a dropped load or a fold leaves
-    held."""
+    """The spec of a gated decode: (kind, thread_id, ins_index, records
+    skipped before the event) of each event yielded, and the records
+    skipped in all. A load outside a window is dropped unless it is its
+    thread's first event; a loop head is dropped when the event yielded
+    last is a loop head of the same thread and loop."""
     out, seen = [], set()
-    held = None
+    repeat = None   # (thread_id, loop_id) of the last yielded loop head
     skipped = 0
     for ev in events:
         tid = ev.thread_id
         if (ev.kind == LOAD and tid in seen
                 and not is_monitored(ev.ins_index, sampling)):
             skipped += 1
-        elif (ev.kind == LOOPHEAD and held is not None
-              and (held[1], held[4]) == (tid, ev.loop_id)):
-            held[3] += 1
+        elif ev.kind == LOOPHEAD and repeat == (tid, ev.loop_id):
             skipped += 1
         else:
-            held = [ev.kind, tid, ev.ins_index, 1, ev.loop_id, skipped]
-            out.append(held)
-            if ev.kind != LOOPHEAD:
-                held = None
+            out.append((ev.kind, tid, ev.ins_index, skipped))
+            repeat = (tid, ev.loop_id) if ev.kind == LOOPHEAD else None
         seen.add(tid)
-    return [(kind, tid, ins, passes, before)
-            for kind, tid, ins, passes, _, before in out], skipped
+    return out, skipped
 
 
 def _gated_decode(stream, sampling):
     events, _ = read_trace(stream)
     events.sampling = sampling
-    got = [(ev.kind, ev.thread_id, ev.ins_index, ev.passes, events.skipped)
+    got = [(ev.kind, ev.thread_id, ev.ins_index, events.skipped)
            for ev in events]
     return got, events.skipped
 
@@ -466,7 +460,7 @@ GAP_SAMPLINGS = (SamplingConfig(1, 0), SamplingConfig(2, 3),
 @pytest.mark.parametrize("threads", [1, 3])
 def test_gated_decode_across_refills_matches_the_spec(threads):
     # A trace longer than a refill chunk, read whole chunks at a time and
-    # in short reads, so that runs of dropped loads and folded loop heads
+    # in short reads, so that runs of dropped loads and repeated loop heads
     # cross refill points: the gated decode yields what the spec model
     # makes of the ungated one, with the same skip counts.
     events, raw = _gap_trace(threads, threads, 45_000)
@@ -491,7 +485,7 @@ def _decode_error(stream, sampling=None):
 
 
 def test_gated_decode_raises_inside_a_long_gap_where_ungated_does():
-    # A bad record in the middle of a run of dropped loads and folded loop
+    # A bad record in the middle of a run of dropped loads and repeated loop
     # heads stops a gated decode with the ungated decode's message and
     # byte offset, whether chunks arrive whole or in short reads.
     b = Build()
@@ -546,10 +540,11 @@ def test_gated_decode_raises_inside_a_long_gap_where_ungated_does():
 
 def test_gated_decode_of_threads_that_take_turns_inside_a_gap():
     # Threads 1 and 2 take turns record by record, under a 10-in-100
-    # window. Thread 1's loop head at 70 folds into the held one while
-    # thread 2 sits in the gap [110, 200); its load at 105 is monitored
-    # in its own window and is built. Then a repeated ins_index of thread
-    # 1, after a turn of thread 2, fails as it fails ungated.
+    # window. Thread 1's loop head at 70 repeats the one yielded last and
+    # is dropped while thread 2 sits in the gap [110, 200); its load at
+    # 105 is monitored in its own window and is built. Then a repeated
+    # ins_index of thread 1, after a turn of thread 2, fails as it fails
+    # ungated.
     sm = SourceMap()
     sm.add_site(1, "main", "a.c", 1)
     sm.add_loop(11, "a.c", 2)
@@ -569,7 +564,7 @@ def test_gated_decode_of_threads_that_take_turns_inside_a_gap():
     write_trace(events, sm, buf)
     raw = buf.getvalue()
     expected = _gated_model(events, sampling)
-    assert (LOAD, 1, 105, 1, 4) in expected[0]
+    assert (LOAD, 1, 105, 4) in expected[0]
     assert _gated_decode(io.BytesIO(raw), sampling) == expected
     # The last loop head (21 bytes) replaced by the load of thread 1 two
     # records back (31 bytes): the same ins_index twice in thread 1, with
@@ -738,8 +733,8 @@ def test_fuzz_text_trace_analyzes_alike_sampled_or_not(edits, tmp_path):
 def test_binary_reader_rejects_an_unknown_id_at_its_record(tmp_path,
                                                           capsys):
     # Every record with an id is checked as it is read, so a trace fails
-    # alike with sampling on or off: a load the gate drops and a loop-head
-    # pass it folds are checked as much as any other record.
+    # alike with sampling on or off: a load the gate drops and a repeated
+    # loop-head pass it drops are checked as much as any other record.
     b = Build()
     b.sm.add_site(1, "main", "a.c", 1)
     b.sm.add_loop(2, "a.c", 2)
@@ -748,7 +743,7 @@ def test_binary_reader_rejects_an_unknown_id_at_its_record(tmp_path,
     b.ins = 4999
     b.loop(2, 1)
     b.load(0x1000, u32(5), 1)   # ins_index 5000, outside a 1-in-100 window
-    b.loop(2, 1)                # folded into the first pass when sampled
+    b.loop(2, 1)                # a repeat of the first pass when sampled
     b.load(0x1000, u32(5), 1)
     b.ret(1)
 
@@ -868,16 +863,6 @@ def test_encode_rejects_bad_events_with_index():
         write_trace([ok, image], srcmap, io.BytesIO())
     assert err.value.event_index == 1
     assert "event 1: static_image record: " in str(err.value)
-
-    # A loop head folded by a gated decode stands for several records.
-    srcmap.add_loop(7, "a.c", 2)
-    folded = TraceEvent(LOOPHEAD, 0, 1, loop_id=7, site_id=1, passes=3)
-    for write in (write_trace, write_text_trace):
-        sink = io.BytesIO() if write is write_trace else io.StringIO()
-        with pytest.raises(TraceEncodeError) as err:
-            write([ok, folded], srcmap, sink)
-        assert err.value.event_index == 1
-        assert "3 passes" in str(err.value)
 
 
 def test_calls_balance_per_thread_not_globally():
