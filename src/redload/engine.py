@@ -10,8 +10,6 @@ the context tree would not tick; the dropped records still count in the
 event positions errors name.
 """
 
-from dataclasses import dataclass, field
-
 from . import trace as tr
 from .cct import ContextTree
 from .errors import ConfigError, MalformedTraceError, TraceDecodeError
@@ -24,16 +22,18 @@ from .temporal import DEFAULT_EPSILON, TemporalDetector
 from .trace import ALLOC, CALL, FREE, LOAD, LOOPHEAD, RETURN, STATIC_IMAGE
 
 
-@dataclass
 class AnalysisConfig:
-    sampling: SamplingConfig = field(default_factory=SamplingConfig)
-    approx_epsilon: float = DEFAULT_EPSILON
-
-    def __post_init__(self):
+    def __init__(self, sampling=None, approx_epsilon=DEFAULT_EPSILON):
+        if (not isinstance(approx_epsilon, (int, float))
+                or isinstance(approx_epsilon, bool)):
+            raise ConfigError("approx_epsilon must be an int or float, "
+                              f"not {approx_epsilon!r}")
         # NaN fails the comparison too: JSON holds neither it nor inf.
-        if not 0 <= self.approx_epsilon < float("inf"):
+        if not 0 <= approx_epsilon < float("inf"):
             raise ConfigError("approx_epsilon must be finite and >= 0, "
-                              f"not {self.approx_epsilon!r}")
+                              f"not {approx_epsilon!r}")
+        self.sampling = SamplingConfig() if sampling is None else sampling
+        self.approx_epsilon = approx_epsilon
 
     def meta(self):
         return {

@@ -12,7 +12,6 @@ import codecs
 import io
 import json
 import re
-from dataclasses import dataclass, field, fields
 from operator import attrgetter, itemgetter
 
 from .cct import FUNCTION, LOADSITE, LOOP
@@ -20,6 +19,7 @@ from .errors import RedloadError
 from .output import replacing
 from .spatial import DYNAMIC, STATIC
 from .temporal import PairCounters, ProgramTotals, program_fraction
+from .trace import Record
 
 PROFILE_FORMAT = "redload-profile"
 PROFILE_VERSION = 1
@@ -57,16 +57,20 @@ def _unresolved(key, where):
     return RedloadError(f"{where}: unresolved {name} {ident}")
 
 
-@dataclass(eq=True)
-class Profile:
+class Profile(Record):
     """Whole-execution (or one thread's, pre-merge) redundancy profile."""
 
-    totals: ProgramTotals = field(default_factory=ProgramTotals)
-    temporal_pairs: dict = field(default_factory=dict)
-    objects: dict = field(default_factory=dict)
-    spatial_pairs: dict = field(default_factory=dict)
-    thread_count: int = 0
-    meta: dict | None = None
+    __slots__ = ("totals", "temporal_pairs", "objects", "spatial_pairs",
+                 "thread_count", "meta")
+
+    def __init__(self, totals=None, temporal_pairs=None, objects=None,
+                 spatial_pairs=None, thread_count=0, meta=None):
+        self.totals = ProgramTotals() if totals is None else totals
+        self.temporal_pairs = {} if temporal_pairs is None else temporal_pairs
+        self.objects = {} if objects is None else objects
+        self.spatial_pairs = {} if spatial_pairs is None else spatial_pairs
+        self.thread_count = thread_count
+        self.meta = meta
 
 
 def _fold(key, counters, rows):
@@ -233,12 +237,12 @@ def fractions_doc(totals):
 
 _ROW = 2        # depth of a row in its table; its values sit one deeper
 
-_COUNTER_FIELDS = tuple(sorted(f.name for f in fields(PairCounters)))
+_COUNTER_FIELDS = tuple(sorted(PairCounters.__slots__))
 _counter_values = attrgetter(*_COUNTER_FIELDS)
 # A counters or totals document's values in its class's argument order.
-_COUNTER_ARGS = tuple(f.name for f in fields(PairCounters))
+_COUNTER_ARGS = PairCounters.__slots__
 _counter_args = itemgetter(*_COUNTER_ARGS)
-_TOTAL_ARGS = tuple(f.name for f in fields(ProgramTotals))
+_TOTAL_ARGS = ProgramTotals.__slots__
 _total_args = itemgetter(*_TOTAL_ARGS)
 
 

@@ -8,7 +8,6 @@ output byte-stable across runs.
 """
 
 import json
-from dataclasses import dataclass
 
 from .errors import RedloadError
 from .profiles import fractions_doc, object_doc, path_doc, totals_doc
@@ -18,22 +17,27 @@ from .temporal import pair_fraction, program_fraction
 DEFAULT_TOP = 20
 
 
-@dataclass
 class ReportRow:
-    kind: str                   # "temporal" | "spatial"
-    klass: str                  # "precise" | "approx"
-    redundant_bytes: int
-    pair_fraction: float
-    pair_fraction_defined: bool
-    redundant_instances: int
-    total_instances: int
-    new_context: tuple
-    old_context: tuple
-    scope: tuple | None
-    object_key: tuple | None = None
-    object_fraction: float = 0.0
-    object_fraction_defined: bool = False
-    rank: int = 0
+    """kind is "temporal" or "spatial"; klass "precise" or "approx"."""
+
+    def __init__(self, kind, klass, redundant_bytes, pair_fraction,
+                 pair_fraction_defined, redundant_instances, total_instances,
+                 new_context, old_context, scope, object_key=None,
+                 object_fraction=0.0, object_fraction_defined=False, rank=0):
+        self.kind = kind
+        self.klass = klass
+        self.redundant_bytes = redundant_bytes
+        self.pair_fraction = pair_fraction
+        self.pair_fraction_defined = pair_fraction_defined
+        self.redundant_instances = redundant_instances
+        self.total_instances = total_instances
+        self.new_context = new_context
+        self.old_context = old_context
+        self.scope = scope
+        self.object_key = object_key
+        self.object_fraction = object_fraction
+        self.object_fraction_defined = object_fraction_defined
+        self.rank = rank
 
     @property
     def chain(self):

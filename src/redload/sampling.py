@@ -6,25 +6,26 @@ so runs are reproducible. Loads falling outside an enabled window update
 nothing: no shadow writes, no counters.
 """
 
-from dataclasses import dataclass
-
 from .errors import ConfigError
 
 DEFAULT_WINDOW_ENABLE = 1_000_000
 DEFAULT_WINDOW_DISABLE = 99_000_000
 
 
-@dataclass(frozen=True)
 class SamplingConfig:
-    window_enable: int = DEFAULT_WINDOW_ENABLE
-    window_disable: int = DEFAULT_WINDOW_DISABLE
-    enabled: bool = True
-
-    def __post_init__(self):
-        if self.enabled and self.window_enable < 1:
+    def __init__(self, window_enable=DEFAULT_WINDOW_ENABLE,
+                 window_disable=DEFAULT_WINDOW_DISABLE, enabled=True):
+        for name, value in (("window_enable", window_enable),
+                            ("window_disable", window_disable)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an int, not {value!r}")
+        if enabled and window_enable < 1:
             raise ConfigError("window_enable must be >= 1")
-        if self.window_disable < 0:
+        if window_disable < 0:
             raise ConfigError("window_disable must be >= 0")
+        self.window_enable = window_enable
+        self.window_disable = window_disable
+        self.enabled = enabled
 
     @classmethod
     def disabled(cls):

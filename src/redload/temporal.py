@@ -10,24 +10,31 @@ precise counters, FP loads the approximate ones.
 
 import math
 import struct
-from dataclasses import dataclass
 
-from .trace import F32, F64, NONFP
+from .trace import F32, F64, NONFP, Record
 
 DEFAULT_EPSILON = 0.01
 
 
-@dataclass(slots=True)
-class PairCounters:
+class PairCounters(Record):
     """Counters of one accumulator row (context pair or data object)."""
 
-    redundant_bytes_precise: int = 0
-    redundant_bytes_approx: int = 0
-    total_bytes_precise: int = 0
-    total_bytes_approx: int = 0
-    redundant_instances: int = 0
-    total_instances: int = 0
-    fp_exact_instances: int = 0
+    __slots__ = ("redundant_bytes_precise", "redundant_bytes_approx",
+                 "total_bytes_precise", "total_bytes_approx",
+                 "redundant_instances", "total_instances",
+                 "fp_exact_instances")
+
+    def __init__(self, redundant_bytes_precise=0, redundant_bytes_approx=0,
+                 total_bytes_precise=0, total_bytes_approx=0,
+                 redundant_instances=0, total_instances=0,
+                 fp_exact_instances=0):
+        self.redundant_bytes_precise = redundant_bytes_precise
+        self.redundant_bytes_approx = redundant_bytes_approx
+        self.total_bytes_precise = total_bytes_precise
+        self.total_bytes_approx = total_bytes_approx
+        self.redundant_instances = redundant_instances
+        self.total_instances = total_instances
+        self.fp_exact_instances = fp_exact_instances
 
     def add(self, other):
         self.redundant_bytes_precise += other.redundant_bytes_precise
@@ -39,21 +46,19 @@ class PairCounters:
         self.fp_exact_instances += other.fp_exact_instances
 
     def copy(self):
-        return PairCounters(self.redundant_bytes_precise,
-                            self.redundant_bytes_approx,
-                            self.total_bytes_precise,
-                            self.total_bytes_approx,
-                            self.redundant_instances,
-                            self.total_instances,
-                            self.fp_exact_instances)
+        return PairCounters(*self._values)
 
 
-@dataclass(slots=True)
-class ProgramTotals:
-    total_nonfp_bytes: int = 0
-    total_fp_bytes: int = 0
-    redundant_nonfp_bytes: int = 0
-    redundant_fp_bytes: int = 0
+class ProgramTotals(Record):
+    __slots__ = ("total_nonfp_bytes", "total_fp_bytes",
+                 "redundant_nonfp_bytes", "redundant_fp_bytes")
+
+    def __init__(self, total_nonfp_bytes=0, total_fp_bytes=0,
+                 redundant_nonfp_bytes=0, redundant_fp_bytes=0):
+        self.total_nonfp_bytes = total_nonfp_bytes
+        self.total_fp_bytes = total_fp_bytes
+        self.redundant_nonfp_bytes = redundant_nonfp_bytes
+        self.redundant_fp_bytes = redundant_fp_bytes
 
     def add(self, other):
         self.total_nonfp_bytes += other.total_nonfp_bytes

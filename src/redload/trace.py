@@ -8,8 +8,6 @@ docs/trace-format.md lays them out.
 """
 
 import struct
-from dataclasses import dataclass, field
-from dataclasses import fields as dataclass_fields
 from functools import partial
 from itertools import chain, takewhile
 from operator import attrgetter
@@ -43,33 +41,59 @@ _LOAD_SHAPES = frozenset((size, fp) for size in LOAD_SIZES
                          if size % width == 0)
 
 
-@dataclass(slots=True)
-class TraceEvent:
+class Record:
+    """Value equality and a repr over `__slots__`, a subclass's fields in
+    constructor order. Like an eq dataclass's, instances are unhashable."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._values = property(attrgetter(*cls.__slots__))
+
+    def __eq__(self, other):
+        return (self._values == other._values
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __repr__(self):
+        return "{}({})".format(type(self).__name__, ", ".join(
+            map("{}={!r}".format, self.__slots__, self._values)))
+
+
+class TraceEvent(Record):
     """One runtime occurrence; only the fields for its kind are set."""
 
-    kind: int
-    thread_id: int
-    ins_index: int
-    addr: int = 0
-    size: int = 0
-    value: bytes = b""
-    fp_class: int = NONFP
-    site_id: int = 0
-    loop_id: int = 0
-    base: int = 0
-    alloc_size: int = 0
-    objects: tuple = ()  # StaticImage: tuple of (name, base, size)
+    __slots__ = ("kind", "thread_id", "ins_index", "addr", "size", "value",
+                 "fp_class", "site_id", "loop_id", "base", "alloc_size",
+                 "objects")     # StaticImage: tuple of (name, base, size)
+
+    def __init__(self, kind, thread_id, ins_index, addr=0, size=0, value=b"",
+                 fp_class=NONFP, site_id=0, loop_id=0, base=0, alloc_size=0,
+                 objects=()):
+        self.kind = kind
+        self.thread_id = thread_id
+        self.ins_index = ins_index
+        self.addr = addr
+        self.size = size
+        self.value = value
+        self.fp_class = fp_class
+        self.site_id = site_id
+        self.loop_id = loop_id
+        self.base = base
+        self.alloc_size = alloc_size
+        self.objects = objects
 
 
-@dataclass
-class SourceMap:
+class SourceMap(Record):
     """Resolves static identifiers to source locations.
 
     sites: site_id -> (function, file, line); loops: loop_id -> (file, line).
     """
 
-    sites: dict = field(default_factory=dict)
-    loops: dict = field(default_factory=dict)
+    __slots__ = ("sites", "loops")
+
+    def __init__(self, sites=None, loops=None):
+        self.sites = {} if sites is None else sites
+        self.loops = {} if loops is None else loops
 
     def add_site(self, site_id, function, file, line):
         self.sites[site_id] = (function, file, line)
@@ -121,9 +145,10 @@ class _Row:
             # TraceEvent's defaults after ins_index, up to its first payload
             # field: a kind whose payload fields are adjacent in TraceEvent
             # (call, return, alloc, free, thread_start) decodes positionally.
-            self.pad = tuple(f.default for f in takewhile(
-                lambda f: f.name not in packed,
-                dataclass_fields(TraceEvent)[3:]))
+            defaults = zip(TraceEvent.__slots__[3:],
+                           TraceEvent.__init__.__defaults__)
+            self.pad = tuple(value for _, value in takewhile(
+                lambda item: item[0] not in packed, defaults))
         self.fields = fields
         self.names = [attr for attr, _ in fields]
 

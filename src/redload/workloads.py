@@ -11,7 +11,6 @@ golden inputs for the analysis engine and for the test suite's oracle.
 import itertools
 import random
 import struct
-from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .trace import (ALLOC, CALL, F32, F64, FREE, LOAD, LOOPHEAD, NONFP,
@@ -42,10 +41,10 @@ def f32(x):
     return _F32S.pack(x)
 
 
-@dataclass
 class Scenario:
-    name: str
-    params: dict = field(default_factory=dict)
+    def __init__(self, name, params=None):
+        self.name = name
+        self.params = {} if params is None else params
 
 
 class _Emitter:

@@ -7,7 +7,7 @@ import pytest
 from redload import engine
 from redload.cli import main as cli_main
 from redload.engine import AnalysisConfig, analyze_events, analyze_path
-from redload.errors import MalformedTraceError, TraceDecodeError
+from redload.errors import ConfigError, MalformedTraceError, TraceDecodeError
 from redload.profiles import Profile, merge_all, save
 from redload.sampling import SamplingConfig
 from redload.scope import ScopeBudget
@@ -17,6 +17,22 @@ from redload.trace import (ALLOC, CALL, FREE, LOAD, LOOPHEAD, RETURN,
 from redload.workloads import Scenario, generate
 
 from helpers import SMALL_SCENARIOS, Build, is_monitored, u32
+
+
+@pytest.mark.parametrize("epsilon", ["0.1", True, False, None, [0.1]],
+                         ids=["str", "true", "false", "none", "list"])
+def test_approx_epsilon_must_be_an_int_or_float_not_a_bool(epsilon):
+    with pytest.raises(ConfigError,
+                       match="^approx_epsilon must be an int or float, not "):
+        AnalysisConfig(approx_epsilon=epsilon)
+
+
+def test_int_and_float_epsilons_reach_the_meta_as_given():
+    for epsilon in (0, 2, 0.0, 0.25):
+        meta = AnalysisConfig(approx_epsilon=epsilon).meta()
+        assert meta["approx_epsilon"] == epsilon
+        assert type(meta["approx_epsilon"]) is type(epsilon)
+
 
 FULL = AnalysisConfig(sampling=SamplingConfig.disabled())
 

@@ -59,6 +59,18 @@ def test_window_enable_must_be_positive():
     SamplingConfig(window_enable=0, enabled=False)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"window_enable": 2.5}, {"window_enable": True}, {"window_enable": "5"},
+    {"window_disable": None}, {"window_disable": False},
+    {"window_disable": 10.0}, {"window_enable": 1.0, "enabled": False}],
+    ids=["enable-float", "enable-bool", "enable-str", "disable-none",
+         "disable-bool", "disable-float", "enable-float-disabled"])
+def test_windows_must_be_ints_not_bools(kwargs):
+    name = next(iter(kwargs))
+    with pytest.raises(ConfigError, match=f"^{name} must be an int, not "):
+        SamplingConfig(**kwargs)
+
+
 GATE_CONFIGS = [SamplingConfig(window_enable=1, window_disable=0),
                 SamplingConfig(window_enable=5, window_disable=0),
                 SamplingConfig(window_enable=1, window_disable=4),

@@ -1,6 +1,5 @@
 """Trace format: round-trips, error reporting, fuzz robustness."""
 
-import dataclasses
 import io
 import random
 import re
@@ -983,6 +982,13 @@ _OUT_OF_RANGE = {
 }
 
 
+def _replaced(event, attr, value):
+    """A new event through the constructor: `event`'s fields, with `attr`
+    set to `value`."""
+    fields = {name: getattr(event, name) for name in TraceEvent.__slots__}
+    return TraceEvent(**{**fields, attr: value})
+
+
 def _two_writes(events, source_map):
     """The TraceEncodeError of each writer: both must raise one."""
     errors = []
@@ -1012,7 +1018,7 @@ def test_every_record_kind_roundtrips_and_rejects_each_field_out_of_range(
 
     for position, (attr, _) in enumerate(RECORDS[kind].fields):
         value, token = _OUT_OF_RANGE[attr]
-        bad = dataclasses.replace(good, **{attr: value})
+        bad = _replaced(good, attr, value)
         binary, text = _two_writes([opener, bad], sm)
         assert binary.event_index == text.event_index == 1, attr
         assert str(binary) == str(text)
