@@ -427,7 +427,9 @@ def _counts(values, names, where, index=None):
 def _object_key_from(doc, frames, where):
     kind = doc["kind"]
     if kind == STATIC:
-        return (STATIC, doc["name"])
+        name = doc["name"]
+        _require(type(name) is str, where, "name", name, "a string")
+        return (STATIC, name)
     _require(kind == DYNAMIC, where, "kind", kind, "'static' or 'dynamic'")
     return (DYNAMIC, _path_from(doc["context"], frames, where, "context"))
 
@@ -459,40 +461,6 @@ def _put(rows, row, frames, table, index):
                            "earlier row")
 
 
-def _header_from(doc):
-    """A Profile of the document's members other than its tables, which
-    are left empty."""
-    if not isinstance(doc, dict) or doc.get("format") != PROFILE_FORMAT:
-        raise RedloadError(f"not a {PROFILE_FORMAT} document")
-    if doc.get("version") != PROFILE_VERSION:
-        raise RedloadError(f"unsupported profile version {doc.get('version')}")
-    totals = _counts(_total_args(doc["totals"]), _TOTAL_ARGS, "totals")
-    (thread_count,) = _counts((doc["thread_count"],), ("thread_count",),
-                              "profile")
-    meta = doc.get("meta")
-    _require(meta is None or type(meta) is dict, "profile", "meta", meta,
-             "an object or null")
-    return Profile(totals=ProgramTotals(*totals), thread_count=thread_count,
-                   meta=meta)
-
-
-def from_json(doc):
-    """The Profile of a profile document; a document of another shape
-    raises RedloadError naming what is missing or malformed."""
-    try:
-        profile = _header_from(doc)
-        frames = {}
-        for table in _ROW_KEYS:
-            rows = getattr(profile, table)
-            for index, row in enumerate(doc[table]):
-                _put(rows, row, frames, table, index)
-        return profile
-    except KeyError as exc:
-        raise RedloadError(f"missing field {exc.args[0]!r}") from None
-    except (LookupError, TypeError, AttributeError, ValueError) as exc:
-        raise RedloadError(f"malformed profile: {exc}") from None
-
-
 def save(profile, path):
     """Write the profile's document to `path`, whole or not at all."""
     with replacing(path, "x", "utf-8") as f:
@@ -506,14 +474,18 @@ _decode = json.JSONDecoder().raw_decode
 
 class _Window:
     """The text of a binary file as far as it has been read, through an
-    incremental UTF-8 decoder; `text[pos:]` is what is not yet parsed,
-    and the text before `pos` is dropped at the next read."""
+    incremental UTF-8 decoder; `text[pos:]` is what is not yet parsed.
+    The text before `pos` is dropped at the next read, and `dropped`
+    counts it. Bytes that are not UTF-8 end the text, and raise once
+    text past them is wanted."""
 
     def __init__(self, f):
-        self.read = f.read
+        self.file = f
         self.decode = codecs.getincrementaldecoder("utf-8")().decode
         self.text = ""
         self.pos = 0
+        self.dropped = 0
+        self.fault = None
         self.eof = False
 
     def more(self):
@@ -522,14 +494,24 @@ class _Window:
         again after each read costs time linear in its length; False at
         the end of the file."""
         if self.eof:
+            if self.fault:
+                raise self.fault
             return False
         held = self.text[self.pos:]
+        self.dropped += self.pos
         parts = [held]
         size = 0
         while not self.eof and size <= len(held):
-            data = self.read(CHUNK)
+            data = self.file.read(CHUNK)
             self.eof = not data
-            parts.append(self.decode(data, self.eof))
+            try:
+                parts.append(self.decode(data, self.eof))
+            except UnicodeDecodeError as exc:
+                # exc.object: bytes held back from the last read, then these.
+                parts.append(exc.object[:exc.start].decode())
+                exc.start += self.file.tell() - len(exc.object)
+                self.fault = exc
+                self.eof = True
             size += len(data)
         self.text = "".join(parts)
         self.pos = 0
@@ -543,15 +525,14 @@ class _Window:
             if self.pos < len(self.text) or not self.more():
                 return self.text[self.pos:self.pos + 1]
 
-    def expect(self, char):
-        if self.peek() != char:
-            raise ValueError(f"expected {char!r}")
-        self.pos += 1
+    def error(self, message):
+        """json's error `message` at the next unparsed character."""
+        return json.JSONDecodeError(message, self.text, self.pos)
 
     def value(self):
-        """The JSON value that comes next. A value that ends where the
-        text read so far ends, such as a number cut by a chunk boundary,
-        is parsed again once more text is read."""
+        """The JSON value that comes next. A value that ends within two
+        characters of the end of the text read so far, such as a number
+        cut after "1." or "1e-", is parsed again once more is read."""
         self.peek()
         while True:
             try:
@@ -560,75 +541,93 @@ class _Window:
                 if not self.more():
                     raise
                 continue
-            if end < len(self.text) or not self.more():
+            if end + 2 < len(self.text) or not self.more():
                 self.pos = end
                 return value
 
-    def items(self, open_, close):
-        """Enter the array or object that comes next and yield once for
-        each of its items, which the caller parses in turn."""
-        self.expect(open_)
+    def items(self, close):
+        """Enter the array or object whose opener comes next and yield
+        once for each of its items, which the caller parses in turn."""
+        self.pos += 1
         if self.peek() != close:
-            while True:
-                yield
-                if self.peek() != ",":
-                    break
+            yield
+            while self.peek() == ",":
                 self.pos += 1
-        self.expect(close)
+                yield
+        if self.peek() != close:
+            raise self.error("Expecting ',' delimiter")
+        self.pos += 1
 
 
-def _stream(f):
-    """The Profile of the profile document in binary file `f`, each table
-    row parsed and made a row as it is read. Raises on any document that
-    it does not take, not always with from_json's words."""
-    window = _Window(f)
+def _stream(window):
+    """The Profile of the profile document in `window`, each table row
+    made a row as it is read. The first fault met raises; the members
+    other than the tables are checked at the end, since a later copy of
+    a member replaces an earlier one, as in json.loads."""
+    if window.peek() != "{":
+        window.value()
+        raise RedloadError(f"not a {PROFILE_FORMAT} document")
     members, tables, frames = {}, {}, {}
-    for _ in window.items("{", "}"):
+    for _ in window.items("}"):
+        if window.peek() != '"':
+            raise window.error(
+                "Expecting property name enclosed in double quotes")
         name = window.value()
-        if type(name) is not str:
-            raise TypeError("member name is not a string")
-        window.expect(":")
-        if name in _ROW_KEYS:
-            # A repeated member replaces the earlier one, as in json.loads.
-            rows = tables[name] = {}
-            for index, _ in enumerate(window.items("[", "]")):
-                _put(rows, window.value(), frames, name, index)
-        else:
+        if window.peek() != ":":
+            raise window.error("Expecting ':' delimiter")
+        window.pos += 1
+        if name not in _ROW_KEYS:
             members[name] = window.value()
+        elif window.peek() != "[":
+            _require(False, "profile", name, window.value(),
+                     "a list of rows")
+        else:
+            rows = tables[name] = {}
+            for index, _ in enumerate(window.items("]")):
+                _put(rows, window.value(), frames, name, index)
     if window.peek():
-        raise ValueError("extra data")
-    profile = _header_from(members)
-    for table in _ROW_KEYS:
-        setattr(profile, table, tables[table])
-    return profile
+        raise window.error("Extra data")
+    if members.get("format") != PROFILE_FORMAT:
+        raise RedloadError(f"not a {PROFILE_FORMAT} document")
+    version = members.get("version")
+    if version != PROFILE_VERSION:
+        raise RedloadError(f"unsupported profile version {version}")
+    # true and 1.0 equal 1, but the writer writes the int.
+    _require(type(version) is int, "profile", "version", version,
+             "an integer")
+    totals = _counts(_total_args(members["totals"]), _TOTAL_ARGS, "totals")
+    (thread_count,) = _counts((members["thread_count"],), ("thread_count",),
+                              "profile")
+    meta = members.get("meta")
+    _require(meta is None or type(meta) is dict, "profile", "meta", meta,
+             "an object or null")
+    return Profile(totals=ProgramTotals(*totals), thread_count=thread_count,
+                   meta=meta, **{table: tables[table] for table in _ROW_KEYS})
 
 
 def load(path):
-    """Read a saved profile. Rows stream through a text window of CHUNK
-    bytes, each made a row before the next is read, so neither the whole
-    text nor the whole document is ever held; equal frames share one
-    tuple. A file that the stream does not take is read whole once more,
-    as from_json(json.loads(text)), to word the error: a file that is
-    not UTF-8, not JSON or not a profile document raises RedloadError
-    naming the file."""
+    """Read a saved profile in one pass. Rows stream through a text
+    window of CHUNK bytes, each made a row before the next is read, so
+    neither the whole text nor the whole document is ever held; equal
+    frames share one tuple. A file that is not UTF-8, not JSON or not a
+    profile document raises RedloadError naming the file and its first
+    fault: the byte where the UTF-8 fails, the character where the JSON
+    fails and json's words, or the field of another shape."""
     with open(path, "rb") as f:
+        window = _Window(f)
         try:
-            return _stream(f)
-        except (RedloadError, LookupError, TypeError, AttributeError,
-                ValueError, RecursionError):
-            f.seek(0)
-        try:
-            # No name holds the bytes or the text: each is freed as soon
-            # as the next step is done with it.
-            doc = json.loads(f.read().decode("utf-8"))
+            return _stream(window)
         except UnicodeDecodeError as exc:
-            raise RedloadError(f"{path}: invalid UTF-8 at byte "
-                               f"{exc.start}") from None
-        except ValueError as exc:   # JSONDecodeError names line and column
-            raise RedloadError(f"{path}: not JSON: {exc}") from None
+            fault = f"invalid UTF-8 at byte {exc.start}"
+        except json.JSONDecodeError as exc:
+            fault = (f"not JSON at character {window.dropped + exc.pos}: "
+                     f"{exc.msg}")
         except RecursionError:
-            raise RedloadError(f"{path}: JSON nested too deeply") from None
-    try:
-        return from_json(doc)
-    except RedloadError as exc:
-        raise RedloadError(f"{path}: {exc}") from None
+            fault = "JSON nested too deeply"
+        except KeyError as exc:
+            fault = f"missing field {exc.args[0]!r}"
+        except TypeError as exc:
+            fault = f"malformed profile: {exc}"
+        except RedloadError as exc:
+            fault = exc
+    raise RedloadError(f"{path}: {fault}")

@@ -12,8 +12,8 @@ import pytest
 from redload import cli, engine, profiles
 from redload.engine import AnalysisConfig, analyze_events
 from redload.errors import RedloadError
-from redload.profiles import (META_MIXED, Profile, from_json, load,
-                              merge, merge_all, save, to_json)
+from redload.profiles import (META_MIXED, Profile, load, merge,
+                              merge_all, save, to_json)
 from redload.sampling import SamplingConfig
 from redload.temporal import PairCounters, ProgramTotals
 from redload.workloads import Scenario, generate
@@ -366,12 +366,17 @@ def _frames_of(profile):
     return [frame for path in paths if path is not None for frame in path]
 
 
+def _written(tmp_path, doc):
+    """The path of a file holding json.dumps(doc)."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
 def test_profile_json_roundtrip(tmp_path):
     profile, path = _saved_random_mixed(tmp_path)
-    doc = to_json(profile)
-    assert from_json(doc) == profile
+    assert load(_written(tmp_path, to_json(profile))) == profile
     assert load(path) == profile
-    assert load(path) == from_json(json.loads(path.read_text()))
     # Serialization is byte-stable.
     save(profile, tmp_path / "q.json")
     assert (tmp_path / "p.json").read_bytes() == \
@@ -385,6 +390,22 @@ def test_load_gives_equal_frames_one_tuple(tmp_path):
     assert len(set(frames)) * 20 < len(frames)
 
 
+def _load_peak(path):
+    """What loading `path` gives (a Profile or the RedloadError) and the
+    peak of the memory traced meanwhile, as a share of the file size."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        try:
+            loaded = load(path)
+        except RedloadError as exc:
+            loaded = exc
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return loaded, peak / path.stat().st_size
+
+
 def test_load_peak_memory_follows_distinct_frames(tmp_path):
     # Rows stream through a text window of profiles.CHUNK bytes, and
     # equal frames share one tuple, so the peak is about the window and
@@ -395,22 +416,29 @@ def test_load_peak_memory_follows_distinct_frames(tmp_path):
     rows = (len(profile.temporal_pairs) + len(profile.objects)
             + len(profile.spatial_pairs))
     assert rows >= 1000
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        loaded = load(path)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+    loaded, peak = _load_peak(path)
     assert loaded == profile
-    size = path.stat().st_size
-    assert peak < 0.5 * size, f"peak {peak / size:.2f}x the file size"
+    assert peak < 0.5, f"peak {peak:.2f}x the file size"
+    # A fault stops the one pass where it is met, so rejecting the file
+    # costs the window too. Parsing the whole text again to word the
+    # error peaked at 4.2x.
+    text = path.read_text()
+    at = text.index('"total_instances": ', text.index('"temporal_pairs"'))
+    at += len('"total_instances": ')
+    end = text.index("\n", at)
+    path.write_text(f'{text[:at]}"5"{text[end:]}')
+    loaded, peak = _load_peak(path)
+    assert str(loaded) == (f"{path}: temporal_pairs row 0 counters: field "
+                           "'total_instances' is '5', not a non-negative "
+                           "integer")
+    assert peak < 0.5, f"peak {peak:.2f}x the file size"
 
 
 def _boundary_cases():
     """Documents, each with a piece of its text that a chunk boundary
-    should cut. They are not what `save` writes: meta keeps its non-ASCII
-    characters, and members are spaced freely."""
+    should cut, and the profile it holds. They are not what `save`
+    writes: meta keeps its non-ASCII characters, members are spaced
+    freely, and one member is not a profile's."""
     profile = analyze_events(*generate(Scenario("sparse_zeros",
                                                 {"len": 64})), config=FULL)
     profile.thread_count = 10**30 + 1234567
@@ -423,32 +451,34 @@ def _boundary_cases():
     first = json.dumps({"thread_count": doc.pop("thread_count"), **doc})
     spaced = json.dumps(to_json(profile), indent=2).replace(
         '],\n  "', '],\r\n\t \n  \r "')
+    # A number cut after "12." parses as 12 until more text is read.
+    extra = json.dumps({"extra": 12.5, **to_json(profile)})
+    deeper = merge_all([profile])
     deep = tuple(("loop", "", "deep.c", i) for i in range(4000))
-    profile.temporal_pairs[None, deep, deep[:1]] = PairCounters()
-    cases = [("thread_count", first, "1234567"),
-             ("counter", text, "9876543213"),
-             ("utf8_meta", text, "\U0001f600"),
-             ("deep_row", json.dumps(to_json(profile)), '"line": 2000,'),
-             ("whitespace", spaced, '],\r\n\t \n  \r "')]
-    return [pytest.param(text, piece, id=name) for name, text, piece in cases]
+    deeper.temporal_pairs[None, deep, deep[:1]] = PairCounters()
+    cases = [("thread_count", first, "1234567", profile),
+             ("counter", text, "9876543213", profile),
+             ("utf8_meta", text, "\U0001f600", profile),
+             ("deep_row", json.dumps(to_json(deeper)), '"line": 2000,',
+              deeper),
+             ("whitespace", spaced, '],\r\n\t \n  \r "', profile),
+             ("float_member", extra, "12.5, ", profile)]
+    return [pytest.param(text, piece, want, id=name)
+            for name, text, piece, want in cases]
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 64, profiles.CHUNK])
-@pytest.mark.parametrize("text,piece", _boundary_cases())
-def test_load_streams_across_chunk_boundaries(text, piece, chunk, tmp_path,
-                                              monkeypatch):
+@pytest.mark.parametrize("text,piece,want", _boundary_cases())
+def test_load_streams_across_chunk_boundaries(text, piece, want, chunk,
+                                              tmp_path, monkeypatch):
     # Leading whitespace shifts the text so that a chunk ends inside
-    # `piece`; the streaming pass itself must take the file (no second,
-    # whole read) and give what the whole-document parse gives.
+    # `piece`; the one pass must still take the file.
     data = text.encode()
     cut = data.index(piece.encode()) + len(piece.encode()) // 2
     data = b" " * (-cut % chunk) + data
     path = tmp_path / "p.json"
     path.write_bytes(data)
     monkeypatch.setattr(profiles, "CHUNK", chunk)
-    want = from_json(json.loads(data))
-    with open(path, "rb") as f:
-        assert profiles._stream(f) == want
     assert load(path) == want
 
 
@@ -504,38 +534,52 @@ def test_profile_json_matches_schema():
     from importlib.resources import files
     schema = json.loads(files("redload").joinpath("profile.schema.json")
                         .read_text())
-    profile = analyze_events(*generate(Scenario("sparse_zeros",
-                                                {"len": 64})), config=FULL)
-    jsonschema.validate(to_json(profile), schema)
+    # sparse_zeros has no prior context, scope or loop frame; the
+    # hash_collision profile has redundant pairs under a loop scope.
+    for scenario in (Scenario("sparse_zeros", {"len": 64}),
+                     Scenario("hash_collision", {"chain": 3,
+                                                 "searches": 3})):
+        doc = to_json(analyze_events(*generate(scenario), config=FULL))
+        assert any(row["scope"] and row["old_context"]
+                   for row in doc["temporal_pairs"]) == \
+            (scenario.name == "hash_collision")
+        jsonschema.validate(doc, schema)
 
 
-def test_from_json_rejects_other_documents():
+def test_load_rejects_other_documents(tmp_path):
     with pytest.raises(RedloadError):
-        from_json({"format": "something-else", "version": 1})
+        load(_written(tmp_path, {"format": "something-else", "version": 1}))
     with pytest.raises(RedloadError):
-        from_json({"format": "redload-profile", "version": 99})
+        load(_written(tmp_path, {"format": "redload-profile", "version": 99}))
     with pytest.raises(RedloadError, match="not a redload-profile"):
-        from_json([{"format": "redload-profile", "version": 1}])
+        load(_written(tmp_path, [{"format": "redload-profile",
+                                  "version": 1}]))
 
 
-def test_from_json_names_what_is_missing_or_malformed():
+def test_load_names_what_is_missing_or_malformed(tmp_path):
     profile = analyze_events(*generate(Scenario("sparse_zeros",
                                                 {"len": 64})), config=FULL)
     doc = to_json(profile)
     del doc["totals"]
     with pytest.raises(RedloadError, match="missing field 'totals'"):
-        from_json(doc)
+        load(_written(tmp_path, doc))
     doc = to_json(profile)
     del doc["temporal_pairs"][0]["counters"]["total_instances"]
     with pytest.raises(RedloadError, match="missing field 'total_instances'"):
-        from_json(doc)
+        load(_written(tmp_path, doc))
     doc = to_json(profile)
-    doc["objects"] = 7
+    doc["temporal_pairs"][0]["counters"] = 7
     with pytest.raises(RedloadError, match="malformed profile"):
-        from_json(doc)
+        load(_written(tmp_path, doc))
+    # A table is a list of rows; an empty {} was taken for an empty table.
+    for value in (7, {}, ""):
+        doc["objects"] = value
+        with pytest.raises(RedloadError, match=f"profile: field 'objects' "
+                           f"is {value!r}, not a list of rows"):
+            load(_written(tmp_path, doc))
 
 
-def test_from_json_checks_every_frame_document():
+def test_load_checks_every_frame_document(tmp_path):
     # true and 1.0 equal 1: a frame that only equals a valid one is still
     # checked, wherever it comes.
     profile = analyze_events(*generate(Scenario("sparse_zeros",
@@ -547,7 +591,7 @@ def test_from_json_checks_every_frame_document():
         row = len(doc["temporal_pairs"]) - 1
         with pytest.raises(RedloadError, match=f"temporal_pairs row {row} "
                            "new_context frame 0: field 'line' is"):
-            from_json(doc)
+            load(_written(tmp_path, doc))
 
 
 def test_post_merge_conservation():

@@ -501,7 +501,8 @@ def test_cli_report_and_merge_of_malformed_profiles_exit_1(tmp_path, capsys):
     latin1 = header[:-1] + b', "x": "\xe9"}'
     not_a_count = "not a non-negative integer"
     cases = {"header.json": (header, "missing field 'totals'"),
-             "text.json": (b"not json\n", "line 1 column 1"),
+             "text.json": (b"not json\n",
+                           "not JSON at character 0: Expecting value"),
              "latin1.json": (latin1, "invalid UTF-8 at byte "
                                      f"{latin1.index(0xE9)}"),
              "list.json": (b"[1, 2]", "not a redload-profile document"),
@@ -531,6 +532,22 @@ def test_cli_report_and_merge_of_malformed_profiles_exit_1(tmp_path, capsys):
              "int_meta.json": (
                  _mutated_profile(lambda d: d.update(meta=5)),
                  "profile: field 'meta' is 5, not an object or null"),
+             # true and 1.0 equal 1; the schema wants a string name.
+             "bool_version.json": (
+                 _mutated_profile(lambda d: d.update(version=True)),
+                 "profile: field 'version' is True, not an integer"),
+             "float_version.json": (
+                 _mutated_profile(lambda d: d.update(version=1.0)),
+                 "profile: field 'version' is 1.0, not an integer"),
+             "int_name.json": (
+                 _mutated_profile(lambda d: d["objects"][0]["object"]
+                                  .update(name=5)),
+                 "objects row 0 object: field 'name' is 5, not a string"),
+             "null_name.json": (
+                 _mutated_profile(lambda d: d["objects"][0]["object"]
+                                  .update(name=None)),
+                 "objects row 0 object: field 'name' is None, "
+                 "not a string"),
              **_reported_row_cases(), **_repeated_row_cases()}
     for name, (data, message) in cases.items():
         path = tmp_path / name
@@ -610,23 +627,6 @@ def test_cli_report_and_merge_of_mutated_profiles_exit_0_or_1(
             f"redload {argv[0]}: {path}: "), (argv, err)
 
 
-def _load_whole(path):
-    """What loading `path` gives when the whole text is parsed first:
-    from_json(json.loads(text)), or the text of the RedloadError."""
-    try:
-        doc = json.loads(path.read_bytes().decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        return f"{path}: invalid UTF-8 at byte {exc.start}"
-    except ValueError as exc:
-        return f"{path}: not JSON: {exc}"
-    except RecursionError:
-        return f"{path}: JSON nested too deeply"
-    try:
-        return profiles.from_json(doc)
-    except RedloadError as exc:
-        return f"{path}: {exc}"
-
-
 def _load_outcome(path):
     try:
         return load_profile(path)
@@ -634,22 +634,10 @@ def _load_outcome(path):
         return str(exc)
 
 
-def _assert_loads_as_whole(path):
-    # repr, not ==: a meta may hold NaN, which equals nothing.
-    assert repr(_load_outcome(path)) == repr(_load_whole(path))
-
-
-@settings(max_examples=150, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data())
-def test_load_gives_what_the_whole_document_parse_gives(
-        data, small_profile, tmp_path, monkeypatch):
-    # Streaming rows must not change what a file loads to, nor which
-    # error it raises: mutated documents, and bytes cut short or with one
-    # byte replaced, read in small chunks and the default one.
-    monkeypatch.setattr(profiles, "CHUNK",
-                        data.draw(st.sampled_from([7, 64, profiles.CHUNK])))
-    doc = json.loads(small_profile)
+def _damaged(data, text):
+    """Bytes of the document `text` after one of three kinds of damage:
+    values mutated, the bytes cut short, or one byte replaced."""
+    doc = json.loads(text)
     damage = data.draw(st.sampled_from(["mutate", "truncate", "replace"]))
     if damage == "mutate":
         for _ in range(data.draw(st.integers(1, 3))):
@@ -662,9 +650,48 @@ def test_load_gives_what_the_whole_document_parse_gives(
         at = data.draw(st.integers(0, len(raw) - 1))
         raw = raw[:at] + bytes([data.draw(st.integers(0, 255))]) + \
             raw[at + 1:]
+    return raw
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_load_places_each_fault_where_json_and_utf8_place_it(
+        data, small_profile, tmp_path, monkeypatch):
+    # One pass words every error: a damaged file loads, or fails where
+    # its UTF-8 or its JSON fails or with the field of another shape,
+    # whatever the size of the chunks it is read in.
+    raw = _damaged(data, small_profile)
     path = tmp_path / "p.json"
     path.write_bytes(raw)
-    _assert_loads_as_whole(path)
+    outcomes = set()
+    for chunk in (1, 7, 64, profiles.CHUNK):
+        monkeypatch.setattr(profiles, "CHUNK", chunk)
+        # repr, not ==: a meta may hold NaN, which equals nothing.
+        outcomes.add(repr(_load_outcome(path)))
+    assert len(outcomes) == 1, outcomes
+    outcome = _load_outcome(path)
+    fault = outcome.removeprefix(f"{path}: ") \
+        if isinstance(outcome, str) else ""
+    json_at = utf8_at = None
+    try:
+        json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        utf8_at = exc.start
+    except ValueError as exc:
+        json_at = exc.pos
+    if json_at is not None or utf8_at is not None:
+        assert fault, "loaded what json.loads rejects"
+    if fault.startswith("not JSON"):
+        assert fault.startswith(f"not JSON at character {json_at}: "), \
+            (fault, json_at)
+    if fault.startswith("invalid UTF-8"):
+        assert fault == f"invalid UTF-8 at byte {utf8_at}", fault
+    if not fault:
+        save(outcome, tmp_path / "a.json")
+        save(load_profile(tmp_path / "a.json"), tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == \
+            (tmp_path / "b.json").read_bytes()
 
 
 def _parity_cases(text):
@@ -675,7 +702,6 @@ def _parity_cases(text):
     late = {k: v for k, v in doc.items() if k != "version"}
     late["temporal_pairs"][0]["counters"]["total_instances"] = "5"
     late["version"] = 2
-    head, brace = text.rstrip().rsplit("}", 1)
     return {
         "cut_in_a_row": text[:cut + 5],
         "trailing_data": text + "{}",
@@ -694,17 +720,34 @@ def _parity_cases(text):
                                   "repeated_table_bad_first",
                                   "repeated_table_empty_last"])
 def test_load_parity_cases(case, small_profile, tmp_path):
+    text = _parity_cases(small_profile)[case]
     path = tmp_path / f"{case}.json"
-    path.write_text(_parity_cases(small_profile)[case], encoding="utf-8")
-    _assert_loads_as_whole(path)
+    path.write_text(text, encoding="utf-8")
     outcome = _load_outcome(path)
     if case == "late_version":
-        assert outcome == f"{path}: unsupported profile version 2"
+        # Rows are checked as they are read; the other members, of which
+        # a later copy would replace an earlier one, at the end.
+        assert outcome == (f"{path}: temporal_pairs row 0 counters: field "
+                           "'total_instances' is '5', not a non-negative "
+                           "integer")
+    elif case == "repeated_table_bad_first":
+        # Rows are made as they are read, so a bad earlier copy of a
+        # table fails, though json.loads would keep only the last.
+        assert outcome == (f"{path}: malformed profile: 'int' object is "
+                           "not subscriptable")
     elif case.startswith("repeated_table"):
-        # json.loads keeps the last copy of a member, and so does load.
-        assert isinstance(outcome, Profile), outcome
+        # A good earlier copy is replaced by the last, as in json.loads.
+        whole = tmp_path / "whole.json"
+        whole.write_text(small_profile, encoding="utf-8")
+        want = load_profile(whole)
+        if case == "repeated_table_empty_last":
+            want.temporal_pairs = {}
+        assert outcome == want
     else:
-        assert isinstance(outcome, str), outcome
+        with pytest.raises(ValueError) as exc:
+            json.loads(text)
+        assert outcome.startswith(
+            f"{path}: not JSON at character {exc.value.pos}: "), outcome
 
 
 def _traced_analyze(tmp_path, analyze_args):
