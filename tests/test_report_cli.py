@@ -750,28 +750,35 @@ def test_load_parity_cases(case, small_profile, tmp_path):
             f"{path}: not JSON at character {exc.value.pos}: "), outcome
 
 
+def _traced(tmp_path, command):
+    """The standard output and the per-layer metrics of the benchmark's
+    tracer over `redload <command>`, run in a process of its own."""
+    root = Path(__file__).resolve().parents[1]
+    stats = tmp_path / "stats.json"
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "tracer.py"), str(stats),
+         *command], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout, json.loads(stats.read_text())["metrics"]
+
+
 def _traced_analyze(tmp_path, analyze_args):
     """Per-layer metrics of the benchmark's tracer over `redload analyze`
     of a small forward_copy binary trace, after checking that the traced
     run saves the untraced run's bytes."""
-    root = Path(__file__).resolve().parents[1]
     trace = tmp_path / "t.lrt"
     events, sm = generate(Scenario("forward_copy", {"len": 8, "reps": 3}))
     with open(trace, "wb") as f:
         write_trace(events, sm, f)
     assert main(["analyze", str(trace), "-o", str(tmp_path / "plain.json"),
                  *analyze_args]) == 0
-    stats = tmp_path / "stats.json"
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    done = subprocess.run(
-        [sys.executable, str(root / "perfbench" / "tracer.py"), str(stats),
-         "analyze", str(trace), "-o", str(tmp_path / "traced.json"),
-         *analyze_args], env=env, capture_output=True, text=True,
-        timeout=120)
-    assert done.returncode == 0, done.stderr
+    _, metrics = _traced(tmp_path, ["analyze", str(trace), "-o",
+                                    str(tmp_path / "traced.json"),
+                                    *analyze_args])
     assert (tmp_path / "traced.json").read_bytes() == \
         (tmp_path / "plain.json").read_bytes()
-    return json.loads(stats.read_text())["metrics"]
+    return metrics
 
 
 def test_benchmark_tracer_sees_a_sampled_binary_analyze(tmp_path):
@@ -801,4 +808,18 @@ def test_benchmark_tracer_sees_every_layer(tmp_path):
     assert 0 < metrics["spatial.hit_ratio"] <= 1
     for name in ("cct.calls", "shadow.self_s", "temporal.self_s",
                  "spatial.self_s"):
+        assert metrics[name] > 0, name
+
+
+def test_benchmark_tracer_sees_a_traced_report(tmp_path, capsys):
+    # `report` is timed as load, then build (`report.build_report`, which
+    # the report code must call through its module), then the rest of
+    # `cli.report_text`. An inlined or aliased seam reads 0, not a failure.
+    profile = tmp_path / "p.json"
+    save(profile_of("forward_copy", {"len": 8, "reps": 3}), profile)
+    command = ["report", str(profile), "--top", "5"]
+    out, metrics = _traced(tmp_path, command)
+    assert main(command) == 0
+    assert out == capsys.readouterr().out
+    for name in ("profiles.load_s", "report.build_s", "report.render_s"):
         assert metrics[name] > 0, name
