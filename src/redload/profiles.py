@@ -532,13 +532,20 @@ class _Window:
     def value(self):
         """The JSON value that comes next. A value that ends within two
         characters of the end of the text read so far, such as a number
-        cut after "1." or "1e-", is parsed again once more is read."""
+        cut after "1." or "1e-", is parsed again once more is read. So is
+        one that fails where that end may be the cause: in a string left
+        open, or as near the end as a cut "-Infinity" can be. Text that
+        stops at bytes that are not UTF-8 gets no more, so there only a
+        string left open or a fault at the very end is the UTF-8 fault."""
         self.peek()
         while True:
             try:
                 value, end = _decode(self.text, self.pos)
-            except ValueError:
-                if not self.more():
+            except json.JSONDecodeError as exc:
+                near = 0 if self.fault else len("-Infinity")
+                cut = (exc.msg.startswith("Unterminated string")
+                       or len(self.text) - exc.pos <= near)
+                if not (cut and self.more()):
                     raise
                 continue
             if end + 2 < len(self.text) or not self.more():

@@ -23,7 +23,6 @@ TEXT_HEADER = "LRT1 1"
 # Event kinds: the u8 tags 1 to 8 of the binary encoding.
 LOAD, CALL, RETURN, LOOPHEAD, ALLOC, FREE, STATIC_IMAGE, THREAD_START = \
     range(1, 9)
-_SITED = frozenset((LOAD, CALL, RETURN, LOOPHEAD))    # kinds with a site_id
 
 # Floating-point classes of a load.
 NONFP, F32, F64 = range(3)
@@ -190,6 +189,9 @@ _MAP_ROWS = (
          ("line", _DEC), table="loops"),
 )
 _BY_TAG = {row.tag: row for row in (*RECORDS.values(), *_MAP_ROWS)}
+# The kinds whose records name a site_id.
+_SITED = frozenset(kind for kind, row in RECORDS.items()
+                   if "site_id" in row.names)
 
 _REC_LOAD = RECORDS[LOAD].struct    # the hot records, coded unrolled
 _REC_LOOP = RECORDS[LOOPHEAD].struct

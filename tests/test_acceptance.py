@@ -193,7 +193,7 @@ def test_criterion_4_adjacent_equal_exact():
 
 def _top_temporal_scope(profile):
     temporal, _ = build_report(profile, top=1)
-    return temporal[0].scope
+    return temporal[0]["scope"]
 
 
 def test_criterion_5_pattern_analogs():
@@ -206,7 +206,8 @@ def test_criterion_5_pattern_analogs():
     assert precise >= 0.95
     assert abs(precise - o_precise) <= 0.02
     scope = _top_temporal_scope(profile)
-    assert scope[-1] == ("loop", "", "linear_search.c", 15)   # query loop
+    assert scope[-1] == {"kind": "loop", "name": "",       # query loop
+                         "file": "linear_search.c", "line": 15}
 
     # Forward copy: the constant is reloaded on every later invocation.
     scenario = Scenario("forward_copy")      # len=64, reps=20
@@ -217,7 +218,8 @@ def test_criterion_5_pattern_analogs():
     assert precise >= 0.9
     assert abs(precise - o_precise) <= 0.02
     scope = _top_temporal_scope(profile)
-    assert scope[-1] == ("loop", "", "forward_copy.c", 13)    # calling loop
+    assert scope[-1] == {"kind": "loop", "name": "",       # calling loop
+                         "file": "forward_copy.c", "line": 13}
 
     # Sparse zeros: consecutive object loads mostly both read zero.
     scenario = Scenario("sparse_zeros")      # 90% zeros, block layout

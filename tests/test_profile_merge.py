@@ -421,17 +421,21 @@ def test_load_peak_memory_follows_distinct_frames(tmp_path):
     assert peak < 0.5, f"peak {peak:.2f}x the file size"
     # A fault stops the one pass where it is met, so rejecting the file
     # costs the window too. Parsing the whole text again to word the
-    # error peaked at 4.2x.
+    # error peaked at 4.2x; reading on to the end of the file after a
+    # syntax fault in a row, at 2x.
     text = path.read_text()
     at = text.index('"total_instances": ', text.index('"temporal_pairs"'))
     at += len('"total_instances": ')
     end = text.index("\n", at)
-    path.write_text(f'{text[:at]}"5"{text[end:]}')
-    loaded, peak = _load_peak(path)
-    assert str(loaded) == (f"{path}: temporal_pairs row 0 counters: field "
-                           "'total_instances' is '5', not a non-negative "
-                           "integer")
-    assert peak < 0.5, f"peak {peak:.2f}x the file size"
+    for value, fault in (('"5"', "temporal_pairs row 0 counters: field "
+                          "'total_instances' is '5', not a non-negative "
+                          "integer"),
+                         ("x", f"not JSON at character {at}: "
+                          "Expecting value")):
+        path.write_text(f"{text[:at]}{value}{text[end:]}")
+        loaded, peak = _load_peak(path)
+        assert str(loaded) == f"{path}: {fault}"
+        assert peak < 0.5, f"peak {peak:.2f}x the file size"
 
 
 def _boundary_cases():
@@ -480,6 +484,27 @@ def test_load_streams_across_chunk_boundaries(text, piece, want, chunk,
     path.write_bytes(data)
     monkeypatch.setattr(profiles, "CHUNK", chunk)
     assert load(path) == want
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, profiles.CHUNK])
+@pytest.mark.parametrize("gap", [0, 9, 500])
+def test_load_reports_a_syntax_fault_before_a_later_utf8_fault(
+        gap, chunk, tmp_path, monkeypatch):
+    # Faults come in file order: a row that is not JSON stops the pass,
+    # so bytes further on that are not UTF-8 are never read to be met.
+    text = json.dumps(to_json(analyze_events(*generate(Scenario(
+        "forward_copy", {"len": 8, "reps": 3})), config=FULL)), indent=1)
+    at = text.index('"total_instances": ', text.index('"objects"'))
+    at += len('"total_instances": ')
+    bad = at + 1 + gap
+    path = tmp_path / "p.json"
+    path.write_bytes(f"{text[:at]}x{text[at + 1:bad]}".encode() + b"\xff"
+                     + text[bad:].encode())
+    monkeypatch.setattr(profiles, "CHUNK", chunk)
+    with pytest.raises(RedloadError) as exc:
+        load(path)
+    assert str(exc.value) == \
+        f"{path}: not JSON at character {at}: Expecting value"
 
 
 def _merge_inputs(tmp_path, metas):

@@ -11,7 +11,6 @@ import pytest
 
 from redload.engine import AnalysisConfig
 from redload.profiles import Profile
-from redload.report import ReportRow
 from redload.sampling import SamplingConfig
 from redload.temporal import PairCounters, ProgramTotals
 from redload.trace import LOAD, SourceMap, TraceEvent
@@ -166,17 +165,6 @@ def test_the_other_classes_construct_positionally_in_the_old_order():
     assert config.sampling is cfg and config.approx_epsilon == 0.5
     scenario = Scenario("stencil", {"nx": 4})
     assert (scenario.name, scenario.params) == ("stencil", {"nx": 4})
-    names = ("kind", "klass", "redundant_bytes", "pair_fraction",
-             "pair_fraction_defined", "redundant_instances",
-             "total_instances", "new_context", "old_context", "scope",
-             "object_key", "object_fraction", "object_fraction_defined",
-             "rank")
-    values = [object() for _ in names]
-    row = ReportRow(*values)
-    assert [getattr(row, name) for name in names] == values
-    row = ReportRow(*values[:10])
-    assert (row.object_key, row.object_fraction,
-            row.object_fraction_defined, row.rank) == (None, 0.0, False, 0)
 
 
 _MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")

@@ -42,12 +42,12 @@ def test_adjacent_equal_top_spatial_row_names_object_a():
     temporal, spatial = build_report(profile, top=1)
     assert temporal == []            # no temporal redundancy here
     (row,) = spatial
-    assert row.object_key == ("static", "A")
-    assert row.instance_percent == 100.0
-    assert row.redundant_bytes == 8
-    assert row.object_fraction == 0.5
-    assert row.scope is not None
-    assert row.chain == row.new_context + row.old_context
+    assert row["object"] == {"kind": "static", "name": "A"}
+    assert row["instance_percent"] == 100.0
+    assert row["redundant_bytes"] == 8
+    assert row["object_fraction"] == 0.5
+    assert row["scope"] is not None
+    assert row["chain"] == row["new_context"] + row["old_context"]
 
 
 def test_object_fractions_of_20000_objects_are_direct_sums():
@@ -68,12 +68,12 @@ def test_object_fractions_of_20000_objects_are_direct_sums():
     approx = sum(r.total_bytes_approx for r in objects.values())
     assert len(rows) == 8       # a precise and an approx row each
     for row in rows:
-        counters = objects[row.object_key]
+        counters = objects[STATIC, row["object"]["name"]]
         expected = (counters.redundant_bytes_precise / precise
-                    if row.klass == "precise"
+                    if row["class"] == "precise"
                     else counters.redundant_bytes_approx / approx)
-        assert row.object_fraction_defined
-        assert row.object_fraction == expected
+        assert row["object_fraction_defined"]
+        assert row["object_fraction"] == expected
     assert took < 5.0, f"build_report took {took:.1f}s"
 
 
@@ -98,10 +98,11 @@ def test_cli_report_negative_top_exits_1(tmp_path, capsys):
 def test_report_rows_sorted_and_stable():
     profile = profile_of("random_mixed", {"loads": 3000, "seed": 9})
     temporal, spatial = build_report(profile, top=50)
-    sizes = [r.redundant_bytes for r in temporal]
+    sizes = [r["redundant_bytes"] for r in temporal]
     assert sizes == sorted(sizes, reverse=True)
     again_t, again_s = build_report(profile, top=50)
-    key = lambda r: (r.rank, r.redundant_bytes, r.new_context, r.old_context)
+    key = lambda r: (r["rank"], r["redundant_bytes"], r["new_context"],
+                     r["old_context"])
     assert [key(r) for r in temporal] == [key(r) for r in again_t]
     assert [key(r) for r in spatial] == [key(r) for r in again_s]
 
@@ -673,13 +674,18 @@ def test_load_places_each_fault_where_json_and_utf8_place_it(
     outcome = _load_outcome(path)
     fault = outcome.removeprefix(f"{path}: ") \
         if isinstance(outcome, str) else ""
+    # json.loads of the file, or of the text before its first byte that
+    # is not UTF-8: a fault there comes first in file order.
     json_at = utf8_at = None
     try:
-        json.loads(raw.decode("utf-8"))
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         utf8_at = exc.start
+        text = raw[:utf8_at].decode("utf-8")
+    try:
+        json.loads(text)
     except ValueError as exc:
-        json_at = exc.pos
+        json_at, json_msg = exc.pos, exc.msg
     if json_at is not None or utf8_at is not None:
         assert fault, "loaded what json.loads rejects"
     if fault.startswith("not JSON"):
@@ -687,6 +693,10 @@ def test_load_places_each_fault_where_json_and_utf8_place_it(
             (fault, json_at)
     if fault.startswith("invalid UTF-8"):
         assert fault == f"invalid UTF-8 at byte {utf8_at}", fault
+        # Only a string the bad byte cuts, or a fault at that byte, gives
+        # way to the UTF-8 fault.
+        assert json_at in (None, len(text)) or \
+            json_msg.startswith("Unterminated string"), (json_at, json_msg)
     if not fault:
         save(outcome, tmp_path / "a.json")
         save(load_profile(tmp_path / "a.json"), tmp_path / "b.json")
