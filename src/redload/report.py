@@ -31,27 +31,28 @@ def _row_docs(kind, pairs, totals, top, fractions=None):
             if rb:
                 text = json.dumps((obj, old, new, scope, klass),
                                   sort_keys=True)
-                ranked.append((-rb, text, klass, counters, key))
-    ranked.sort(key=lambda row: row[:2])
+                ranked.append((rb, text, klass, counters, key))
+    ranked.sort(key=lambda row: (-row[0], row[1]))
     docs = []
     for rank, (rb, _, klass, counters, key) in enumerate(ranked[:top],
                                                         start=1):
         obj, old, new, scope = key if kind == "spatial" else (None, *key)
         frac, defined = pair_fraction(counters, totals)[klass == "approx"]
         done, total = counters.redundant_instances, counters.total_instances
+        new_doc, old_doc = path_doc(new), path_doc(old)
         doc = {
             "rank": rank,
             "kind": kind,
             "class": klass,
-            "redundant_bytes": -rb,
+            "redundant_bytes": rb,
             "pair_fraction": frac,
             "pair_fraction_defined": defined,
             "redundant_instances": done,
             "total_instances": total,
             "instance_percent": 100.0 * done / total if total else 0.0,
-            "chain": path_doc(new + old),
-            "new_context": path_doc(new),
-            "old_context": path_doc(old),
+            "chain": new_doc + old_doc,
+            "new_context": new_doc,
+            "old_context": old_doc,
             "scope": path_doc(scope),
         }
         if obj is not None:
@@ -129,12 +130,11 @@ def _render_rows(rows, out):
             out.append(f"   scope: loop {_at(row['scope'][-1])}")
         else:
             out.append("   scope: none")
-        out.append("   new load context:")
-        for depth, frame in enumerate(row["new_context"]):
-            out.append(_frame_line(frame, depth + 2))
-        out.append("   prior load context (appended):")
-        for depth, frame in enumerate(row["old_context"]):
-            out.append(_frame_line(frame, depth + 2))
+        for field, label in (("new_context", "new load context"),
+                             ("old_context", "prior load context (appended)")):
+            out.append(f"   {label}:")
+            for depth, frame in enumerate(row[field], start=2):
+                out.append(_frame_line(frame, depth))
         out.append("")
 
 
