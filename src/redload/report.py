@@ -9,9 +9,10 @@ byte-stable across runs; only the rows kept get a document.
 """
 
 import json
+from functools import cache
 
 from .errors import RedloadError
-from .profiles import fractions_doc, object_doc, path_doc, totals_doc
+from .profiles import fractions_doc, frame_doc, object_doc, totals_doc
 from .spatial import STATIC, object_fractions
 from .temporal import pair_fraction
 
@@ -33,13 +34,14 @@ def _row_docs(kind, pairs, totals, top, fractions=None):
                                   sort_keys=True)
                 ranked.append((rb, text, klass, counters, key))
     ranked.sort(key=lambda row: (-row[0], row[1]))
+    del ranked[top:]
+    frame = cache(frame_doc)    # one document per distinct frame
     docs = []
-    for rank, (rb, _, klass, counters, key) in enumerate(ranked[:top],
-                                                        start=1):
+    for rank, (rb, _, klass, counters, key) in enumerate(ranked, start=1):
         obj, old, new, scope = key if kind == "spatial" else (None, *key)
         frac, defined = pair_fraction(counters, totals)[klass == "approx"]
         done, total = counters.redundant_instances, counters.total_instances
-        new_doc, old_doc = path_doc(new), path_doc(old)
+        new_doc, old_doc = list(map(frame, new)), list(map(frame, old))
         doc = {
             "rank": rank,
             "kind": kind,
@@ -53,7 +55,7 @@ def _row_docs(kind, pairs, totals, top, fractions=None):
             "chain": new_doc + old_doc,
             "new_context": new_doc,
             "old_context": old_doc,
-            "scope": path_doc(scope),
+            "scope": None if scope is None else list(map(frame, scope)),
         }
         if obj is not None:
             of = fractions.get(obj)
@@ -91,8 +93,7 @@ def report_json(profile, top=DEFAULT_TOP):
 
 
 def _fraction(doc, field):
-    """doc[field] to six significant digits, or n/a when doc says that
-    it is not defined."""
+    """doc[field] to six significant digits, or n/a if it is undefined."""
     if not doc[field + "_defined"]:
         return "n/a (no loads of this class)"
     return f"{doc[field]:.6g}"
@@ -126,10 +127,9 @@ def _render_rows(rows, out):
         if "object" in row:
             out.append(f"   object: {_object_label(row['object'])}  "
                        f"object_fraction={_fraction(row, 'object_fraction')}")
-        if row["scope"] is not None:
-            out.append(f"   scope: loop {_at(row['scope'][-1])}")
-        else:
-            out.append("   scope: none")
+        scope = row["scope"]
+        out.append(f"   scope: loop {_at(scope[-1])}" if scope
+                   else "   scope: none")
         for field, label in (("new_context", "new load context"),
                              ("old_context", "prior load context (appended)")):
             out.append(f"   {label}:")
