@@ -70,7 +70,7 @@ def _row_docs(kind, pairs, totals, top, fractions=None):
 
 def build_report(profile, top=DEFAULT_TOP):
     """(temporal, spatial) lists of the report's row documents, each
-    ranked and cut to the top N."""
+    ranked and cut to the top N; equal frames share one dict."""
     if top < 0:
         raise RedloadError(f"top must be >= 0, got {top}")
     return (_row_docs("temporal", profile.temporal_pairs, profile.totals,
