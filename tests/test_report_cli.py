@@ -824,7 +824,8 @@ def test_benchmark_tracer_sees_every_layer(tmp_path):
 def test_benchmark_tracer_sees_a_traced_report(tmp_path, capsys):
     # `report` is timed as load, then build (`report.build_report`, which
     # the report code must call through its module), then the rest of
-    # `cli.report_text`. An inlined or aliased seam reads 0, not a failure.
+    # `cli.report_text`. An inlined or aliased seam would read 0 rather
+    # than fail on its own.
     profile = tmp_path / "p.json"
     save(profile_of("forward_copy", {"len": 8, "reps": 3}), profile)
     command = ["report", str(profile), "--top", "5"]
