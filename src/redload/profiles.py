@@ -629,6 +629,8 @@ def load(path):
         except json.JSONDecodeError as exc:
             fault = (f"not JSON at character {window.dropped + exc.pos}: "
                      f"{exc.msg}")
+        except ValueError as exc:   # int()'s digit limit, in json's scanner
+            fault = f"malformed profile: {exc}"
         except RecursionError:
             fault = "JSON nested too deeply"
         except KeyError as exc:

@@ -7,10 +7,12 @@ describes each record once for both forms, so both hold the same values;
 docs/trace-format.md lays them out.
 """
 
+import re
 import struct
-from functools import partial
+from bisect import bisect_left
+from functools import lru_cache, partial
 from itertools import chain, takewhile
-from operator import attrgetter
+from operator import attrgetter, lt
 from urllib.parse import quote, unquote
 
 from .errors import TraceDecodeError, TraceEncodeError
@@ -205,6 +207,51 @@ _SKIP_LOAD = struct.Struct("<xIQ8xHI")
 _SKIP_LOOP = struct.Struct("<xIQII")
 _LOAD_LENGTHS = {size | fp << 8: _REC_LOAD.size + size
                  for size, fp in _LOAD_SHAPES}
+# The most bytes of repeated loop iterations checked at once; a template
+# iteration longer than a quarter of it is not checked.
+_BLOCK = 1 << 14
+
+
+@lru_cache(maxsize=64)
+def _iteration(key):
+    """For the loop iterations whose records carry the rule-bearing bytes
+    `key`, one bytes per record (its kind and thread_id, then a loop head's
+    loop_id and site_id or a load's size, fp_class and site_id): the match
+    of a run of them, with every other byte free, and the struct format
+    that reads the ins_index fields of one."""
+    parts, layout = [], ""
+    for rules in key:
+        size = rules[5] if rules[0] == LOAD else 0
+        free = 16 if size else 8    # ins_index, and a load's addr
+        parts += (re.escape(rules[:5]), b".{%d}" % free,
+                  re.escape(rules[5:]), b".{%d}" % size)
+        layout += f"5xQ{free + len(rules) + size - 13}x"
+    return re.compile(b"(?:%s)*" % b"".join(parts), re.DOTALL).match, layout
+
+
+def _repeats(buf, start, pos, end, last, hi):
+    """The run from `pos` of whole iterations that repeat the iteration
+    buf[start:pos] in their rule-bearing bytes, within _BLOCK bytes and
+    `end`, cut before the first iteration with a record whose ins_index is
+    not above the one before it (`last` for the first) or not below `hi`:
+    (its end, its records, its last ins_index)."""
+    if 4 * (pos - start) > _BLOCK:
+        return pos, 0, last
+    key, q = [], start
+    while q < pos:
+        if buf[q] == LOOPHEAD:
+            key.append(buf[q:q + 5] + buf[q + 13:q + 21])
+            q += _REC_LOOP.size
+        else:
+            key.append(buf[q:q + 5] + buf[q + 21:q + 27])
+            q += _REC_LOAD.size + buf[q + 21]
+    match, layout = _iteration(tuple(key))
+    length, per = pos - start, len(key)
+    n = (match(buf, pos, min(end, pos + _BLOCK)).end() - pos) // length
+    ins = struct.unpack_from("<" + layout * n, buf, pos)
+    rising = [*map(lt, chain((last,), ins), ins), False]
+    n = bisect_left(ins, hi, 0, rising.index(False)) // per
+    return pos + n * length, n * per, ins[n * per - 1] if n else last
 
 
 def _load_error(size, fp_class, value_len):
@@ -427,9 +474,12 @@ class BinaryEvents:
     last yielded one (the same thread and loop), which the context tree
     would take as a pass with nothing ticked since the last one. While the
     window is a gap, a faster loop passes over the records it drops, after
-    the same checks; it hands any record it cannot settle back to the
-    general path, which raises every error, so offsets and messages are
-    those of an ungated decode.
+    the same checks. Once it has passed one whole iteration of a repeated
+    loop head, it checks the iterations after it that repeat its
+    rule-bearing bytes a block at a time (`_repeats`), ins_index order
+    included. It hands any record it cannot settle back to the general
+    path, which raises every error, so offsets and messages are those of
+    an ungated decode.
 
     `skipped` is the number of records before the event last yielded that
     were not yielded (dropped loads and dropped repeated passes), and after
@@ -565,9 +615,12 @@ class BinaryEvents:
                 # decoded or to raise. `last` is thread `tid`'s last
                 # ins_index, swapped on a record of another thread. Only a
                 # thread whose last ins_index is at least lo takes part, so
-                # last < i < hi puts a load in the gap and in order.
+                # last < i < hi puts a load in the gap and in order. A
+                # block check covers a run of records of thread `tid` alone.
                 last = ins
                 count = 0
+                mark = -1   # the last loop head passed, with no switch since
+                due = backoff = 0   # no block check before `count` is `due`
                 stop = end - _MAX_FIXED
                 while pos <= stop:
                     k = buf[pos]
@@ -578,6 +631,7 @@ class BinaryEvents:
                                 break
                             last_ins[tid] = last
                             tid, last = t, last_ins[t]
+                            mark = -1
                         length = load_lengths.get(shape)
                         if (not last < i < hi or length is None
                                 or site not in sites):
@@ -592,8 +646,22 @@ class BinaryEvents:
                                 break
                             last_ins[tid] = last
                             tid, last = t, last_ins[t]
+                        elif mark >= 0 and count >= due:
+                            # buf[mark:pos] is one whole iteration, passed
+                            # record by record: the ones after it that repeat
+                            # it pass a block at a time. Checks that pass none
+                            # put the next off by 0, 2, 6, 14... records.
+                            after, n, last = _repeats(buf, mark, pos, end,
+                                                      last, hi)
+                            if n:
+                                mark, pos = after - (pos - mark), after
+                                count += n
+                                backoff = 0
+                                continue
+                            due, backoff = count + backoff, 2 * backoff + 2
                         if i <= last or site not in sites:
                             break
+                        mark = pos
                         pos += loop_length
                     else:
                         break

@@ -563,6 +563,40 @@ def test_cli_report_and_merge_of_malformed_profiles_exit_1(tmp_path, capsys):
             assert "Traceback" not in err
 
 
+def test_an_integer_past_the_digit_limit_is_a_malformed_profile(
+        tmp_path, capsys):
+    # json's scanner raises a plain ValueError for an integer of more than
+    # 4,300 digits, wherever it sits: load words it as a fault of the file,
+    # and report and merge exit 1 without a traceback.
+    marker = 123456789123
+    edits = {
+        "counter": lambda d: d["objects"][0]["counters"].update(
+            total_instances=marker),
+        "meta": lambda d: d["meta"].update(scope_budget=marker),
+        "version": lambda d: d.update(version=marker),
+        "line": lambda d: d["temporal_pairs"][0]["new_context"][0].update(
+            line=marker),
+    }
+    for name, edit in edits.items():
+        text = _mutated_profile(edit)
+        assert text.count(str(marker).encode()) == 1, name
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(text.replace(str(marker).encode(), b"9" * 5000))
+        with pytest.raises(RedloadError) as err:
+            load_profile(path)
+        assert str(err.value).startswith(f"{path}: malformed profile: "), \
+            name
+        assert "4300 digits" in str(err.value), name
+        for argv in (["report", str(path)],
+                     ["merge", str(path), str(path), "-o",
+                      str(tmp_path / "m.json")]):
+            assert main(argv) == 1, (name, argv)
+            err = capsys.readouterr().err
+            assert f"redload {argv[0]}: {path}: malformed profile" in err, \
+                err
+            assert "Traceback" not in err, err
+
+
 @pytest.fixture(scope="module")
 def small_profile():
     """The text of a profile with temporal and spatial pairs, and static

@@ -3,20 +3,22 @@
 import io
 import random
 import re
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from redload import trace
 from redload.cli import main
 from redload.engine import AnalysisConfig, analyze_events, analyze_path
 from redload.errors import RedloadError, TraceDecodeError, TraceEncodeError
 from redload.sampling import SamplingConfig
 from redload.trace import (ALLOC, CALL, F32, F64, FREE, LOAD, LOOPHEAD,
                            NONFP, RECORDS, RETURN, STATIC_IMAGE, THREAD_START,
-                           SourceMap, TraceEvent, _BY_TAG, _LOAD_LENGTHS,
-                           _LOAD_SHAPES, _Reader, _load_error,
+                           SourceMap, TraceEvent, _BY_TAG, _HEADER,
+                           _LOAD_LENGTHS, _LOAD_SHAPES, _Reader, _load_error,
                            read_text_trace, read_trace, write_text_trace,
                            write_trace)
 from redload.workloads import Scenario, generate
@@ -483,26 +485,39 @@ def _decode_error(stream, sampling=None):
     return str(err.value), err.value.offset
 
 
-def test_gated_decode_raises_inside_a_long_gap_where_ungated_does():
-    # A bad record in the middle of a run of dropped loads and repeated loop
-    # heads stops a gated decode with the ungated decode's message and
-    # byte offset, whether chunks arrive whole or in short reads.
-    b = Build()
-    b.sm.add_site(1, "main", "a.c", 1)
-    b.sm.add_loop(11, "a.c", 2)
-    b.thread_start()
-    b.ins = 10          # the gap of a 2-in-1002 window
-    for k in range(300):
-        b.loop(11, 1)
-        b.load(0x1000 + 8 * (k % 4), u32(k), 1)
-    buf = io.BytesIO()
-    write_trace(b.events, b.sm, buf)
-    good = buf.getvalue()
-    # The 150th last pair of records: a loop head (21 bytes), then a load
-    # of 4 value bytes (31 bytes); the load before it ends at `head`.
-    head = len(good) - 150 * (21 + 31)
+def _blocks(raw, sampling, monkeypatch):
+    """(start, end, cut) of each run of iterations that a gated decode of
+    `raw` from one buffer passes a block at a time, where `cut` tells
+    whether a record of the iteration after it reaches the end of its gap.
+    Every record of `raw` after its thread starts is a load or a loop
+    head."""
+    blocks = []
+    check = trace._repeats
+
+    def spy(buf, start, pos, end, last, hi):
+        out = check(buf, start, pos, end, last, hi)
+        if out[1]:
+            q = after = out[0]
+            cut = False
+            while q < min(after + pos - start, end):
+                kind, _, ins = _HEADER.unpack_from(buf, q)
+                cut = cut or ins >= hi
+                q += 21 if kind == LOOPHEAD else 27 + buf[q + 21]
+            blocks.append((pos, after, cut))
+        return out
+
+    assert len(raw) < _Reader.CHUNK
+    with monkeypatch.context() as patch:
+        patch.setattr(trace, "_repeats", spy)
+        _gated_decode(io.BytesIO(raw), sampling)
+    return blocks
+
+
+def _pair_faults(good, head, ins):
+    """(offset, message, bytes) of each fault placed in the pair of a
+    loop head (21 bytes) at `head`, whose ins_index is `ins`, and a load of
+    4 value bytes (31 bytes) after it, in the trace `good`."""
     load = head + 21
-    ins = b.events[-300].ins_index          # the loop head's
 
     def patched(at, value, width=1):
         raw = bytearray(good)
@@ -526,15 +541,55 @@ def test_gated_decode_raises_inside_a_long_gap_where_ungated_does():
     ]
     # Cut short anywhere inside the pair; a cut between records is a clean
     # end.
-    cases += [(head if cut < load else load, "truncated record", good[:cut])
-              for cut in range(head + 1, load + 31) if cut != load]
-    gap = SamplingConfig(2, 1000)
-    for offset, message, raw in cases:
-        ungated = _decode_error(io.BytesIO(raw))
-        assert ungated == (f"offset {offset}: {message}", offset)
-        for stream in (io.BytesIO(raw), ShortReads(raw, 61),
-                       ShortReads(raw, 4096)):
-            assert _decode_error(stream, gap) == ungated, message
+    return cases + [(head if cut < load else load, "truncated record",
+                     good[:cut])
+                    for cut in range(head + 1, load + 31) if cut != load]
+
+
+def test_gated_decode_raises_inside_a_long_gap_where_ungated_does(
+        monkeypatch):
+    # A bad record in the middle of a run of dropped loads and repeated loop
+    # heads stops a gated decode with the ungated decode's message and
+    # byte offset, whether chunks arrive whole or in short reads. Each
+    # fault lands in the first iteration after the one a block check
+    # takes as its template, in the middle and in the last iteration of a
+    # block, in a pair that straddles a read of 4,096 bytes, and 150 pairs
+    # before the end.
+    b = Build()
+    b.sm.add_site(1, "main", "a.c", 1)
+    b.sm.add_loop(11, "a.c", 2)
+    b.thread_start()
+    b.ins = 10          # the gap of a 2-in-10002 window
+    pairs = 700
+    for k in range(pairs):
+        b.loop(11, 1)
+        b.load(0x1000 + 8 * (k % 4), u32(k), 1)
+    buf = io.BytesIO()
+    write_trace(b.events, b.sm, buf)
+    good = buf.getvalue()
+    gap = SamplingConfig(2, 10_000)
+    pair = 21 + 31
+    first = len(good) - pairs * pair        # the first loop head
+
+    def ins_at(head):   # the ins_index of the loop head at `head`
+        return b.events[-pairs * 2 + (head - first) // pair * 2].ins_index
+
+    (start, end, _), *later = _blocks(good, gap, monkeypatch)
+    assert end - start >= 3 * pair and later    # a whole block, and more
+    middle = start + (end - start) // pair // 2 * pair
+    # The first read of 4,096 bytes that ends inside a record of a pair.
+    read = next(r for r in range(4096, len(good), 4096)
+                if r > first and (r - first) % pair not in (0, 21))
+    straddle = read - (read - first) % pair
+    for head in (start, middle, end - pair, straddle,
+                 len(good) - 150 * pair):
+        for offset, message, raw in _pair_faults(good, head, ins_at(head)):
+            ungated = _decode_error(io.BytesIO(raw))
+            assert ungated == (f"offset {offset}: {message}", offset)
+            for stream in (io.BytesIO(raw), ShortReads(raw, 61),
+                           ShortReads(raw, 4096)):
+                assert _decode_error(stream, gap) == ungated, \
+                    (head, message)
 
 
 def test_gated_decode_of_threads_that_take_turns_inside_a_gap():
@@ -573,6 +628,158 @@ def test_gated_decode_of_threads_that_take_turns_inside_a_gap():
     assert ungated[0].endswith("ins_index 121 after 121 in thread 1: not "
                                "strictly increasing")
     assert _decode_error(io.BytesIO(bad), sampling) == ungated
+
+
+def _loop_trace(seed, case):
+    """The events and bytes of a valid trace in which threads 0 and 1
+    start and then run loop 11 for thousands of iterations, a loop head
+    and a load of site 2 each:
+
+    - "gains": thread 0, whose every 10th iteration gains a load of site 3;
+    - "steps": thread 0, whose ins_index steps by 1 to 8 at random;
+    - "turns": both threads, in runs of iterations of one thread, of the
+      two by turns, or of thread 0 with a load of thread 1 before or after
+      its own, in ins_index order across the two threads; after such a
+      run each thread goes on from its own last ins_index;
+    - "plain": thread 0, every ins_index one past the last."""
+    rng = random.Random(seed)
+    sm = SourceMap()
+    for site in (1, 2, 3):
+        sm.add_site(site, "f", "g.c", site)
+    sm.add_loop(11, "g.c", 11)
+    ins = [0, 0]
+    events = [TraceEvent(THREAD_START, 0, 0), TraceEvent(THREAD_START, 1, 0)]
+
+    def emit(tid, kind, step=1, **fields):
+        ins[tid] = ins[tid] + step if step else max(ins) + 1
+        events.append(TraceEvent(kind, tid, ins[tid], **fields))
+
+    def iteration(tid, step=1, site=2, size=4):
+        emit(tid, LOOPHEAD, step, loop_id=11, site_id=1)
+        emit(tid, LOAD, step, addr=0x1000 + 8 * rng.randrange(64),
+             size=size, value=rng.randbytes(size), site_id=site)
+
+    while len(events) < 12_000:
+        if case == "turns":
+            mode, runs = rng.randrange(3), rng.randrange(1, 300)
+            tid = rng.randrange(2)
+            for k in range(runs):
+                if mode == 0:
+                    iteration(tid)
+                elif mode == 1:
+                    iteration(k % 2)
+                else:   # a load of thread 1 before or after thread 0's
+                    emit(0, LOOPHEAD, 0, loop_id=11, site_id=1)
+                    loads = [(0, 4), (1, 8)]
+                    rng.shuffle(loads)
+                    for t, size in loads:
+                        emit(t, LOAD, 0, addr=0x2000, size=size,
+                             value=rng.randbytes(size), site_id=2)
+        else:
+            for _ in range(10):
+                iteration(0, rng.randrange(1, 9) if case == "steps" else 1)
+            if case == "gains":
+                emit(0, LOAD, addr=0x3000, size=8, value=rng.randbytes(8),
+                     site_id=3)
+    buf = io.BytesIO()
+    write_trace(events, sm, buf)
+    return events, buf.getvalue()
+
+
+@pytest.mark.parametrize("case", ["gains", "steps", "turns", "plain"])
+def test_block_checked_gaps_match_the_spec(case, monkeypatch):
+    # Long runs of repeated iterations, most of them passed a block at a
+    # time, decode to what the spec model makes of the ungated decode,
+    # skip counts included, under one long gap and under windows that
+    # reopen every 3,020 ins_index, inside a run of repeats.
+    events, raw = _loop_trace(26, case)
+    assert list(read_trace(io.BytesIO(raw))[0]) == events
+    for sampling in (SamplingConfig(3, 1_000_000), SamplingConfig(20, 3000)):
+        expected = _gated_model(events, sampling)
+        for stream in (io.BytesIO(raw), ShortReads(raw, 61),
+                       ShortReads(raw, 4096)):
+            assert _gated_decode(stream, sampling) == expected, sampling
+        blocks = _blocks(raw, sampling, monkeypatch)
+        passed = sum(end - start for start, end, _ in blocks)
+        assert passed > len(raw) // (10 if case == "turns" else 2)
+        if sampling.window_disable == 3000:
+            # Some run of repeats goes on past where the window reopens.
+            assert any(cut for _, _, cut in blocks)
+
+
+def test_a_block_check_takes_no_template_from_two_threads():
+    # Each iteration of thread 0 holds a load of thread 1 between its loop
+    # head and its load, all in one ins_index order: a block check of
+    # thread 0 that took them as one template would pass the loads of
+    # thread 1 without keeping their ins_index. Then thread 1 repeats its
+    # last one, which fails gated as it fails ungated.
+    sm = SourceMap()
+    sm.add_site(1, "main", "a.c", 1)
+    sm.add_loop(11, "a.c", 2)
+    events = [TraceEvent(THREAD_START, 0, 0), TraceEvent(THREAD_START, 1, 0)]
+    for k in range(400):
+        events += [TraceEvent(LOOPHEAD, 0, 10 + 3 * k, loop_id=11, site_id=1),
+                   load_event(1, 11 + 3 * k, 0x2000, u32(k), site_id=1),
+                   load_event(0, 12 + 3 * k, 0x1000, u32(k), site_id=1)]
+    events.append(load_event(1, events[-2].ins_index, 0x2000, u32(0),
+                             site_id=1))
+    buf = io.BytesIO()
+    write_trace(events[:-1], sm, buf)
+    raw = buf.getvalue() + RECORDS[LOAD].struct.pack(
+        LOAD, 1, events[-1].ins_index, 0x2000, 4, NONFP, 1) + u32(0)
+    ungated = _decode_error(io.BytesIO(raw))
+    assert ungated == (f"offset {len(raw) - 31}: ins_index "
+                       f"{events[-1].ins_index} after "
+                       f"{events[-1].ins_index} in thread 1: not strictly "
+                       "increasing", len(raw) - 31)
+    for stream in (io.BytesIO(raw), ShortReads(raw, 61),
+                   ShortReads(raw, 4096)):
+        assert _decode_error(stream, SamplingConfig(1, 10**9)) == ungated
+
+
+def test_a_gap_whose_iterations_never_repeat_decodes_in_linear_time(
+        monkeypatch):
+    # A gap of 120k records in which the load of each iteration has
+    # another site than the one before: every block check passes nothing.
+    # Gated, the decode drops every record after the first few, and takes
+    # no longer than ungated, where it builds every event; a block check
+    # tried again from each loop head over the same records would not.
+    b = Build()
+    for site in (1, 2, 3):
+        b.sm.add_site(site, "f", "g.c", site)
+    b.sm.add_loop(11, "g.c", 11)
+    b.thread_start()
+    for k in range(60_000):
+        b.loop(11, 1)
+        b.load(0x1000, u32(k), 2 + k % 2)
+    buf = io.BytesIO()
+    write_trace(b.events, b.sm, buf)
+    raw = buf.getvalue()
+    gap = SamplingConfig(1, 10**9)
+    passed = []
+    check = trace._repeats
+
+    def spy(*args):
+        out = check(*args)
+        passed.append(out[1])
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(trace, "_repeats", spy)
+        assert _gated_decode(io.BytesIO(raw), gap)[1] == len(b.events) - 2
+    assert passed and not any(passed)
+
+    def seconds(sampling):
+        events, _ = read_trace(io.BytesIO(raw))
+        events.sampling = sampling
+        begin = time.process_time()
+        for _ in events:
+            pass
+        return time.process_time() - begin
+
+    gated = min(seconds(gap) for _ in range(3))
+    ungated = min(seconds(None) for _ in range(3))
+    assert gated <= ungated, (gated, ungated)
 
 
 def _outcome(analyze):
