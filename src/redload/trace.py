@@ -209,7 +209,7 @@ _LOAD_LENGTHS = {size | fp << 8: _REC_LOAD.size + size
                  for size, fp in _LOAD_SHAPES}
 # The most bytes of repeated loop iterations checked at once; a template
 # iteration longer than a quarter of it is not checked.
-_BLOCK = 1 << 14
+_BLOCK = 1 << 13
 
 
 @lru_cache(maxsize=64)
