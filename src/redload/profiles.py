@@ -12,6 +12,7 @@ import codecs
 import io
 import json
 import re
+from functools import cache
 from operator import attrgetter, itemgetter
 
 from .cct import FUNCTION, LOADSITE, LOOP
@@ -210,13 +211,11 @@ def object_doc(key):
     return {"kind": DYNAMIC, "context": path_doc(ident)}
 
 
+_TOTAL_ARGS = ProgramTotals.__slots__
+
+
 def totals_doc(totals):
-    return {
-        "total_nonfp_bytes": totals.total_nonfp_bytes,
-        "total_fp_bytes": totals.total_fp_bytes,
-        "redundant_nonfp_bytes": totals.redundant_nonfp_bytes,
-        "redundant_fp_bytes": totals.redundant_fp_bytes,
-    }
+    return {name: getattr(totals, name) for name in _TOTAL_ARGS}
 
 
 def fractions_doc(totals):
@@ -230,10 +229,11 @@ def fractions_doc(totals):
 # A saved profile is what json.dump(doc, f, indent=1, sort_keys=True) and
 # a newline would write, where each table of `doc` lists its rows in the
 # order of their compact json.dumps(row, sort_keys=True) text. The writer
-# below produces those bytes itself, one row at a time: json's indenting
-# encoder is pure Python, and a profile is mostly the same context paths
-# repeated row after row, so each distinct frame, context and object key
-# is encoded once per document, compact (for the order) and indented.
+# below writes those bytes one row at a time, from pieces that json
+# encodes compact (for the order) and indented. json's indenting encoder
+# is pure Python, and a profile is mostly the same context paths repeated
+# row after row, so each distinct frame and object key is encoded once per
+# document, and each distinct context is joined once from its frames.
 
 _ROW = 2        # depth of a row in its table; its values sit one deeper
 
@@ -242,7 +242,6 @@ _counter_values = attrgetter(*_COUNTER_FIELDS)
 # A counters or totals document's values in its class's argument order.
 _COUNTER_ARGS = PairCounters.__slots__
 _counter_args = itemgetter(*_COUNTER_ARGS)
-_TOTAL_ARGS = ProgramTotals.__slots__
 _total_args = itemgetter(*_TOTAL_ARGS)
 
 
@@ -269,20 +268,13 @@ def _join(open_, close, items, depth):
 
 
 def _texts(value, depth):
-    """(compact, indented) text of a document built of dicts with string
-    keys, lists and scalars, as json.dumps gives it with sort_keys=True,
-    without and with indent=1, when the value sits at `depth`."""
-    if isinstance(value, dict):
-        items = []
-        for key in sorted(value):
-            label = json.dumps(key) + ": "
-            compact, indented = _texts(value[key], depth + 1)
-            items.append((label + compact, label + indented))
-        return _join("{", "}", items, depth)
-    if isinstance(value, list):
-        return _join("[", "]", [_texts(v, depth + 1) for v in value], depth)
-    text = json.dumps(value)
-    return text, text
+    """(compact, indented) text of a JSON document as json.dumps gives it
+    with sort_keys=True, without and with indent=1, when the value sits
+    at `depth`. No JSON string holds a raw newline, so each one in the
+    indented text starts a line."""
+    indented = json.dumps(value, indent=1, sort_keys=True)
+    return (json.dumps(value, sort_keys=True),
+            indented.replace("\n", "\n" + " " * depth))
 
 
 def _templates(keys, depth):
@@ -319,25 +311,12 @@ def _write_rows(write, rows, keys, key_texts):
         write(piece)
 
 
-class _Memo(dict):
-    """Texts of each distinct key, encoded on first use."""
-
-    def __init__(self, encode):
-        super().__init__()
-        self.encode = encode
-
-    def __missing__(self, key):
-        texts = self[key] = self.encode(key)
-        return texts
-
-
 def _write(profile, write):
     """Write the profile's document through `write`, row by row."""
-    frames = _Memo(lambda f: _texts(frame_doc(f), _ROW + 2))
-    contexts = _Memo(lambda path: _join(
-        "[", "]", [frames[f] for f in path], _ROW + 1))
-    contexts[None] = ("null", "null")
-    objects = _Memo(lambda key: _texts(object_doc(key), _ROW + 1))
+    frames = cache(lambda f: _texts(frame_doc(f), _ROW + 2))
+    contexts = cache(lambda path: ("null", "null") if path is None else
+                     _join("[", "]", [frames(f) for f in path], _ROW + 1))
+    objects = cache(lambda key: _texts(object_doc(key), _ROW + 1))
 
     header = {
         "format": PROFILE_FORMAT,
@@ -350,13 +329,13 @@ def _write(profile, write):
     tables = {
         "temporal_pairs": (
             profile.temporal_pairs, ("new_context", "old_context", "scope"),
-            lambda k: (contexts[k[1]], contexts[k[0]], contexts[k[2]])),
-        "objects": (profile.objects, ("object",), lambda k: (objects[k],)),
+            lambda k: (contexts(k[1]), contexts(k[0]), contexts(k[2]))),
+        "objects": (profile.objects, ("object",), lambda k: (objects(k),)),
         "spatial_pairs": (
             profile.spatial_pairs,
             ("new_context", "object", "old_context", "scope"),
-            lambda k: (contexts[k[2]], objects[k[0]], contexts[k[1]],
-                       contexts[k[3]])),
+            lambda k: (contexts(k[2]), objects(k[0]), contexts(k[1]),
+                       contexts(k[3]))),
     }
     sep = "{"
     for name in sorted(header.keys() | tables.keys()):
@@ -462,9 +441,14 @@ def _put(rows, row, frames, table, index):
 
 
 def save(profile, path):
-    """Write the profile's document to `path`, whole or not at all."""
-    with replacing(path, "x", "utf-8") as f:
-        _write(profile, f.write)
+    """Write the profile's document to `path`, whole or not at all. A
+    number that str() cannot write, such as a sum of counters past int's
+    4,300-digit limit, raises RedloadError naming `path`."""
+    try:
+        with replacing(path, "x", "utf-8") as f:
+            _write(profile, f.write)
+    except ValueError as exc:
+        raise RedloadError(f"{path}: cannot write profile: {exc}") from None
 
 
 CHUNK = 1 << 16     # bytes that `load` reads at a time

@@ -51,7 +51,8 @@ def _row_docs(kind, pairs, totals, top, fractions=None):
             "pair_fraction_defined": defined,
             "redundant_instances": done,
             "total_instances": total,
-            "instance_percent": 100.0 * done / total if total else 0.0,
+            # In ints: a count can exceed the float range.
+            "instance_percent": 100 * done / total if total else 0.0,
             "chain": new_doc + old_doc,
             "new_context": new_doc,
             "old_context": old_doc,

@@ -133,6 +133,23 @@ _objects = st.one_of(st.tuples(st.just(STATIC), _texts),
                      st.tuples(st.just(DYNAMIC), _paths))
 
 
+def _json_objects(values):
+    """Dicts of `values` whose keys are all strings or all ints."""
+    return (st.dictionaries(_texts, values, max_size=3)
+            | st.dictionaries(st.integers(-99, 99), values, max_size=3))
+
+
+# Any object json can write: nested dicts, lists and tuples, strings that
+# need escaping, ints, finite floats, bools and None.
+_metas = st.none() | _json_objects(st.recursive(
+    st.none() | st.booleans() | st.integers(-2 ** 64, 2 ** 64)
+    | st.floats(allow_nan=False, allow_infinity=False) | _texts,
+    lambda children: (st.lists(children, max_size=3)
+                      | st.lists(children, max_size=3).map(tuple)
+                      | _json_objects(children)),
+    max_leaves=8))
+
+
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(temporal=st.dictionaries(
@@ -143,13 +160,17 @@ _objects = st.one_of(st.tuples(st.just(STATIC), _texts),
            st.tuples(_objects, st.none() | _paths, _paths,
                      st.none() | _paths),
            _counter_rows, max_size=8),
-       meta=st.none() | st.just(META_MIXED))
+       meta=_metas)
 def test_random_profiles_match_reference(temporal, objects, spatial, meta,
                                          tmp_path):
     profile = Profile(totals=ProgramTotals(7, 5, 3, 2), thread_count=1,
                       temporal_pairs=temporal, objects=objects,
                       spatial_pairs=spatial, meta=meta)
     assert_reference_bytes(profile, tmp_path)
+    # The rows above may hold an empty new context, which load rejects.
+    path = tmp_path / "meta.json"
+    save(Profile(meta=meta), path)
+    assert load(path).meta == json.loads(json.dumps(meta))
 
 
 def test_cli_merge_output_matches_reference(tmp_path):

@@ -23,7 +23,7 @@ from redload.profiles import Profile, merge_all, save, to_json
 from redload.report import build_report, report_json, report_text
 from redload.sampling import SamplingConfig
 from redload.spatial import STATIC
-from redload.temporal import PairCounters
+from redload.temporal import PairCounters, ProgramTotals
 from redload.trace import F64, write_trace
 from redload.workloads import Scenario, generate
 
@@ -595,6 +595,48 @@ def test_an_integer_past_the_digit_limit_is_a_malformed_profile(
             assert f"redload {argv[0]}: {path}: malformed profile" in err, \
                 err
             assert "Traceback" not in err, err
+
+
+def test_a_merge_sum_past_the_digit_limit_is_an_error_of_the_output(
+        tmp_path, capsys):
+    # Each input holds a 4,300-digit counter, which loads; the sum has
+    # 4,301 digits, which str() refuses as save writes it. The merge exits
+    # 1 naming the output, and leaves neither it nor its temporary file.
+    marker = 123456789123
+    text = _mutated_profile(lambda d: d["objects"][0]["counters"].update(
+        total_instances=marker))
+    path = tmp_path / "in.json"
+    path.write_bytes(text.replace(str(marker).encode(), b"9" * 4300))
+    out = tmp_path / "m.json"
+    assert main(["merge", str(path), str(path), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"redload merge: {out}: "), err
+    assert len(err.splitlines()) == 1, err
+    assert "4300 digits" in err and "Traceback" not in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.json"]
+
+
+def test_a_report_of_counters_past_the_float_range(tmp_path, capsys):
+    # 10**400 is past the float range, so the instance percent is taken in
+    # ints. Redundant equals total, so every fraction is 1.
+    n = 10 ** 400
+    counters = PairCounters(n, 0, n, 0, n, n, 0)
+    context = (("function", "main", "a.c", 1), ("load", "main", "a.c", 2))
+    obj = (STATIC, "A")
+    profile = Profile(
+        totals=ProgramTotals(n, 0, n, 0), thread_count=1,
+        temporal_pairs={(context, context, None): counters},
+        objects={obj: counters},
+        spatial_pairs={(obj, context, context, None): counters})
+    path = tmp_path / "big.json"
+    save(profile, path)
+    assert main(["report", str(path)]) == 0
+    assert capsys.readouterr().out.count(f"{n}/{n} (100.00%)") == 2
+    assert main(["report", str(path), "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    rows = doc["temporal"] + doc["spatial"]
+    assert [row["instance_percent"] for row in rows] == [100.0, 100.0]
+    assert [row["pair_fraction"] for row in rows] == [1.0, 1.0]
 
 
 @pytest.fixture(scope="module")
