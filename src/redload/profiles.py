@@ -229,13 +229,27 @@ def fractions_doc(totals):
 # A saved profile is what json.dump(doc, f, indent=1, sort_keys=True) and
 # a newline would write, where each table of `doc` lists its rows in the
 # order of their compact json.dumps(row, sort_keys=True) text. The writer
-# below writes those bytes one row at a time, from pieces that json
-# encodes compact (for the order) and indented. json's indenting encoder
-# is pure Python, and a profile is mostly the same context paths repeated
-# row after row, so each distinct frame and object key is encoded once per
-# document, and each distinct context is joined once from its frames.
+# below writes those bytes one row at a time. json's indenting encoder is
+# pure Python, and a profile is mostly the same frames repeated row after
+# row, so each distinct frame and object key is encoded once per document.
+# A context's text grows with its depth, and a deep recursion has a
+# distinct context per level, so no context's text is kept: each distinct
+# context keeps one sort key, the tuple of its frames' cached indented
+# texts and _END, and a row joins its contexts' texts from their keys as
+# it is written.
+#
+# Rows sort as their compact texts do when each value's key sorts as its
+# compact text. Counters, object and frame texts are whole JSON values,
+# none a proper prefix of another. Every frame has the same keys, and its
+# one number, the line, is followed by "," in both texts, so two frames'
+# indented texts first differ where their compact texts do and sort
+# alike. Where one context ends and another goes on, "]" sorts after
+# ", {", so _END sorts after "{". The empty context "[]" sorts before any
+# other ("]" before "{"), as () does, and null after every list ("n"
+# after "["), as (_END,) does.
 
 _ROW = 2        # depth of a row in its table; its values sit one deeper
+_END = "|"
 
 _COUNTER_FIELDS = tuple(sorted(PairCounters.__slots__))
 _counter_values = attrgetter(*_COUNTER_FIELDS)
@@ -260,63 +274,58 @@ def _indented(open_, close, items, depth):
     yield close
 
 
-def _join(open_, close, items, depth):
-    """(compact, indented) text of a JSON array or object at `depth` from
-    its items' (compact, indented) texts."""
-    return (open_ + ", ".join(c for c, _ in items) + close,
-            "".join(_indented(open_, close, [i for _, i in items], depth)))
-
-
-def _texts(value, depth):
-    """(compact, indented) text of a JSON document as json.dumps gives it
-    with sort_keys=True, without and with indent=1, when the value sits
-    at `depth`. No JSON string holds a raw newline, so each one in the
-    indented text starts a line."""
+def _indent(value, depth):
+    """The text of a JSON document as json.dumps gives it with indent=1
+    and sort_keys=True, when the value sits at `depth`. No JSON string
+    holds a raw newline, so each one in the text starts a line."""
     indented = json.dumps(value, indent=1, sort_keys=True)
-    return (json.dumps(value, sort_keys=True),
-            indented.replace("\n", "\n" + " " * depth))
+    return indented.replace("\n", "\n" + " " * depth)
 
 
 def _templates(keys, depth):
     """(compact, indented) %-templates of an object with these sorted
     keys at `depth`, one %s per value."""
-    return _join("{", "}", [(json.dumps(key) + ": %s",) * 2 for key in keys],
-                 depth)
+    items = [json.dumps(key) + ": %s" for key in keys]
+    return ("{" + ", ".join(items) + "}",
+            "".join(_indented("{", "}", items, depth)))
 
 
 # Counters are ints, whose str() is their JSON text.
 _COUNTERS = _templates(_COUNTER_FIELDS, _ROW + 1)
 
 
-def _write_rows(write, rows, keys, key_texts):
+def _write_rows(write, rows, keys, orders, texts):
     """Write one table at depth 1. `keys` are a row's keys other than
-    "counters", sorted; `key_texts(key)` gives their (compact, indented)
-    texts in that order."""
+    "counters", sorted; `orders(key)` gives their sort keys in that order
+    and `texts(key)` their indented texts, built as the row is written.
+    Rows sort by (compact counters text, *sort keys, row key, counters):
+    distinct rows differ before the row key, so it is never compared."""
     compact_counters, indented_counters = _COUNTERS
-    entries = []
-    for key, counters in rows.items():
-        values = _counter_values(counters)
-        texts = key_texts(key)
-        # Every value text is a whole JSON object, array or null, none a
-        # proper prefix of another, so comparing the tuple of compact
-        # value texts orders rows as their joined compact text would.
-        order = (compact_counters % values, *[c for c, _ in texts])
-        entries.append((order, values, texts))
-    entries.sort(key=itemgetter(0))
+    entries = [(compact_counters % _counter_values(counters), *orders(key),
+                key, counters) for key, counters in rows.items()]
+    entries.sort()
     template = _templates(("counters", *keys), _ROW)[1]
-    rows_text = (template % (indented_counters % values,
-                             *[i for _, i in texts])
-                 for _, values, texts in entries)
+    rows_text = (template % (indented_counters % _counter_values(entry[-1]),
+                             *texts(entry[-2]))
+                 for entry in entries)
     for piece in _indented("[", "]", rows_text, _ROW - 1):
         write(piece)
 
 
 def _write(profile, write):
     """Write the profile's document through `write`, row by row."""
-    frames = cache(lambda f: _texts(frame_doc(f), _ROW + 2))
-    contexts = cache(lambda path: ("null", "null") if path is None else
-                     _join("[", "]", [frames(f) for f in path], _ROW + 1))
-    objects = cache(lambda key: _texts(object_doc(key), _ROW + 1))
+    frame_text = cache(lambda f: _indent(frame_doc(f), _ROW + 2))
+    path_key = cache(lambda path: (_END,) if path is None else
+                     (*map(frame_text, path), _END) if path else ())
+    object_key = cache(lambda k: json.dumps(object_doc(k), sort_keys=True))
+    object_text = cache(lambda k: _indent(object_doc(k), _ROW + 1))
+    pad = "\n" + " " * (_ROW + 2)     # before each frame of a context
+    between, close = "," + pad, pad[:-1] + "]"
+
+    def context(path):
+        if not path:
+            return "null" if path is None else "[]"
+        return "[" + pad + between.join(path_key(path)[:-1]) + close
 
     header = {
         "format": PROFILE_FORMAT,
@@ -329,13 +338,17 @@ def _write(profile, write):
     tables = {
         "temporal_pairs": (
             profile.temporal_pairs, ("new_context", "old_context", "scope"),
-            lambda k: (contexts(k[1]), contexts(k[0]), contexts(k[2]))),
-        "objects": (profile.objects, ("object",), lambda k: (objects(k),)),
+            lambda k: (path_key(k[1]), path_key(k[0]), path_key(k[2])),
+            lambda k: (context(k[1]), context(k[0]), context(k[2]))),
+        "objects": (profile.objects, ("object",),
+                    lambda k: (object_key(k),), lambda k: (object_text(k),)),
         "spatial_pairs": (
             profile.spatial_pairs,
             ("new_context", "object", "old_context", "scope"),
-            lambda k: (contexts(k[2]), objects(k[0]), contexts(k[1]),
-                       contexts(k[3]))),
+            lambda k: (path_key(k[2]), object_key(k[0]), path_key(k[1]),
+                       path_key(k[3])),
+            lambda k: (context(k[2]), object_text(k[0]), context(k[1]),
+                       context(k[3]))),
     }
     sep = "{"
     for name in sorted(header.keys() | tables.keys()):
@@ -344,7 +357,7 @@ def _write(profile, write):
         if name in tables:
             _write_rows(write, *tables[name])
         else:
-            write(_texts(header[name], 1)[1])
+            write(_indent(header[name], 1))
     write("\n}\n")
 
 

@@ -158,4 +158,5 @@ def report_text(profile, top=DEFAULT_TOP):
                        f"({len(doc[kind])} shown):")
             out.append("")
             _render_rows(doc[kind], out)
-    return "\n".join(out) + "\n"
+    out.append("")      # the final newline, without a second copy of the text
+    return "\n".join(out)

@@ -11,6 +11,7 @@ precise counters, FP loads the approximate ones.
 import math
 import struct
 
+from .errors import RedloadError
 from .trace import F32, F64, NONFP, Record
 
 DEFAULT_EPSILON = 0.01
@@ -159,10 +160,17 @@ class TemporalDetector:
 
 
 def _fraction(redundant, total):
-    """(value, defined); zero denominators report 0 with defined=False."""
+    """(value, defined); zero denominators report 0 with defined=False.
+    A loaded profile's counts are checked alone, so a ratio past the float
+    range can occur; it raises RedloadError naming both counts."""
     if total == 0:
         return 0.0, False
-    return redundant / total, True
+    try:
+        return redundant / total, True
+    except OverflowError:
+        raise RedloadError(f"{redundant} redundant bytes of {total} total "
+                           "bytes is a fraction past the float range"
+                           ) from None
 
 
 def program_fraction(totals):

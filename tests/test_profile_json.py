@@ -6,6 +6,7 @@ streams it row by row and must write exactly the same bytes.
 """
 
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -18,9 +19,10 @@ from redload.profiles import (META_MIXED, Profile, load, merge_all, save,
 from redload.sampling import SamplingConfig
 from redload.spatial import DYNAMIC, STATIC
 from redload.temporal import PairCounters, ProgramTotals
+from redload.trace import SourceMap
 from redload.workloads import Scenario, generate, scenario_names
 
-from helpers import SMALL_SCENARIOS
+from helpers import SMALL_SCENARIOS, Build
 from reference_json import reference_bytes, reference_doc
 
 FULL = AnalysisConfig(sampling=SamplingConfig.disabled())
@@ -119,6 +121,36 @@ def test_rows_with_long_shared_key_prefixes_match_reference(tmp_path):
                     _counters(0, 0, c * (b + 1), 0, 0, c, 0)
     assert len(profile.temporal_pairs) == len(tails) ** 2 * 3
     assert_reference_bytes(profile, tmp_path)
+
+
+def test_a_deep_recursion_saves_in_less_memory_than_half_its_file(
+        tmp_path):
+    # One redundant load per level of a d-deep recursion: row i pairs the
+    # contexts of levels i - 1 and i, so the file grows as d**2. save keeps
+    # one sort key per distinct context and no context's text, so its peak
+    # stays far below the file; holding every row's text would not.
+    depth = 300
+    source_map = SourceMap(sites={1: ("f", "deep.c", 10),
+                                  2: ("f", "deep.c", 11)})
+    build = Build(source_map=source_map)
+    build.thread_start()
+    for _ in range(depth):
+        build.call(1)
+        build.load(0x1000, b"\x01\x02\x03\x04", site=2)
+    for _ in range(depth):
+        build.ret(1)
+    profile = analyze_events(build.events, source_map, FULL)
+    assert len(profile.temporal_pairs) == depth
+    path = tmp_path / "deep.json"
+    tracemalloc.start()
+    try:
+        save(profile, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    saved = path.read_bytes()
+    assert saved == reference_bytes(profile)
+    assert peak < len(saved) / 2, (peak, len(saved))
 
 
 _texts = st.text(alphabet=st.characters(blacklist_categories=("Cs",)),

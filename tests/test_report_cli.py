@@ -639,6 +639,54 @@ def test_a_report_of_counters_past_the_float_range(tmp_path, capsys):
     assert [row["pair_fraction"] for row in rows] == [1.0, 1.0]
 
 
+def _past_the_float_range(doc):
+    """Edit a profile document so that one row's redundant bytes are
+    10**400 against a total of 1: their pair fraction is past the float
+    range, while every program fraction is not."""
+    row = next(row for row in doc["temporal_pairs"] + doc["spatial_pairs"]
+               if row["old_context"])
+    row["counters"]["redundant_bytes_precise"] = 10 ** 400
+    doc["totals"].update(total_nonfp_bytes=1, redundant_nonfp_bytes=1)
+
+
+@pytest.mark.parametrize("edit, merges", [
+    (_past_the_float_range, True),
+    (lambda doc: doc["totals"].update(
+        total_nonfp_bytes=1, total_fp_bytes=0,
+        redundant_nonfp_bytes=10 ** 400, redundant_fp_bytes=0), False),
+], ids=["row", "totals"])
+def test_a_fraction_past_the_float_range_is_an_error(edit, merges, tmp_path,
+                                                     capsys):
+    # load checks each count alone, so a profile can hold redundant bytes
+    # past the float range over their total. A fraction of them is an
+    # error naming both counts: in every report of the row, and in every
+    # report or merge of the totals, which a saved profile states.
+    path = tmp_path / "in.json"
+    path.write_bytes(_mutated_profile(edit))
+    out = tmp_path / "m.json"
+    runs = [["report", str(path)], ["report", str(path), "--format", "json"]]
+    merge = ["merge", str(path), "-o", str(out)]
+    if merges:      # a merge writes no pair fraction; its reports fail
+        assert main(merge) == 0
+        assert load_profile(out) == load_profile(path)
+        runs += [["report", str(out)],
+                 ["report", str(out), "--format", "json"]]
+    else:
+        runs.append(merge)
+    capsys.readouterr()
+    for argv in runs:
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err
+        assert err.startswith(f"redload {argv[0]}: {10 ** 400} redundant "
+                              "bytes of 1 total bytes "), err
+        assert len(err.splitlines()) == 1, err
+        assert "float range" in err and "Traceback" not in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == (
+        ["in.json", "m.json"] if merges else ["in.json"])
+
+
 @pytest.fixture(scope="module")
 def small_profile():
     """The text of a profile with temporal and spatial pairs, and static
