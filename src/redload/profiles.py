@@ -180,12 +180,9 @@ def merge_all(profiles):
         out.thread_count += p.thread_count
         out.meta = _merge_meta(out.meta, p.meta)
         for table in ("temporal_pairs", "objects", "spatial_pairs"):
-            rows, source = getattr(out, table), getattr(p, table)
-            if rows:
-                for key, counters in source.items():
-                    _fold(key, counters, rows)
-            else:
-                rows.update(source)     # what `_fold` gives key by key
+            rows = getattr(out, table)
+            for key, counters in getattr(p, table).items():
+                _fold(key, counters, rows)
     return out
 
 
@@ -199,8 +196,6 @@ def frame_doc(frame):
 
 
 def path_doc(path):
-    if path is None:
-        return None
     return [frame_doc(f) for f in path]
 
 

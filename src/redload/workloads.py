@@ -1,9 +1,10 @@
 """Deterministic synthetic workloads exhibiting known redundancy patterns.
 
-Each scenario simulates a small program as an event stream: calls and
-returns around its functions, a loop-header pass at every iteration
-boundary, allocation or image registration for every array touched, and
-loads carrying the values the simulated memory really holds. Identical
+Each scenario simulates a small program as an event stream: calls and returns
+around its functions, a loop-header pass at every iteration boundary,
+allocation or image registration for every array touched, and loads carrying
+the values the simulated memory really holds. Each thread runs inside `main`
+(site 1). All scenarios take `threads`; `SCENARIOS` does not list it. Identical
 (name, params) always produce the identical trace, so scenarios double as
 golden inputs for the analysis engine and for the test suite's oracle.
 """
@@ -133,13 +134,10 @@ def _build_adjacent_equal(p, sm):
     statics = [("A", base, 4 * len(values))]
 
     def body(em, tid):
-        yield em.thread_start()
-        yield em.call(1)
         for _ in range(reps):
             for i, v in enumerate(values):
                 yield em.loop(101, 1)
                 yield em.load(base + 4 * i, u32(v), 2)
-        yield em.ret(1)
 
     return statics, body
 
@@ -162,8 +160,6 @@ def _build_linear_search(p, sm):
     statics = [("keys", base, 4 * n)]
 
     def body(em, tid):
-        yield em.thread_start()
-        yield em.call(1)
         for _ in range(queries):
             yield em.loop(101, 1)
             yield em.call(2)
@@ -173,7 +169,6 @@ def _build_linear_search(p, sm):
                 if i >= probe:
                     break
             yield em.ret(2)
-        yield em.ret(1)
 
     return statics, body
 
@@ -195,8 +190,6 @@ def _build_hash_collision(p, sm):
 
     def body(em, tid):
         nodes = [_dyn_base(tid, k * 16) for k in range(chain)]
-        yield em.thread_start()
-        yield em.call(1)
         yield em.call(2)
         for nb in nodes:
             yield em.alloc(nb, 16)
@@ -211,7 +204,6 @@ def _build_hash_collision(p, sm):
                 nxt = nodes[k + 1] if k + 1 < chain else 0
                 yield em.load(nb + 8, u64(nxt), 6)
             yield em.ret(3)
-        yield em.ret(1)
 
     return statics, body
 
@@ -232,8 +224,6 @@ def _build_stencil(p, sm):
         return f64(300.0 + 0.125 * i)
 
     def body(em, tid):
-        yield em.thread_start()
-        yield em.call(1)
         for _ in range(reps):
             for y in range(ny):
                 yield em.loop(101, 1)
@@ -245,7 +235,6 @@ def _build_stencil(p, sm):
                     yield em.load(base + 8 * c, cell(c), 3, fp=F64)
                     yield em.load(base + 8 * w, cell(w), 4, fp=F64)
                     yield em.load(base + 8 * e, cell(e), 5, fp=F64)
-        yield em.ret(1)
 
     return statics, body
 
@@ -262,8 +251,6 @@ def _build_forward_copy(p, sm):
 
     def body(em, tid):
         buf = _dyn_base(tid)
-        yield em.thread_start()
-        yield em.call(1)
         yield em.call(2)
         yield em.alloc(buf, 4 * length)
         yield em.ret(2)
@@ -274,7 +261,6 @@ def _build_forward_copy(p, sm):
                 yield em.loop(102, 3)
                 yield em.load(buf + 4 * (i - 1), u32(1), 4)
             yield em.ret(3)
-        yield em.ret(1)
 
     return [], body
 
@@ -295,8 +281,6 @@ def _build_callee_spill(p, sm):
 
     def body(em, tid):
         spill = UNOWNED_BASE
-        yield em.thread_start()
-        yield em.call(1)
         for pos in range(reps):
             yield em.loop(101, 1)
             yield em.call(2)
@@ -304,7 +288,6 @@ def _build_callee_spill(p, sm):
                 yield em.load(spill + 4 * slot, u32(v), 3 + slot)
             yield em.load(data_base + 4 * pos, u32(1000 + pos), 6)
             yield em.ret(2)
-        yield em.ret(1)
 
     return statics, body
 
@@ -337,8 +320,6 @@ def _build_sparse_zeros(p, sm):
 
     def body(em, tid):
         oldw = _dyn_base(tid)
-        yield em.thread_start()
-        yield em.call(1)
         yield em.call(2)
         yield em.alloc(oldw, 4 * length)
         yield em.ret(2)
@@ -347,7 +328,6 @@ def _build_sparse_zeros(p, sm):
                 yield em.loop(101, 1)
                 yield em.load(delta_base + 4 * j, u32(delta_vals[j]), 3)
                 yield em.load(oldw + 4 * j, u32(oldw_vals[j]), 4)
-        yield em.ret(1)
 
     return statics, body
 
@@ -368,8 +348,6 @@ def _build_approx_drift(p, sm):
     statics = [("vals", base, 8 * length)]
 
     def body(em, tid):
-        yield em.thread_start()
-        yield em.call(1)
         for r in range(reps):
             yield em.loop(101, 1)
             scale = (1.0 + step) ** r
@@ -377,7 +355,6 @@ def _build_approx_drift(p, sm):
                 yield em.loop(102, 1)
                 yield em.load(base + 8 * i, f64((100.0 + i) * scale), 3,
                               fp=F64)
-        yield em.ret(1)
 
     return statics, body
 
@@ -404,26 +381,14 @@ def _build_random_mixed(p, sm):
         sm.add_site(s, f"f{s - 10}", "random_mixed.c", 100 + s)
     for s in _RM_LOAD_SITES:
         sm.add_site(s, "load", "random_mixed.c", 200 + s)
-    # Loop ids are handed out per (function site, nesting slot) so a
-    # function re-entered anywhere replays the same static loops.
-    loop_ids = {}
-    next_loop = [1000]
-
-    def loop_id_for(site, slot):
-        key = (site, slot)
-        lid = loop_ids.get(key)
-        if lid is None:
-            lid = next_loop[0]
-            next_loop[0] += 1
-            loop_ids[key] = lid
-            sm.add_loop(lid, "random_mixed.c", lid)
-        return lid
-
-    # Pre-assign the loop ids both threads may touch so the source map is
-    # complete before any stream is consumed.
-    for s in (1,) + _RM_FUNC_SITES:
-        for slot in range(6):
-            loop_id_for(s, slot)
+    # One loop id per (function site, nesting slot) so a function
+    # re-entered anywhere replays the same static loops. A frame nests at
+    # most 4 loops, so slots 4 and 5 are never entered; they stay because
+    # their loops are in the pinned source map.
+    loop_ids = {key: lid for lid, key in enumerate(
+        itertools.product((1,) + _RM_FUNC_SITES, range(6)), 1000)}
+    for lid in loop_ids.values():
+        sm.add_loop(lid, "random_mixed.c", lid)
 
     third = region // 3
     statics = [("obj0", base, third - 8),
@@ -437,8 +402,6 @@ def _build_random_mixed(p, sm):
         zone = _dyn_base(tid)
         zone_size = region - dyn_off - 8
 
-        yield em.thread_start()
-        yield em.call(1)
         frames = [1]            # call site stack, main at bottom
         loop_stack = [[]]       # per frame: loop ids currently on the path
         zone_live = False
@@ -461,7 +424,7 @@ def _build_random_mixed(p, sm):
                     del stack[k + 1:]
                     yield em.loop(stack[k], frame)
                 elif len(stack) < 4:
-                    lid = loop_id_for(frame, len(stack))
+                    lid = loop_ids[frame, len(stack)]
                     stack.append(lid)
                     yield em.loop(lid, frame)
             elif r < 0.20 + churn:
@@ -497,7 +460,7 @@ def _build_random_mixed(p, sm):
                     fp = NONFP
                 yield em.load(addr, value, rng.choice(_RM_LOAD_SITES), fp=fp)
                 emitted += 1
-        while frames:
+        while len(frames) > 1:
             yield em.ret(frames.pop())
 
     return statics, body
@@ -505,26 +468,24 @@ def _build_random_mixed(p, sm):
 
 SCENARIOS = {
     "adjacent_equal": (_build_adjacent_equal,
-                       {"values": (1, 1, 1, 15), "reps": 1, "threads": 1}),
+                       {"values": (1, 1, 1, 15), "reps": 1}),
     "linear_search": (_build_linear_search,
-                      {"n": 1000, "queries": 1000, "probe": None,
-                       "threads": 1}),
+                      {"n": 1000, "queries": 1000, "probe": None}),
     "hash_collision": (_build_hash_collision,
-                       {"chain": 32, "searches": 100, "threads": 1}),
+                       {"chain": 32, "searches": 100}),
     "stencil": (_build_stencil,
-                {"nx": 64, "ny": 8, "reps": 1, "threads": 1}),
+                {"nx": 64, "ny": 8, "reps": 1}),
     "forward_copy": (_build_forward_copy,
-                     {"len": 64, "reps": 20, "threads": 1}),
-    "callee_spill": (_build_callee_spill, {"reps": 100, "threads": 1}),
+                     {"len": 64, "reps": 20}),
+    "callee_spill": (_build_callee_spill, {"reps": 100}),
     "sparse_zeros": (_build_sparse_zeros,
                      {"len": 1000, "zero_density": 0.9, "layout": "block",
-                      "passes": 1, "seed": 0, "threads": 1}),
+                      "passes": 1, "seed": 0}),
     "approx_drift": (_build_approx_drift,
-                     {"len": 4, "reps": 500, "step": 0.005, "threads": 1}),
+                     {"len": 4, "reps": 500, "step": 0.005}),
     "random_mixed": (_build_random_mixed,
                      {"seed": 0, "loads": 10_000, "region_bytes": 192,
-                      "max_depth": 6, "fp_fraction": 0.25, "churn": 0.02,
-                      "threads": 1}),
+                      "max_depth": 6, "fp_fraction": 0.25, "churn": 0.02}),
 }
 
 
@@ -536,7 +497,7 @@ def _merge_params(name, params):
     if name not in SCENARIOS:
         raise ConfigError(f"unknown scenario {name!r}; "
                           f"choose from {', '.join(scenario_names())}")
-    defaults = SCENARIOS[name][1]
+    defaults = dict(SCENARIOS[name][1], threads=1)
     merged = dict(defaults)
     for key, value in params.items():
         if key not in defaults:
@@ -558,7 +519,7 @@ def _merge_params(name, params):
             raise ConfigError(
                 f"bad value {value!r} for parameter {key}") from None
         merged[key] = value
-    threads = merged.get("threads", 1)
+    threads = merged["threads"]
     if not isinstance(threads, int) or threads < 1:
         raise ConfigError(f"threads must be a positive integer, got {threads}")
     return merged
@@ -579,6 +540,14 @@ def _interleave(streams, chunk=64):
         live = still
 
 
+def _in_main(em, body):
+    """One thread: the events of `body` inside `main`, at call site 1. A
+    chain, not a generator, so no event passes through one more frame;
+    `map` builds the return only once the body is spent."""
+    return itertools.chain((em.thread_start(), em.call(1)), body(em, em.tid),
+                           map(em.ret, (1,)))
+
+
 def generate(scenario):
     """Events and source map for a scenario; the event sequence streams.
 
@@ -593,8 +562,8 @@ def generate(scenario):
     if statics:
         prologue.append(TraceEvent(STATIC_IMAGE, 0, 0,
                                    objects=tuple(statics)))
-    streams = [body(_Emitter(tid, start_ins=1 if tid == 0 and prologue else 0),
-                    tid) for tid in range(threads)]
+    streams = [_in_main(_Emitter(tid, 1 if tid == 0 and prologue else 0), body)
+               for tid in range(threads)]
     # One stream interleaves to itself: hand it over without a layer.
     stream = streams[0] if threads == 1 else _interleave(streams)
     return itertools.chain(prologue, stream), sm

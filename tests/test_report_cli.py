@@ -50,6 +50,21 @@ def test_adjacent_equal_top_spatial_row_names_object_a():
     assert row["chain"] == row["new_context"] + row["old_context"]
 
 
+def test_an_object_allocated_before_any_call_is_labelled_without_a_site():
+    # An allocation at the root has an empty allocation path, so the text
+    # report has no site to name for its object.
+    b = Build()
+    b.sm.add_site(1, "main", "root.c", 3)
+    b.thread_start()
+    b.alloc(0x1000, 8)
+    b.load(0x1000, u32(7), site=1)
+    b.load(0x1004, u32(7), site=1)
+    profile = analyze_events(b.events, b.sm, FULL)
+    assert list(profile.objects) == [("dynamic", ())]
+    assert "   object: dynamic object allocated  object_fraction=0.5\n" \
+        in report_text(profile, top=5)
+
+
 def test_object_fractions_of_20000_objects_are_direct_sums():
     # Every object shares the two per-class denominators, so a report sums
     # them once, not once per object: 20,000 rows take well under a second.
@@ -504,6 +519,13 @@ def test_cli_report_and_merge_of_malformed_profiles_exit_1(tmp_path, capsys):
     cases = {"header.json": (header, "missing field 'totals'"),
              "text.json": (b"not json\n",
                            "not JSON at character 0: Expecting value"),
+             "no_colon.json": (b'{"format" "redload-profile"}',
+                               "not JSON at character 10: "
+                               "Expecting ':' delimiter"),
+             "deep_meta.json": (
+                 _mutated_profile(lambda d: d.update(meta="deep")).replace(
+                     b'"deep"', b"[" * 10_000 + b"]" * 10_000),
+                 "JSON nested too deeply"),
              "latin1.json": (latin1, "invalid UTF-8 at byte "
                                      f"{latin1.index(0xE9)}"),
              "list.json": (b"[1, 2]", "not a redload-profile document"),
@@ -561,6 +583,7 @@ def test_cli_report_and_merge_of_malformed_profiles_exit_1(tmp_path, capsys):
             assert f"redload {argv[0]}: {path}: " in err, err
             assert message in err, err
             assert "Traceback" not in err
+            assert not (tmp_path / "m.json").exists(), argv
 
 
 def test_an_integer_past_the_digit_limit_is_a_malformed_profile(

@@ -93,8 +93,11 @@ def test_generation_is_deterministic_byte_for_byte():
         assert raws[0] == raws[1]
 
 
-# SHA-256 of the binary and of the text trace of every scenario, one with
-# two interleaved threads and one in the shape of criterion 9's long scan.
+# SHA-256 of the binary and of the text trace of every scenario, one in
+# the shape of criterion 9's long scan, and four with interleaved threads
+# (one whose body yields nothing): each thread's `main` frame is emitted
+# around its body, and the interleaver cuts every thread into 64-event
+# chunks, so moving those events would shift bytes.
 # Traces are golden inputs, so generation and encoding may get faster but
 # must not change a byte.
 PRODUCER_DIGESTS = [
@@ -131,6 +134,15 @@ PRODUCER_DIGESTS = [
     ("linear_search", {"n": 2500, "queries": 4},
      "3e91845c0f1d9c846f2358354a6b685a9df368e46e08863d14ef6590881dbd4a",
      "be5564bab78641ae13b35fa48d255100b516cdd4281dc5adb172e677b0511dca"),
+    ("hash_collision", {"chain": 4, "searches": 3, "threads": 3},
+     "d74b2301e9c2a43ae2a0117ab8107c12553c4d45283ed688e32746eab9449217",
+     "e39b2a59e0abf82bb0ce58e38d4bc6ce622b6ff2c19e55940b5fbe62c6829120"),
+    ("adjacent_equal", {"reps": 0, "threads": 2},
+     "c47a7035c35232d2be29ae4fed2a6d7619afd5f15b26537fd8ec3420e03a06de",
+     "36df5b0d8c6fcd630d374fa4e122d3f05acdb7c2b2e7cafbd06ddd88e111591b"),
+    ("sparse_zeros", {"len": 40, "threads": 2},
+     "b6092901d3f74f22df10c09e814477facff2a2fabbdf3a104d4d412ad15d0d8a",
+     "1527bc1eea81005190f3b92e625245bac24d27b86c2585d01e59b72343a90a1a"),
 ]
 
 
