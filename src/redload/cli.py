@@ -82,18 +82,14 @@ def _exit_on_signal(signum, frame):
 
 
 def _cmd_analyze(args):
-    if args.no_sampling:
-        if args.window_enable is not None or args.window_disable is not None:
-            raise RedloadError(
-                "--no-sampling conflicts with --window-enable/--window-disable")
-        sampling = SamplingConfig.disabled()
-    else:
-        sampling = SamplingConfig(
-            window_enable=(DEFAULT_WINDOW_ENABLE if args.window_enable is None
-                           else args.window_enable),
-            window_disable=(DEFAULT_WINDOW_DISABLE
-                            if args.window_disable is None
-                            else args.window_disable))
+    # The --window-* values given; SamplingConfig's defaults fill the rest.
+    windows = {key: value for key, value in vars(args).items()
+               if key.startswith("window_") and value is not None}
+    if args.no_sampling and windows:
+        raise RedloadError(
+            "--no-sampling conflicts with --window-enable/--window-disable")
+    sampling = (SamplingConfig.disabled() if args.no_sampling
+                else SamplingConfig(**windows))
     config = AnalysisConfig(sampling=sampling,
                             approx_epsilon=args.approx_epsilon)
     profile = analyze_path(args.trace, config)

@@ -621,13 +621,11 @@ def load(path):
         except json.JSONDecodeError as exc:
             fault = (f"not JSON at character {window.dropped + exc.pos}: "
                      f"{exc.msg}")
-        except ValueError as exc:   # int()'s digit limit, in json's scanner
-            fault = f"malformed profile: {exc}"
         except RecursionError:
             fault = "JSON nested too deeply"
         except KeyError as exc:
             fault = f"missing field {exc.args[0]!r}"
-        except TypeError as exc:
+        except (ValueError, TypeError) as exc:  # json's int digit limit
             fault = f"malformed profile: {exc}"
         except RedloadError as exc:
             fault = exc

@@ -14,7 +14,7 @@ from functools import cache
 from .errors import RedloadError
 from .profiles import fractions_doc, frame_doc, object_doc, totals_doc
 from .spatial import STATIC, object_fractions
-from .temporal import pair_fraction
+from .temporal import _fraction as ratio, pair_fraction
 
 DEFAULT_TOP = 20
 
@@ -30,15 +30,14 @@ def _row_docs(kind, pairs, totals, top, fractions=None):
         for klass, rb in (("precise", counters.redundant_bytes_precise),
                           ("approx", counters.redundant_bytes_approx)):
             if rb:
-                text = json.dumps((obj, old, new, scope, klass),
-                                  sort_keys=True)
-                ranked.append((rb, text, klass, counters, key))
+                parts = (obj, old, new, scope, klass)
+                ranked.append((rb, json.dumps(parts), counters, parts))
     ranked.sort(key=lambda row: (-row[0], row[1]))
     del ranked[top:]
     frame = cache(frame_doc)    # one document per distinct frame
     docs = []
-    for rank, (rb, _, klass, counters, key) in enumerate(ranked, start=1):
-        obj, old, new, scope = key if kind == "spatial" else (None, *key)
+    for rank, (rb, _, counters, parts) in enumerate(ranked, start=1):
+        obj, old, new, scope, klass = parts
         frac, defined = pair_fraction(counters, totals)[klass == "approx"]
         done, total = counters.redundant_instances, counters.total_instances
         new_doc, old_doc = list(map(frame, new)), list(map(frame, old))
@@ -52,7 +51,7 @@ def _row_docs(kind, pairs, totals, top, fractions=None):
             "redundant_instances": done,
             "total_instances": total,
             # In ints: a count can exceed the float range.
-            "instance_percent": 100 * done / total if total else 0.0,
+            "instance_percent": ratio(done, total, "instances", 100)[0],
             "chain": new_doc + old_doc,
             "new_context": new_doc,
             "old_context": old_doc,

@@ -6,6 +6,8 @@ between the two loads. When the contexts differ only the shared prefix up
 to (and including) their lowest common ancestor is searched.
 """
 
+from itertools import takewhile
+
 from .cct import LOOP
 
 
@@ -19,13 +21,8 @@ def resolve_scope(tree, old_handle, t_old, new_handle, t_new):
         raise ValueError(f"t_old {t_old} is not before t_new {t_new}")
     path = tree.root_path(old_handle)
     if new_handle != old_handle:
-        other = tree.root_path(new_handle)
-        prefix = []
-        for a, b in zip(path, other):
-            if a is not b:
-                break
-            prefix.append(a)
-        path = prefix
+        # Two root paths share exactly the nodes of their common prefix.
+        path = takewhile(set(tree.root_path(new_handle)).__contains__, path)
     for node in path:
         if node.kind == LOOP and t_old < node.last_pass_ts < t_new:
             return node.handle

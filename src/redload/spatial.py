@@ -57,20 +57,14 @@ class ObjectRegistry:
         """The descriptor of a new live object, registered."""
         desc = ObjectDescriptor(self.next_id, report_key, base, size)
         self.next_id += 1
-        idx = bisect_right(self.bases, desc.base)
-        if idx > 0:
-            prev = self.by_base[self.bases[idx - 1]]
+        idx = bisect_right(self.bases, base)
+        for other_base in self.bases[max(idx - 1, 0):idx + 1]:
             # A zero-size object still owns its base.
-            if prev.end > desc.base or prev.base == desc.base:
+            if other_base < desc.end and base < self.by_base[other_base].end \
+                    or other_base == base:
                 raise MalformedTraceError(
-                    f"allocation [{desc.base:#x}, {desc.end:#x}) overlaps "
-                    f"live object at {prev.base:#x}")
-        if idx < len(self.bases):
-            nxt = self.by_base[self.bases[idx]]
-            if desc.end > nxt.base:
-                raise MalformedTraceError(
-                    f"allocation [{desc.base:#x}, {desc.end:#x}) overlaps "
-                    f"live object at {nxt.base:#x}")
+                    f"allocation [{base:#x}, {desc.end:#x}) overlaps "
+                    f"live object at {other_base:#x}")
         self.bases.insert(idx, desc.base)
         self.by_base[desc.base] = desc
         return desc

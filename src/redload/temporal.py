@@ -159,17 +159,18 @@ class TemporalDetector:
         return redundant, approx_class, prior_ctx, prior_ts
 
 
-def _fraction(redundant, total):
-    """(value, defined); zero denominators report 0 with defined=False.
-    A loaded profile's counts are checked alone, so a ratio past the float
-    range can occur; it raises RedloadError naming both counts."""
+def _fraction(redundant, total, unit="bytes", scale=1):
+    """(value, defined) of scale * redundant / total, taken in ints; zero
+    denominators report 0 with defined=False. A loaded profile's counts
+    are checked alone, so a ratio past the float range can occur; it
+    raises RedloadError naming both counts, in `unit`."""
     if total == 0:
         return 0.0, False
     try:
-        return redundant / total, True
+        return scale * redundant / total, True
     except OverflowError:
-        raise RedloadError(f"{redundant} redundant bytes of {total} total "
-                           "bytes is a fraction past the float range"
+        raise RedloadError(f"{redundant} redundant {unit} of {total} total "
+                           f"{unit} is a fraction past the float range"
                            ) from None
 
 

@@ -363,6 +363,8 @@ _RM_FUNC_SITES = tuple(range(10, 15))
 _RM_LOAD_SITES = tuple(range(20, 28))
 _RM_BYTE_POOL = (0, 0, 1, 2, 255)
 _RM_FP_POOL = (0.0, 1.0, 100.0, 100.4, 100.5, -3.75, float("nan"))
+# (fp class, packer, pool) by the draw `random() < 0.5`; F32 has no NaN.
+_RM_FP_KINDS = ((F32, f32, _RM_FP_POOL[:-1]), (F64, f64, _RM_FP_POOL))
 
 
 def _build_random_mixed(p, sm):
@@ -439,20 +441,11 @@ def _build_random_mixed(p, sm):
                 addr = (base + off) if off < dyn_off \
                     else zone + (off - dyn_off)
                 if rng.random() < fp_fraction:
-                    if rng.random() < 0.5:
-                        fp = F64
-                        if rng.random() < 0.15:
-                            value = f64(rng.choice(_RM_FP_POOL)) + \
-                                f64(rng.choice(_RM_FP_POOL))
-                        else:
-                            value = f64(rng.choice(_RM_FP_POOL))
-                    else:
-                        fp = F32
-                        if rng.random() < 0.15:
-                            value = f32(rng.choice(_RM_FP_POOL[:-1])) + \
-                                f32(rng.choice(_RM_FP_POOL[:-1]))
-                        else:
-                            value = f32(rng.choice(_RM_FP_POOL[:-1]))
+                    fp, pack, pool = _RM_FP_KINDS[rng.random() < 0.5]
+                    two = rng.random() < 0.15
+                    value = pack(rng.choice(pool))
+                    if two:
+                        value += pack(rng.choice(pool))
                 else:
                     size = rng.choice((1, 2, 4, 4, 8, 16))
                     value = bytes(rng.choice(_RM_BYTE_POOL)
@@ -509,10 +502,8 @@ def _merge_params(name, params):
                     value = tuple(int(tok) for tok in value.split(","))
                 else:
                     value = tuple(value)
-            elif isinstance(default, int):
-                value = int(value)
-            elif isinstance(default, float):
-                value = float(value)
+            elif isinstance(default, (int, float)):
+                value = type(default)(value)
             elif default is None and isinstance(value, str):
                 value = int(value)
         except (TypeError, ValueError):

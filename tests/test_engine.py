@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from redload import engine
+from redload import engine, trace
 from redload.cli import main as cli_main
 from redload.engine import AnalysisConfig, analyze_events, analyze_path
 from redload.errors import ConfigError, MalformedTraceError, TraceDecodeError
@@ -434,6 +434,50 @@ def test_gated_decoder_analyzes_like_every_other_source(name, threads,
         assert len(results["binary"][2]) == monitored, sampling
         for label in ("text", "memory"):
             assert results[label] == results["binary"], (label, sampling)
+
+
+def test_iterations_too_long_for_a_block_check_analyze_alike(tmp_path,
+                                                             monkeypatch):
+    # Each pass of the loop is a loop head and 60 loads of 32 bytes, 3,561
+    # bytes encoded: longer than a quarter block, so the decoder's block
+    # check passes none of it and every record of the gap goes one by one.
+    rng = random.Random(5)
+    b = Build()
+    b.sm.add_site(1, "main", "m.c", 1)
+    b.sm.add_site(2, "main", "m.c", 3)
+    b.sm.add_loop(11, "m.c", 2)
+    b.thread_start()
+    b.static_image([("A", 0x1000, 64 * 32)])
+    b.call(1)
+    for _ in range(350):
+        b.loop(11, 1)
+        for k in range(60):
+            b.load(0x1000 + 32 * k, bytes([rng.randrange(2)]) * 32, 2)
+    b.ret(1)
+    lengths = []
+    check = trace._repeats
+
+    def spy(buf, start, pos, *rest):
+        out = check(buf, start, pos, *rest)
+        lengths.append((pos - start, out[1]))
+        return out
+
+    monkeypatch.setattr(trace, "_repeats", spy)
+    results = _analyze_three_ways(
+        b.events, b.sm, AnalysisConfig(sampling=SamplingConfig(100, 9900)),
+        tmp_path)
+    assert (3561, 0) in lengths and 4 * 3561 > trace._BLOCK
+    assert results["binary"][0].totals.total_nonfp_bytes > 0
+    for label in ("text", "memory"):
+        assert results[label] == results["binary"], label
+
+
+def test_analysis_without_a_config_uses_the_default_config():
+    events, sm = generate(Scenario("hash_collision",
+                                   {"chain": 4, "searches": 5}))
+    events = list(events)
+    assert analyze_events(events, sm) == \
+        analyze_events(events, sm, AnalysisConfig())
 
 
 # 4 instructions monitored in every 24: ins_index 4 to 23 and 28 to 47

@@ -21,7 +21,8 @@ from redload.errors import ConfigError, RedloadError
 from redload.profiles import load as load_profile
 from redload.profiles import Profile, merge_all, save, to_json
 from redload.report import build_report, report_json, report_text
-from redload.sampling import SamplingConfig
+from redload.sampling import (DEFAULT_WINDOW_DISABLE, DEFAULT_WINDOW_ENABLE,
+                              SamplingConfig)
 from redload.spatial import STATIC
 from redload.temporal import PairCounters, ProgramTotals
 from redload.trace import F64, write_trace
@@ -273,17 +274,20 @@ def test_cli_usage_errors_exit_2(capsys):
 
 
 _OUT_OF_RANGE = (
-    ("random_mixed", "region_bytes=5"), ("sparse_zeros", "len=-3"),
-    ("approx_drift", "len=-1"), ("callee_spill", "reps=-1"),
-    ("hash_collision", "chain=0"))
+    ("random_mixed", "region_bytes=5", "region_bytes must be >= 24, got 5"),
+    ("sparse_zeros", "len=-3", "len must be >= 0, got -3"),
+    ("approx_drift", "len=-1", "len must be >= 0, got -1"),
+    ("callee_spill", "reps=-1", "reps must be >= 0, got -1"),
+    ("hash_collision", "chain=0", "chain must be >= 1, got 0"),
+    ("sparse_zeros", "layout=diagonal", "unknown layout 'diagonal'"))
 
 
-@pytest.mark.parametrize("scenario,param,form", [
-    pytest.param(scenario, param, form,
+@pytest.mark.parametrize("scenario,param,words,form", [
+    pytest.param(scenario, param, words, form,
                  id=f"{scenario}-{param}" + ("-text" if form else ""))
-    for form in ((), ("--text",)) for scenario, param in _OUT_OF_RANGE])
-def test_cli_gen_out_of_range_params_exit_1(scenario, param, form, tmp_path,
-                                            capsys):
+    for form in ((), ("--text",)) for scenario, param, words in _OUT_OF_RANGE])
+def test_cli_gen_out_of_range_params_exit_1(scenario, param, words, form,
+                                            tmp_path, capsys):
     # A failed gen leaves no partial trace, and no changed one; the text
     # form, which has no field a bad size overflows, rejects it as well.
     out = tmp_path / "t.lrt"
@@ -291,7 +295,7 @@ def test_cli_gen_out_of_range_params_exit_1(scenario, param, form, tmp_path,
             "-o", str(out)]
     rc = main(argv)
     assert rc == 1
-    assert capsys.readouterr().err.startswith("redload gen: ")
+    assert capsys.readouterr().err == f"redload gen: {words}\n"
     assert not out.exists()
     out.write_bytes(b"earlier trace")
     rc = main(argv)
@@ -382,6 +386,18 @@ def test_cli_bad_param_exits_1(tmp_path, capsys):
                "--param", "bogus=1", "-o", str(tmp_path / "t.lrt")])
     assert rc == 1
     capsys.readouterr()
+    # A parameter whose default is None takes an int from its string.
+    search = ["gen", "--scenario", "linear_search", "--param", "n=10",
+              "--param", "queries=2", "-o", str(tmp_path / "s.lrt")]
+    assert main([*search, "--param", "probe=x"]) == 1
+    assert capsys.readouterr().err == \
+        "redload gen: bad value 'x' for parameter probe\n"
+    assert main([*search, "--param", "probe=5"]) == 0
+    events, sm = generate(Scenario("linear_search",
+                                   {"n": 10, "queries": 2, "probe": 5}))
+    want = io.BytesIO()
+    write_trace(events, sm, want)
+    assert (tmp_path / "s.lrt").read_bytes() == want.getvalue()
 
 
 def test_cli_sampling_flags_conflict(tmp_path, capsys):
@@ -391,6 +407,19 @@ def test_cli_sampling_flags_conflict(tmp_path, capsys):
                "--no-sampling", "--window-enable", "10"])
     assert rc == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flags, words", [
+    (["--window-disable", "-1"], "window_disable must be >= 0"),
+    (["--window-enable", "0"], "window_enable must be >= 1"),
+    (["--no-sampling", "--window-disable", "5"],
+     "--no-sampling conflicts with --window-enable/--window-disable")])
+def test_cli_analyze_rejects_a_bad_window(flags, words, tmp_path, capsys):
+    trace, profile = tmp_path / "t.lrt", tmp_path / "p.json"
+    main(["gen", "--scenario", "adjacent_equal", "-o", str(trace)])
+    assert main(["analyze", str(trace), "-o", str(profile), *flags]) == 1
+    assert capsys.readouterr().err == f"redload analyze: {words}\n"
+    assert not profile.exists()
 
 
 @pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf", "-1"])
@@ -452,6 +481,15 @@ def test_cli_sampling_windows_flow_into_profile(tmp_path):
     assert profile.meta["sampling"] == {"enabled": True,
                                         "window_enable": 100,
                                         "window_disable": 900}
+    # A window not given takes SamplingConfig's default.
+    for flags, windows in (
+            (["--window-enable", "100"], (100, DEFAULT_WINDOW_DISABLE)),
+            (["--window-disable", "900"], (DEFAULT_WINDOW_ENABLE, 900)),
+            ([], (DEFAULT_WINDOW_ENABLE, DEFAULT_WINDOW_DISABLE))):
+        assert main(["analyze", str(trace), "-o", str(prof), *flags]) == 0
+        sampling = load_profile(prof).meta["sampling"]
+        assert (sampling["window_enable"], sampling["window_disable"]) == \
+            windows, flags
 
 
 def _mutated_profile(edit):
@@ -660,6 +698,29 @@ def test_a_report_of_counters_past_the_float_range(tmp_path, capsys):
     rows = doc["temporal"] + doc["spatial"]
     assert [row["instance_percent"] for row in rows] == [100.0, 100.0]
     assert [row["pair_fraction"] for row in rows] == [1.0, 1.0]
+
+
+def test_an_instance_percent_past_the_float_range_is_an_error(tmp_path,
+                                                              capsys):
+    # load checks each count alone, so a row's redundant instances can
+    # exceed its total by more than the float range. Its percentage is an
+    # error naming both counts, in text and in JSON, and no traceback.
+    def edit(doc):
+        row = next(row for row in doc["temporal_pairs"] + doc["spatial_pairs"]
+                   if row["old_context"]
+                   and row["counters"]["redundant_bytes_precise"])
+        row["counters"].update(redundant_instances=10 ** 400,
+                               total_instances=1)
+
+    path = tmp_path / "in.json"
+    path.write_bytes(_mutated_profile(edit))
+    for form in ([], ["--format", "json"]):
+        assert main(["report", str(path), *form]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"redload report: {10 ** 400} redundant instances of 1 total "
+            "instances is a fraction past the float range\n"), form
 
 
 def _past_the_float_range(doc):

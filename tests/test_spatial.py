@@ -53,6 +53,13 @@ def test_overlapping_alloc_rejected():
     for size in (0, 8):
         with pytest.raises(MalformedTraceError):
             reg.on_alloc(0x2000, size, ())
+    # The first overlaps both its neighbours and names the previous one.
+    for base, size, other in ((0x1030, 0x20, 0x1000), (0x1FF0, 0x20, 0x2000)):
+        with pytest.raises(MalformedTraceError) as err:
+            reg.on_alloc(base, size, ())
+        assert str(err.value) == (f"allocation [{base:#x}, {base + size:#x})"
+                                  f" overlaps live object at {other:#x}")
+    reg.on_alloc(0x1FF8, 8, ())     # ends at the zero-size object's base
 
 
 def test_unmatched_free_rejected():

@@ -1070,6 +1070,11 @@ def test_encode_rejects_bad_events_with_index():
     assert err.value.event_index == 1
     assert "event 1: static_image record: " in str(err.value)
 
+    with pytest.raises(TraceEncodeError) as err:
+        write_trace([TraceEvent(99, 0, 0)], srcmap, io.BytesIO())
+    assert err.value.event_index == 0
+    assert str(err.value) == "event 0: unknown event kind 99"
+
 
 def test_calls_balance_per_thread_not_globally():
     srcmap = SourceMap()
@@ -1104,6 +1109,29 @@ def test_text_format_roundtrip_and_golden_line():
     events, sm = read_text_trace(text_stream(text))
     assert list(events) == b.events
     assert sm.sites == b.sm.sites and sm.loops == b.sm.loops
+
+
+def test_blank_and_whitespace_lines_between_text_records_are_skipped(
+        tmp_path):
+    # Lines with no token carry no record: a trace with them between its
+    # records reads and analyzes as the trace without them.
+    events, sm = generate(Scenario("hash_collision",
+                                   {"chain": 3, "searches": 4}))
+    out = io.StringIO()
+    write_text_trace(events, sm, out)
+    header, *lines = out.getvalue().splitlines(keepends=True)
+    plain, spaced = tmp_path / "plain.txt", tmp_path / "spaced.txt"
+    plain.write_text(out.getvalue(), encoding="utf-8")
+    spaced.write_text(header + "".join(
+        ("\n", "  \t \n", " \n")[k % 3] + line
+        for k, line in enumerate(lines)) + "\t\n", encoding="utf-8")
+    with open(plain, "rb") as f, open(spaced, "rb") as g:
+        want, want_sm = read_text_trace(f)
+        got, got_sm = read_text_trace(g)
+        assert list(got) == list(want) and got_sm == want_sm
+    config = AnalysisConfig(sampling=SamplingConfig.disabled())
+    assert analyze_path(str(spaced), config) == \
+        analyze_path(str(plain), config)
 
 
 
